@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .channel_model import (
     ChannelRealization,
     EffectiveChannel,
-    NoiseModel,
     effective_channel,
     sample_channel,
     simulate_normalized,
@@ -40,12 +39,8 @@ from .errors import (
     SchemeInvalidError,
 )
 from .information import (
-    MiResult,
-    gramian_quadratic_form,
-    is_outage,
     jensen_mi,
     jensen_mi_via_gramian,
-    mi_result,
     mutual_information,
 )
 from .outage_analysis import (

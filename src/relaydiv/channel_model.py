@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .relay_schemes import RelayScheme
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+from .relay_schemes import RelayScheme, _as_readonly
 
 
 @dataclass(frozen=True)
@@ -66,32 +60,6 @@ class EffectiveChannel:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """SNR and chain selection: exact two-hop chain vs normalized model.
-
-    ``relay_power_scale`` rescales the per-relay power (1/K gives the
-    total-power variant, which leaves all asymptotic statements unchanged).
-    """
-
-    snr: float
-    normalized: bool = True
-    relay_power_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.snr <= 0:
-            raise InvalidParameterError("snr must be positive")
-        if self.relay_power_scale <= 0:
-            raise InvalidParameterError("relay_power_scale must be positive")
-
-    def apply(self, scheme, ch, x, rng):
-        if self.normalized:
-            return simulate_normalized(scheme, ch, x, self.snr, rng)
-        return simulate_two_hop(
-            scheme, ch, x, self.snr, rng, relay_power_scale=self.relay_power_scale
-        )
-
-
 def sample_channel(num_relays: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw i.i.d. unit-variance circularly symmetric complex Gaussian fading."""
     if num_relays < 1:
@@ -111,10 +79,14 @@ def effective_channel(scheme: RelayScheme, ch: ChannelRealization) -> EffectiveC
         raise InvalidParameterError(
             f"scheme has K={scheme.num_relays} relays, realization has {ch.num_relays}"
         )
-    weights = ch.h_tilde
-    mat = np.tensordot(weights, scheme.stacked(), axes=(0, 0))
-    mat /= np.sqrt(1.0 + np.linalg.norm(ch.h) ** 2)
-    return EffectiveChannel(mat)
+    return EffectiveChannel(effective_channels(ch.f[None], ch.h[None], scheme.stacked())[0])
+
+
+def effective_channels(f: np.ndarray, h: np.ndarray, g_stack: np.ndarray) -> np.ndarray:
+    """Batched H_eff: (T, N, N) from (T, K) fading and the (K, N, N) stack."""
+    heff = np.einsum("nk,kab->nab", h * f, g_stack)
+    heff /= np.sqrt(1.0 + np.sum(np.abs(h) ** 2, axis=1))[:, None, None]
+    return heff
 
 
 def simulate_two_hop(

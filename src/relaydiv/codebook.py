@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel_model import complex_gaussian
 from .errors import InvalidParameterError, ResourceLimitError
-from .relay_schemes import RelayScheme, dft_matrix
+from .relay_schemes import RelayScheme, _as_readonly, dft_matrix
 
 # Relative cutoff for the "entry != 0" conditions: |value| > ZERO_TOL * ||dx||.
 ZERO_TOL = 1e-9
@@ -25,12 +25,6 @@ ZERO_TOL = 1e-9
 RANK_REL_TOL = 1e-12
 
 DEFAULT_SIZE_CAP = 65536
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

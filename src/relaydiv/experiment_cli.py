@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ConfigError(f"r must lie in [0, 1/2], got {self.r}")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.snr_db):
+            raise ConfigError(f"snr_db entries must be finite numbers, got {self.snr_db}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db grid must be strictly increasing")
         if not 0 <= self.seed < 2**64:
@@ -124,8 +126,8 @@ class ExperimentConfig:
                 raise ConfigError(f"trials must be 'adaptive' or a positive integer, got {self.trials!r}") from None
         if self.outage not in ("jensen", "exact"):
             raise ConfigError(f"outage must be 'jensen' or 'exact', got {self.outage!r}")
-        if self.rate_bits < 0:
-            raise ConfigError("rate_bits must be >= 0")
+        if not (math.isfinite(self.rate_bits) and self.rate_bits >= 0):
+            raise ConfigError(f"rate_bits must be a finite number >= 0, got {self.rate_bits}")
         if self.experiment == "certify-code" and not self.codebook:
             raise ConfigError("certify-code needs a codebook path")
 
@@ -750,8 +752,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
-        if cfg.threads is not None:
-            resolve_threads(cfg.threads)
+        resolve_threads(cfg.threads)
 
         if cfg.experiment == "self-check":
             results, text = run_self_check()

@@ -1,12 +1,13 @@
-"""Mutual information of the effective channel and the outage indicator.
+"""Mutual information of the effective channel and its Jensen bound.
 
 All logarithms are base 2; rates are in bits per channel use.  The factor
-1/2 in every expression reflects the two-slot half-duplex protocol.
+1/2 in every expression reflects the two-slot half-duplex protocol.  The
+exact MI and the Gramian path of the Jensen bound each have one batched
+kernel, which the Monte Carlo estimators call on whole blocks and the
+scalar APIs call on a batch of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,26 +16,21 @@ from .errors import InternalConsistencyError, InvalidParameterError
 from .relay_schemes import EIGENVALUE_CLAMP_TOL, GramianSummary
 
 
-@dataclass(frozen=True)
-class MiResult:
-    """Exact mutual information and its Jensen upper bound, bits/use."""
-
-    exact_mi: float
-    jensen_mi: float
-
-
 def mutual_information(heff: EffectiveChannel, rho: float) -> float:
     """(1/2N) sum_n log2(1 + rho lambda_n(H H^H))."""
+    return float(mutual_information_batch(heff.matrix[None], rho)[0])
+
+
+def mutual_information_batch(heffs: np.ndarray, rho: float) -> np.ndarray:
+    """Exact MI of each (N, N) channel in a (T, N, N) stack, shape (T,)."""
     _check_rho(rho)
-    m = heff.matrix
-    eig = np.linalg.eigvalsh(m @ m.conj().T)
-    if eig.size and eig[0] < EIGENVALUE_CLAMP_TOL:
+    eig = np.linalg.eigvalsh(heffs @ heffs.conj().transpose(0, 2, 1))
+    if eig.size and eig[:, 0].min() < EIGENVALUE_CLAMP_TOL:
         raise InternalConsistencyError(
-            f"H H^H eigenvalue {eig[0]:.3e} below clamp tolerance"
+            f"H H^H eigenvalue {eig[:, 0].min():.3e} below clamp tolerance"
         )
-    eig = np.clip(eig, 0.0, None)
-    n = heff.block_length
-    return float(np.sum(np.log2(1.0 + rho * eig)) / (2.0 * n))
+    np.clip(eig, 0.0, None, out=eig)
+    return np.sum(np.log2(1.0 + rho * eig), axis=1) / (2.0 * heffs.shape[-1])
 
 
 def jensen_mi(heff: EffectiveChannel, rho: float) -> float:
@@ -54,29 +50,19 @@ def jensen_mi_via_gramian(
     bound equals (1/2) log2(1 + (rho/N) h~^H gram h~ / (1 + ||h||^2)); it
     must agree with the full-matrix path to 1e-10 relative.
     """
+    return float(jensen_mi_via_gramian_batch(gram, ch.f[None], ch.h[None], rho)[0])
+
+
+def jensen_mi_via_gramian_batch(
+    gram: GramianSummary, f: np.ndarray, h: np.ndarray, rho: float
+) -> np.ndarray:
+    """Gramian-path Jensen bound for (T, K) fading draws f and h, shape (T,)."""
     _check_rho(rho)
-    quad = gramian_quadratic_form(gram, ch)
-    return 0.5 * float(np.log2(1.0 + rho / gram.block_length * quad))
-
-
-def gramian_quadratic_form(gram: GramianSummary, ch: ChannelRealization) -> float:
-    """h~^H gram h~ / (1 + ||h||^2); equals the squared Frobenius norm of
-    the effective channel for the scheme that produced the Gramian."""
-    ht = ch.h_tilde
-    quad = float(np.real(ht.conj() @ gram.gram @ ht))
-    denom = 1.0 + float(np.linalg.norm(ch.h) ** 2)
-    return max(quad, 0.0) / denom
-
-
-def mi_result(heff: EffectiveChannel, rho: float) -> MiResult:
-    return MiResult(mutual_information(heff, rho), jensen_mi(heff, rho))
-
-
-def is_outage(mi: float, r: float, rho: float) -> bool:
-    """True iff mi < r log2(rho); strict inequality, so r = 0 never outages."""
-    if rho <= 1:
-        raise InvalidParameterError("rho must exceed 1 for a rate target")
-    return mi < r * np.log2(rho)
+    ht = h * f
+    quad = np.einsum("nk,kl,nl->n", ht.conj(), gram.gram, ht).real
+    np.clip(quad, 0.0, None, out=quad)
+    hn2 = np.sum(np.abs(h) ** 2, axis=1)
+    return 0.5 * np.log2(1.0 + (rho / gram.block_length) * quad / (1.0 + hn2))
 
 
 def _check_rho(rho: float) -> None:

@@ -17,10 +17,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel_model import ChannelRealization, complex_gaussian, effective_channel
+from .channel_model import (
+    ChannelRealization,
+    complex_gaussian,
+    effective_channel,
+    effective_channels,
+)
 from .codebook import Codebook, difference_matrix, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
-from .information import gramian_quadratic_form  # noqa: F401  (re-export)
+from .information import jensen_mi_via_gramian_batch, mutual_information_batch
 from .relay_schemes import GramianSummary, RelayScheme, gramian
 
 EULER_GAMMA = 0.5772156649015328606
@@ -175,12 +180,18 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit argument, else RELAYDIV_THREADS, else 1."""
+    """Explicit argument, else RELAYDIV_THREADS, else 1; anything but a
+    positive integer raises InvalidParameterError naming its source."""
+    name, raw = "threads", threads
     if threads is None:
-        threads = int(os.environ.get(ENV_THREADS, "1"))
-    if threads < 1:
-        raise InvalidParameterError("threads must be >= 1")
-    return threads
+        name, raw = ENV_THREADS, os.environ.get(ENV_THREADS, "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +232,6 @@ def _sample_fading(rng: np.random.Generator, n: int, k: int):
     return fh[0], fh[1]
 
 
-def _jensen_mi_samples(
-    f: np.ndarray, h: np.ndarray, gram: np.ndarray, n_block: int, rho: float
-) -> np.ndarray:
-    ht = h * f
-    quad = np.einsum("nk,kl,nl->n", ht.conj(), gram, ht).real
-    np.clip(quad, 0.0, None, out=quad)
-    hn2 = np.sum(np.abs(h) ** 2, axis=1)
-    return 0.5 * np.log2(1.0 + (rho / n_block) * quad / (1.0 + hn2))
-
-
-def _exact_mi_samples(
-    f: np.ndarray, h: np.ndarray, g_stack: np.ndarray, rho: float
-) -> np.ndarray:
-    ht = h * f
-    hn2 = np.sum(np.abs(h) ** 2, axis=1)
-    heff = np.einsum("nk,kab->nab", ht, g_stack)
-    heff /= np.sqrt(1.0 + hn2)[:, None, None]
-    eig = np.linalg.eigvalsh(heff @ heff.conj().transpose(0, 2, 1))
-    np.clip(eig, 0.0, None, out=eig)
-    n_block = g_stack.shape[1]
-    return np.sum(np.log2(1.0 + rho * eig), axis=1) / (2.0 * n_block)
-
-
 def _rate_threshold(r: float, rho: float, rate_bits: float | None) -> float:
     if rate_bits is not None:
         if rate_bits < 0:
@@ -266,18 +254,11 @@ def mc_jensen_outage(
     the rate target r log2(rho) (or the fixed ``rate_bits`` override used by
     fixed-rate diversity experiments)."""
     _check_outage_args(r, rho)
-    gram = gramian(scheme).gram
-    thresh = _rate_threshold(r, rho, rate_bits)
-    k = scheme.num_relays
-    n_block = scheme.block_length
-
-    def block(rng: np.random.Generator, n: int) -> int:
-        f, h = _sample_fading(rng, n, k)
-        mi = _jensen_mi_samples(f, h, gram, n_block, rho)
-        return int(np.count_nonzero(mi < thresh))
-
-    events = _mc_event_count(trials, seed, threads, block)
-    return _estimate(rho, events, trials)
+    gram = gramian(scheme)
+    return _mc_outage(
+        scheme, r, rho, trials, seed, rate_bits, threads,
+        lambda f, h: jensen_mi_via_gramian_batch(gram, f, h, rho),
+    )
 
 
 def mc_exact_outage(
@@ -295,13 +276,29 @@ def mc_exact_outage(
     both can be compared on identical realization streams."""
     _check_outage_args(r, rho)
     g_stack = scheme.stacked()
+    return _mc_outage(
+        scheme, r, rho, trials, seed, rate_bits, threads,
+        lambda f, h: mutual_information_batch(effective_channels(f, h, g_stack), rho),
+    )
+
+
+def _mc_outage(
+    scheme: RelayScheme,
+    r: float,
+    rho: float,
+    trials: int,
+    seed: int,
+    rate_bits: float | None,
+    threads: int | None,
+    mi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> ProbEstimate:
+    """Count draws whose per-trial MI ``mi(f, h)`` falls below the target."""
     thresh = _rate_threshold(r, rho, rate_bits)
     k = scheme.num_relays
 
     def block(rng: np.random.Generator, n: int) -> int:
         f, h = _sample_fading(rng, n, k)
-        mi = _exact_mi_samples(f, h, g_stack, rho)
-        return int(np.count_nonzero(mi < thresh))
+        return int(np.count_nonzero(mi(f, h) < thresh))
 
     events = _mc_event_count(trials, seed, threads, block)
     return _estimate(rho, events, trials)
@@ -338,9 +335,7 @@ def mc_ml_error(
         f, h = _sample_fading(rng, n, k)
         sent = rng.integers(0, m, size=n)
         z = complex_gaussian(rng, (n, n_block))
-        ht = h * f
-        heff = np.einsum("nk,kab->nab", ht, g_stack)
-        heff /= np.sqrt(1.0 + np.sum(np.abs(h) ** 2, axis=1))[:, None, None]
+        heff = effective_channels(f, h, g_stack)
         errors = 0
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -540,7 +535,6 @@ __all__ = [
     "bessel_k1",
     "bracket_log_correction",
     "fit_diversity_slope",
-    "gramian_quadratic_form",
     "mc_exact_outage",
     "mc_jensen_outage",
     "mc_ml_error",

@@ -33,11 +33,12 @@ class RelayScheme:
 
     matrices: tuple[np.ndarray, ...]
     name: str = "custom"
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.matrices) == 0:
             raise InvalidParameterError("scheme needs at least one matrix")
-        mats = tuple(_as_readonly(g) for g in self.matrices)
+        mats = [np.asarray(g, dtype=complex) for g in self.matrices]
         n = mats[0].shape[0]
         for i, g in enumerate(mats):
             if g.ndim != 2 or g.shape != (n, n):
@@ -48,7 +49,9 @@ class RelayScheme:
             raise InvalidParameterError(
                 f"relay count K={len(mats)} exceeds block length N={n}"
             )
-        object.__setattr__(self, "matrices", mats)
+        stack = _as_readonly(np.stack(mats))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     @property
     def num_relays(self) -> int:
@@ -59,8 +62,8 @@ class RelayScheme:
         return self.matrices[0].shape[0]
 
     def stacked(self) -> np.ndarray:
-        """All matrices as one (K, N, N) array."""
-        return np.stack(self.matrices)
+        """All matrices as one read-only (K, N, N) array."""
+        return self._stack
 
 
 @dataclass(frozen=True)

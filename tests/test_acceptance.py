@@ -194,10 +194,10 @@ def test_criterion_6_duality_identities():
         perms = np.stack([g * np.sqrt(n) for g in cdd.matrices])
         lams = np.stack([g * np.sqrt(n) for g in pr.matrices])
         # G_i(phase rolling) vs F P_i F^H / sqrt(N), i.e. Lambda_i vs F P_i F^H
-        recon = np.einsum("ab,ibc,cd->iad", f, perms, f.conj().T)
+        recon = np.einsum("ab,ibc,cd->iad", f, perms, f.conj().T, optimize=True)
         worst_dual = max(worst_dual, float(np.abs(recon - lams).max()))
         # P_i vs F^H Lambda_i F
-        recon = np.einsum("ab,ibc,cd->iad", f.conj().T, lams, f)
+        recon = np.einsum("ab,ibc,cd->iad", f.conj().T, lams, f, optimize=True)
         worst_diag = max(worst_diag, float(np.abs(recon - perms).max()))
         inner = np.einsum("iab,jab->ij", perms, perms.conj())
         worst_inner = max(worst_inner, float(np.abs(inner - n * np.eye(n)).max()))

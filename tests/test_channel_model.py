@@ -5,11 +5,8 @@ import pytest
 
 from relaydiv import (
     InvalidParameterError,
-    NoiseModel,
     cyclic_delay_scheme,
     effective_channel,
-    gramian,
-    gramian_quadratic_form,
     phase_rolling_scheme,
     sample_channel,
     simulate_normalized,
@@ -70,18 +67,6 @@ def test_effective_channel_dimension_mismatch():
     ch = sample_channel(3, np.random.default_rng(0))
     with pytest.raises(InvalidParameterError):
         effective_channel(scheme, ch)
-
-
-def test_frobenius_norm_matches_gramian_quadratic_form():
-    rng = np.random.default_rng(41)
-    scheme = phase_rolling_scheme(3, 4)
-    summary = gramian(scheme)
-    for _ in range(50):
-        ch = sample_channel(3, rng)
-        heff = effective_channel(scheme, ch)
-        fro2 = float(np.sum(np.abs(heff.matrix) ** 2))
-        quad = gramian_quadratic_form(summary, ch)
-        assert abs(fro2 - quad) <= 1e-10 * max(fro2, 1e-12)
 
 
 def test_frobenius_norm_triangle_bound():
@@ -184,22 +169,6 @@ def test_signal_parts_of_both_chains_agree_at_high_snr():
         diff = np.abs(exact - model)
         scale = np.abs(model) + np.linalg.norm(model) / len(model)
         assert np.all(diff / scale < 1e-3)
-
-
-def test_noise_model_dispatch():
-    rng = np.random.default_rng(50)
-    scheme = cyclic_delay_scheme(1, 2)
-    ch = sample_channel(1, rng)
-    x = complex_gaussian(rng, 2)
-    normalized = NoiseModel(snr=10.0, normalized=True)
-    exact = NoiseModel(snr=10.0, normalized=False)
-    out_a = normalized.apply(scheme, ch, x, np.random.default_rng(1))
-    out_b = simulate_normalized(scheme, ch, x, 10.0, np.random.default_rng(1))
-    np.testing.assert_array_equal(out_a, out_b)
-    out_c = exact.apply(scheme, ch, x, np.random.default_rng(1))
-    assert out_c.shape == (2,)
-    with pytest.raises(InvalidParameterError):
-        NoiseModel(snr=0.0)
 
 
 def test_power_scale_variant_closed_form_and_whiteness():

@@ -351,6 +351,30 @@ def test_cli_env_threads_default(tmp_path, monkeypatch):
     assert open(out1, "rb").read() == open(out8, "rb").read()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_env_threads_is_config_error(tmp_path, monkeypatch, capsys, value):
+    out = tmp_path / "t.csv"
+    monkeypatch.setenv("RELAYDIV_THREADS", value)
+    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+               "--snr-db", "20", "--trials", "1000", "--seed", "5", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "RELAYDIV_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "experiment,snr_db,rate_bits",
+    [("outage-sweep", "nan", "1"), ("outage-sweep", "10,inf", "1"),
+     ("dm-slope", "10,20,30", "nan")],
+)
+def test_cli_non_finite_numbers_are_config_errors(tmp_path, experiment, snr_db, rate_bits):
+    rc = main([experiment, "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0",
+               "--snr-db", snr_db, "--rate-bits", rate_bits, "--trials", "1000",
+               "--seed", "5", "--out", str(tmp_path / "s.csv")])
+    assert rc == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_analytic_curve(tmp_path):
     out = str(tmp_path / "ac.csv")
     rc = main(["analytic-curve", "--scheme", "cdd", "--k", "2", "--n", "4",

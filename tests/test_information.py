@@ -1,4 +1,4 @@
-"""Mutual information, the Jensen bound, and the outage indicator."""
+"""Mutual information and the Jensen bound, by the matrix and Gramian paths."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from relaydiv import (
     cyclic_delay_scheme,
     effective_channel,
     gramian,
-    is_outage,
     jensen_mi,
     jensen_mi_via_gramian,
-    mi_result,
     mutual_information,
     phase_rolling_scheme,
     sample_channel,
@@ -55,8 +53,7 @@ def test_jensen_dominates_exact_mi():
     for _ in range(2000):
         heff = _random_heff(rng, n=int(rng.integers(1, 6)))
         rho = float(10 ** rng.uniform(-1, 4))
-        res = mi_result(heff, rho)
-        assert res.exact_mi <= res.jensen_mi + 1e-9
+        assert mutual_information(heff, rho) <= jensen_mi(heff, rho) + 1e-9
 
 
 def test_mi_monotone_in_snr():
@@ -105,21 +102,6 @@ def test_gramian_path_agrees_with_matrix_path():
         via_matrix = jensen_mi(effective_channel(scheme, ch), rho)
         via_gram = jensen_mi_via_gramian(summary, ch, rho)
         assert abs(via_matrix - via_gram) <= 1e-10 * max(via_matrix, 1e-12)
-
-
-def test_outage_indicator():
-    assert not is_outage(0.0, 0.0, 100.0)  # r = 0 never outages
-    assert is_outage(1.0, 0.25, 256.0)  # threshold is 2 bits
-    assert not is_outage(2.5, 0.25, 256.0)
-    # boundary: strict inequality means the threshold itself is not outage
-    assert not is_outage(0.5, 0.25, 4.0)
-
-
-def test_outage_requires_rho_above_one():
-    with pytest.raises(InvalidParameterError):
-        is_outage(1.0, 0.2, 1.0)
-    with pytest.raises(InvalidParameterError):
-        is_outage(1.0, 0.2, 0.5)
 
 
 def test_rho_must_be_positive():

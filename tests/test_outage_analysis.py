@@ -17,20 +17,23 @@ from relaydiv import (
     adaptive_trials,
     analytic_jensen_bracket,
     bessel_k1,
+    custom_scheme,
     cyclic_delay_scheme,
     difference_matrix,
     fit_diversity_slope,
+    gaussian_codebook,
     gramian,
     mc_exact_outage,
     mc_jensen_outage,
     mc_ml_error,
     min_gram_eigenvalue,
     pep_upper_bound,
+    phase_rolling_scheme,
     product_rayleigh_cdf,
     sample_channel,
     union_bound,
 )
-from relaydiv.channel_model import effective_channel
+from relaydiv.channel_model import complex_gaussian, effective_channel
 from relaydiv.outage_analysis import wilson_interval
 from relaydiv.relay_schemes import RelayScheme
 
@@ -205,6 +208,36 @@ def test_exact_and_jensen_outage_share_the_exponent_scale():
     exact = mc_exact_outage(scheme, 0.25, rho, 400_000, seed=12)
     assert exact.probability >= jensen.probability
     assert exact.probability <= 2.5 * jensen.probability
+
+
+def _regression_custom_scheme():
+    rng = np.random.default_rng(5)
+    return custom_scheme([np.linalg.qr(complex_gaussian(rng, (4, 4)))[0] / 2 for _ in range(3)])
+
+
+@pytest.mark.parametrize(
+    "make_scheme,threads,jensen_events,exact_events",
+    [
+        (lambda: cyclic_delay_scheme(2, 4), 2, 16533, 19607),
+        (lambda: phase_rolling_scheme(3, 4), None, 11157, 16228),
+        (_regression_custom_scheme, None, 11445, 16731),
+    ],
+    ids=["cdd", "phase-rolling", "custom"],
+)
+def test_outage_event_counts_are_pinned_at_a_fixed_seed(
+    make_scheme, threads, jensen_events, exact_events
+):
+    # Any change to the fading stream or to an MI kernel's bits moves these.
+    scheme = make_scheme()
+    jensen = mc_jensen_outage(scheme, 0.25, 100.0, 40_000, seed=11, threads=threads)
+    exact = mc_exact_outage(scheme, 0.25, 100.0, 40_000, seed=11)
+    assert (jensen.events, exact.events) == (jensen_events, exact_events)
+
+
+def test_ml_error_event_count_is_pinned_at_a_fixed_seed():
+    book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
+    est = mc_ml_error(cyclic_delay_scheme(2, 2), book, 10**2.5, 40_000, seed=810)
+    assert est.events == 970
 
 
 def test_outage_argument_validation():

@@ -177,3 +177,12 @@ def test_scheme_matrices_are_immutable():
     scheme = cyclic_delay_scheme(2, 4)
     with pytest.raises(ValueError):
         scheme.matrices[0][0, 0] = 5.0
+
+
+def test_stacked_is_built_once_and_read_only():
+    scheme = cyclic_delay_scheme(2, 4)
+    stack = scheme.stacked()
+    assert stack is scheme.stacked()
+    assert stack.shape == (2, 4, 4) and not stack.flags.writeable
+    for g, s in zip(scheme.matrices, stack):
+        np.testing.assert_array_equal(g, s)
