@@ -46,6 +46,7 @@ from .outage_analysis import (
     ProbEstimate,
     adaptive_trials,
     analytic_jensen_bracket,
+    exact_mi_kernel,
     fit_diversity_slope,
     fit_points,
     mc_exact_outage,
@@ -358,11 +359,35 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _check_out_path(path: str) -> None:
+    """ConfigError unless ``path`` can be written: its directory must exist
+    and be writable, and the path itself must not be a directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {directory} is not writable")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write to a temp file in the target's directory, then os.replace it
+    into place, so ``path`` is either absent, the old file or complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path: str, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+    lines = [",".join(columns)] + [",".join(_csv_cell(v) for v in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(csv_path: str, cfg: ExperimentConfig, wall_time: float,
@@ -378,9 +403,7 @@ def write_manifest(csv_path: str, cfg: ExperimentConfig, wall_time: float,
     if extra:
         manifest.update(extra)
     path = csv_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -406,7 +429,10 @@ def _point_trials(cfg: ExperimentConfig, scheme: RelayScheme, rho: float) -> int
 
 
 def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, *, rate_bits: float | None) -> OutageCurve:
-    estimator = mc_jensen_outage if cfg.outage == "jensen" else mc_exact_outage
+    if cfg.outage == "jensen":
+        estimator, kernel = mc_jensen_outage, "jensen"
+    else:
+        estimator, kernel = mc_exact_outage, exact_mi_kernel(scheme)[0]
     points = []
     for index, db in enumerate(cfg.snr_db):
         rho = 10.0 ** (db / 10.0)
@@ -419,7 +445,7 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, *, rate_bits: float
     fingerprint = (
         f"{cfg.experiment}|{cfg.scheme}|K={cfg.k}|N={cfg.n}|r={cfg.r}|seed={cfg.seed}"
     )
-    return OutageCurve(tuple(points), fingerprint=fingerprint)
+    return OutageCurve(tuple(points), fingerprint=fingerprint, mi_kernel=kernel)
 
 
 def run_outage_sweep(cfg: ExperimentConfig) -> OutageCurve:
@@ -753,13 +779,14 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         resolve_threads(cfg.threads)
+        if cfg.out:
+            _check_out_path(cfg.out)
 
         if cfg.experiment == "self-check":
             results, text = run_self_check()
             sys.stdout.write(text)
             if cfg.out:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                _write_atomic(cfg.out, text)
             return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
         started = time.monotonic()
@@ -768,7 +795,8 @@ def main(argv=None) -> int:
             curve = run_outage_sweep(cfg)
             write_csv(out, OUTAGE_CSV_COLUMNS, _curve_rows(curve))
             write_manifest(out, cfg, time.monotonic() - started,
-                           [p.events for p in curve.points])
+                           [p.events for p in curve.points],
+                           extra={"mi_kernel": curve.mi_kernel})
             sys.stdout.write(f"wrote {out} ({len(curve.points)} points)\n")
             return EXIT_OK
 
@@ -782,6 +810,7 @@ def main(argv=None) -> int:
                            [p.events for p in curve.points], status=report.status,
                            extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
                                   "d_theory": report.d_theory,
+                                  "mi_kernel": curve.mi_kernel,
                                   "points_used": report.points_used})
             sys.stdout.write(
                 f"wrote {out}: d_hat={report.d_hat!r} (raw {report.d_hat_raw!r}, "
@@ -803,8 +832,7 @@ def main(argv=None) -> int:
             report = run_certify(cfg)
             sys.stdout.write(report.text())
             if cfg.out:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
-                    fh.write(report.text())
+                _write_atomic(cfg.out, report.text())
             return EXIT_OK
 
         raise ConfigError(f"unhandled experiment {cfg.experiment}")

@@ -25,8 +25,12 @@ from .channel_model import (
 )
 from .codebook import Codebook, difference_matrix, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
-from .information import jensen_mi_via_gramian_batch, mutual_information_batch
-from .relay_schemes import GramianSummary, RelayScheme, gramian
+from .information import (
+    jensen_mi_via_gramian_batch,
+    mutual_information_batch,
+    mutual_information_spectral,
+)
+from .relay_schemes import GramianSummary, RelayScheme, common_spectra, gramian
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -138,10 +142,12 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class OutageCurve:
-    """Estimates ordered by strictly increasing SNR plus a config tag."""
+    """Estimates ordered by strictly increasing SNR, a config tag and the
+    name of the MI kernel that produced them."""
 
     points: tuple[ProbEstimate, ...]
     fingerprint: str = ""
+    mi_kernel: str = ""
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -271,14 +277,31 @@ def mc_exact_outage(
     rate_bits: float | None = None,
     threads: int | None = None,
 ) -> ProbEstimate:
-    """As mc_jensen_outage but with the exact eigenvalue-sum mutual
-    information; shares the fading draw order with the Jensen estimator so
-    both can be compared on identical realization streams."""
+    """As mc_jensen_outage but with the exact mutual information; shares
+    the fading draw order with the Jensen estimator so both can be compared
+    on identical realization streams.  The kernel is exact_mi_kernel's."""
     _check_outage_args(r, rho)
-    g_stack = scheme.stacked()
+    _, mi = exact_mi_kernel(scheme)
     return _mc_outage(
-        scheme, r, rho, trials, seed, rate_bits, threads,
-        lambda f, h: mutual_information_batch(effective_channels(f, h, g_stack), rho),
+        scheme, r, rho, trials, seed, rate_bits, threads, lambda f, h: mi(f, h, rho)
+    )
+
+
+def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]]:
+    """Name and batched ``mi(f, h, rho)`` of the exact-MI kernel for a scheme.
+
+    "exact-spectral" when the matrices share an eigenbasis by exact equality
+    (all diagonal or all circulant, whatever the scheme's name or source),
+    else "exact-cholesky", a log-det of I + rho H H^H on the full H_eff.
+    """
+    spectra = common_spectra(scheme)
+    if spectra is not None:
+        return "exact-spectral", lambda f, h, rho: mutual_information_spectral(
+            spectra, f, h, rho
+        )
+    g_stack = scheme.stacked()
+    return "exact-cholesky", lambda f, h, rho: mutual_information_batch(
+        effective_channels(f, h, g_stack), rho
     )
 
 
@@ -534,6 +557,7 @@ __all__ = [
     "analytic_jensen_bracket",
     "bessel_k1",
     "bracket_log_correction",
+    "exact_mi_kernel",
     "fit_diversity_slope",
     "mc_exact_outage",
     "mc_jensen_outage",

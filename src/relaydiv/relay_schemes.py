@@ -157,6 +157,27 @@ def gramian(scheme: RelayScheme) -> GramianSummary:
     )
 
 
+def common_spectra(scheme: RelayScheme) -> np.ndarray | None:
+    """Eigenvalues of every G_i in one shared eigenbasis, shape (K, N).
+
+    Diagonal matrices (phase rolling) are their own spectra.  Circulant
+    matrices (CDD) are all diagonalised by the DFT, G_i = F^H diag(l_i) F
+    with l_i = sqrt(N) F c_i for first column c_i.  Both checks use exact
+    equality, so a near-circulant scheme gets None, as does any scheme
+    without such a basis.
+    """
+    g = scheme.stacked()
+    n = scheme.block_length
+    diag = np.diagonal(g, axis1=1, axis2=2)
+    if np.array_equal(g, diag[:, :, None] * np.eye(n)):
+        return diag.copy()
+    first = g[:, :, 0]
+    grid = np.arange(n)
+    if np.array_equal(g, first[:, (grid[:, None] - grid) % n]):
+        return first @ dft_matrix(n).T * np.sqrt(n)
+    return None
+
+
 def _check_kn(num_relays: int, block_length: int) -> None:
     if num_relays < 1:
         raise InvalidParameterError("relay count must be >= 1")

@@ -11,6 +11,7 @@ from relaydiv import (
     ConfigError,
     FileFormatError,
     SchemeInvalidError,
+    custom_scheme,
     cyclic_delay_scheme,
     gaussian_codebook,
     phase_rolling_scheme,
@@ -332,6 +333,75 @@ def test_cli_unwritable_output_is_config_error(tmp_path):
                "--snr-db", "20", "--trials", "1000", "--seed", "1",
                "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
     assert rc == EXIT_CONFIG
+
+
+def test_cli_missing_output_directory_fails_before_compute(tmp_path, monkeypatch, capsys):
+    from relaydiv import experiment_cli
+
+    calls = []
+
+    def estimator(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("estimator ran before the output path was checked")
+
+    monkeypatch.setattr(experiment_cli, "mc_jensen_outage", estimator)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0.25",
+               "--snr-db", "20,30,40", "--trials", "2000000", "--out", "nodir/x.csv"])
+    assert rc == EXIT_CONFIG
+    assert "nodir" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment,runner", [("self-check", "run_self_check"),
+                                               ("certify-code", "run_certify")])
+def test_cli_report_outputs_check_the_directory_first(tmp_path, monkeypatch, experiment, runner):
+    from relaydiv import experiment_cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("runner ran before the output path was checked")
+
+    monkeypatch.setattr(experiment_cli, runner, refuse)
+    args = [experiment, "--out", str(tmp_path / "nodir" / "report.txt")]
+    if experiment == "certify-code":
+        args += ["--scheme", "cdd", "--k", "2", "--n", "2", "--snr-db", "20",
+                 "--codebook", "book.txt"]
+    assert main(args) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_outputs_replace_old_files_and_leave_no_temp_files(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("stale\n", encoding="utf-8")
+    (tmp_path / "sweep.csv.manifest.json").write_text("stale\n", encoding="utf-8")
+    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+               "--snr-db", "20", "--trials", "1000", "--seed", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert out.read_text().startswith("snr_db,")
+    assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["status"] == "ok"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.csv.manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "experiment,scheme,outage,kernel",
+    [("outage-sweep", "cdd", "jensen", "jensen"),
+     ("dm-slope", "cdd", "exact", "exact-spectral"),
+     ("outage-sweep", "haar", "exact", "exact-cholesky")],
+)
+def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage, kernel):
+    if scheme == "haar":
+        rng = np.random.default_rng(4)
+        scheme = str(tmp_path / "haar.txt")
+        save_scheme_file(scheme, custom_scheme(
+            [np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0] / 2
+             for _ in range(2)]))
+    out = str(tmp_path / "o.csv")
+    rc = main([experiment, "--scheme", scheme, "--k", "2", "--n", "4", "--r", "0.25",
+               "--snr-db", "10,15,20", "--trials", "2000", "--seed", "3",
+               "--outage", outage, "--out", out])
+    assert rc == EXIT_OK
+    assert json.loads(open(out + ".manifest.json").read())["mi_kernel"] == kernel
 
 
 def test_cli_self_check_exit_zero(capsys):

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydiv import (
+    InternalConsistencyError,
     InvalidParameterError,
+    custom_scheme,
     cyclic_delay_scheme,
+    dft_matrix,
     effective_channel,
     gramian,
     jensen_mi,
@@ -14,7 +19,16 @@ from relaydiv import (
     phase_rolling_scheme,
     sample_channel,
 )
-from relaydiv.channel_model import ChannelRealization, EffectiveChannel, complex_gaussian
+from relaydiv.channel_model import (
+    ChannelRealization,
+    EffectiveChannel,
+    complex_gaussian,
+    effective_channels,
+)
+from relaydiv.experiment_cli import load_scheme_file, save_scheme_file
+from relaydiv.information import mutual_information_batch, mutual_information_spectral
+from relaydiv.outage_analysis import mc_exact_outage
+from relaydiv.relay_schemes import EIGENVALUE_CLAMP_TOL, common_spectra
 
 
 def _random_heff(rng, n=4):
@@ -110,3 +124,105 @@ def test_rho_must_be_positive():
         mutual_information(heff, 0.0)
     with pytest.raises(InvalidParameterError):
         jensen_mi(heff, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Exact-MI kernels against the eigenvalue oracle
+# ---------------------------------------------------------------------------
+
+def _eigvalsh_oracle(heffs, rho):
+    """Reference exact MI: (1/2N) sum log2(1 + rho eig(H H^H)), with the
+    clamp check on roundoff-negative eigenvalues."""
+    eig = np.linalg.eigvalsh(heffs @ heffs.conj().transpose(0, 2, 1))
+    if eig.size and eig[:, 0].min() < EIGENVALUE_CLAMP_TOL:
+        raise InternalConsistencyError(
+            f"H H^H eigenvalue {eig[:, 0].min():.3e} below clamp tolerance"
+        )
+    np.clip(eig, 0.0, None, out=eig)
+    return np.sum(np.log2(1.0 + rho * eig), axis=1) / (2.0 * heffs.shape[-1])
+
+
+def _assert_matches_oracle(got, want):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+def _haar_scheme(k, n, rng):
+    return custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)]
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["cdd", "phase-rolling", "haar"]),
+    k=st.integers(1, 4),
+    extra_n=st.integers(0, 12),
+    rho=st.floats(1.0, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_mi_kernels_match_eigenvalue_oracle(kind, k, extra_n, rho, seed):
+    n = k + extra_n
+    rng = np.random.default_rng(seed)
+    if kind == "cdd":
+        scheme = cyclic_delay_scheme(k, n)
+    elif kind == "phase-rolling":
+        scheme = phase_rolling_scheme(k, n)
+    else:
+        scheme = _haar_scheme(k, n, rng)
+    f = complex_gaussian(rng, (64, k))
+    h = complex_gaussian(rng, (64, k))
+    heffs = effective_channels(f, h, scheme.stacked())
+    want = _eigvalsh_oracle(heffs, rho)
+    _assert_matches_oracle(mutual_information_batch(heffs, rho), want)
+    spectra = common_spectra(scheme)
+    if kind != "haar":
+        assert spectra is not None
+    if spectra is not None:
+        _assert_matches_oracle(mutual_information_spectral(spectra, f, h, rho), want)
+
+
+def test_common_spectra_diagonalise_builtin_schemes_in_one_basis():
+    # CDD in the DFT basis, G_i = F^H diag(l_i) F; phase rolling in the
+    # standard basis, G_i = diag(l_i)
+    f = dft_matrix(6)
+    for scheme, basis in ((cyclic_delay_scheme(3, 6), f), (phase_rolling_scheme(3, 6), np.eye(6))):
+        spectra = common_spectra(scheme)
+        assert spectra.shape == (3, 6)
+        for g, lam in zip(scheme.matrices, spectra):
+            assert np.abs(basis.conj().T @ np.diag(lam) @ basis - g).max() < 1e-14
+
+
+def test_common_spectra_follow_structure_not_name(tmp_path):
+    cdd = cyclic_delay_scheme(2, 8)
+    path = str(tmp_path / "cdd.txt")
+    save_scheme_file(path, cdd)
+    from_file = load_scheme_file(path)
+    assert from_file.name != "cdd"
+    np.testing.assert_array_equal(common_spectra(from_file), common_spectra(cdd))
+    assert (mc_exact_outage(from_file, 0.25, 1000.0, 40_000, seed=3)
+            == mc_exact_outage(cdd, 0.25, 1000.0, 40_000, seed=3))
+
+
+def test_common_spectra_is_none_without_a_shared_basis():
+    rng = np.random.default_rng(9)
+    assert common_spectra(_haar_scheme(3, 8, rng)) is None
+    mats = [np.array(g) for g in cyclic_delay_scheme(2, 4).matrices]
+    mats[1][1, 0] += 1e-15
+    near = custom_scheme(mats, name="cdd")
+    assert common_spectra(near) is None
+    f = complex_gaussian(rng, (256, 2))
+    h = complex_gaussian(rng, (256, 2))
+    heffs = effective_channels(f, h, near.stacked())
+    for rho in (1.0, 100.0, 1e5):
+        _assert_matches_oracle(mutual_information_batch(heffs, rho), _eigvalsh_oracle(heffs, rho))
+
+
+def test_cholesky_failure_is_an_internal_consistency_error(monkeypatch):
+    # I + rho H H^H is positive definite for every finite H, so the failure
+    # is injected
+    def not_positive_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    with pytest.raises(InternalConsistencyError):
+        mutual_information_batch(np.eye(3, dtype=complex)[None], 10.0)

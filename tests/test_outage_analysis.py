@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -107,6 +109,14 @@ def test_k1_large_argument_asymptote():
     assert abs(ratio - 1.0) < 1e-3
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(offset=st.floats(1e-15, 1e-9))
+def test_k1_is_continuous_across_the_series_crossover(offset):
+    # each branch is within 1e-12 absolute of K1, so the jump at x = 9 is
+    # bounded by 2e-12 absolute; the true slope adds at most ~1e-13
+    assert abs(bessel_k1(9.0 - offset) - bessel_k1(9.0 + offset)) <= 2e-12
+
+
 def test_k1_huge_argument_underflows_gracefully():
     assert bessel_k1(700.0) > 0.0
     assert bessel_k1(800.0) == 0.0
@@ -148,6 +158,18 @@ def test_wilson_interval_contains_estimate():
     for events, trials in [(0, 100), (1, 100), (50, 100), (100, 100), (3, 10**6)]:
         lo, hi = wilson_interval(events, trials)
         assert 0.0 <= lo <= events / trials <= hi <= 1.0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data(), trials=st.integers(1, 10**12))
+def test_wilson_interval_invariants(data, trials):
+    events = data.draw(st.integers(0, trials))
+    lo, hi = wilson_interval(events, trials)
+    assert 0.0 <= lo <= events / trials <= hi <= 1.0
+    if events == 0:
+        assert lo == 0.0
+    if events == trials:
+        assert hi == 1.0
 
 
 def test_jensen_outage_rate_zero_is_exactly_zero():
