@@ -11,12 +11,15 @@ the two chains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .relay_schemes import RelayScheme, _as_readonly
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,18 @@ def sample_channel(num_relays: int, rng: np.random.Generator) -> ChannelRealizat
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0,1) samples: (a + jb)/sqrt(2) with a, b standard normal."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """CN(0,1) samples: (a + jb)/sqrt(2) with a, b standard normal.
+
+    a and b are scaled straight into the parts of one complex array; numpy
+    divides a complex array by a real scalar s as x * (1/s), so the bits
+    are those of the expression above.
+    """
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    out = np.empty(re.shape, dtype=complex)
+    np.multiply(re, _INV_SQRT2, out=out.real)
+    np.multiply(im, _INV_SQRT2, out=out.imag)
+    return out
 
 
 def effective_channel(scheme: RelayScheme, ch: ChannelRealization) -> EffectiveChannel:

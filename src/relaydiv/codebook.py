@@ -26,6 +26,9 @@ RANK_REL_TOL = 1e-12
 
 DEFAULT_SIZE_CAP = 65536
 
+# Codeword pairs per block of min_gram_eigenvalue.
+MIN_GRAM_PAIR_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -39,6 +42,8 @@ class Codebook:
         cw = _as_readonly(np.atleast_2d(self.codewords))
         if cw.ndim != 2 or cw.shape[0] < 1:
             raise InvalidParameterError("codewords must form a nonempty (size, N) array")
+        if not np.all(np.isfinite(cw)):
+            raise InvalidParameterError("codewords must be finite")
         object.__setattr__(self, "codewords", cw)
 
     @property
@@ -136,17 +141,26 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
 
     Returns +inf for single-codeword books (vacuous minimum).  Swapping a
     pair negates dx and leaves the Gramian unchanged, so unordered pairs
-    suffice.
+    suffice.  Pairs are taken MIN_GRAM_PAIR_BLOCK at a time, so memory
+    stays bounded at any book size; every step is per pair, so the block
+    size cannot change the result.
     """
     if book.size < 2:
         return math.inf
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
-    diffs = pair_differences(book)  # (P, N)
-    cols = np.einsum("kab,pb->pak", scheme.stacked(), diffs)  # (P, N, K)
-    grams = np.einsum("pak,pal->pkl", cols.conj(), cols)  # (P, K, K)
-    eigs = np.linalg.eigvalsh(grams)
-    return float(np.clip(eigs[:, 0], 0.0, None).min())
+    g = scheme.stacked()
+    words = book.codewords
+    idx_a, idx_b = np.triu_indices(book.size, k=1)
+    best = math.inf
+    for lo in range(0, idx_a.size, MIN_GRAM_PAIR_BLOCK):
+        hi = lo + MIN_GRAM_PAIR_BLOCK
+        diffs = words[idx_a[lo:hi]] - words[idx_b[lo:hi]]  # (P, N)
+        cols = np.einsum("kab,pb->pak", g, diffs)  # (P, N, K)
+        grams = np.einsum("pak,pal->pkl", cols.conj(), cols)  # (P, K, K)
+        eigs = np.linalg.eigvalsh(grams)
+        best = min(best, float(np.clip(eigs[:, 0], 0.0, None).min()))
+    return best
 
 
 def approximately_universal(

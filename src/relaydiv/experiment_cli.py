@@ -234,8 +234,8 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _parse_matrix_rows(path: str, lines, count: int, width: int):
-    """``count`` rows of ``2*width`` decimals (re, im interleaved)."""
-    rows = np.empty((count, width), dtype=complex)
+    """``count`` rows of ``2*width`` finite decimals (re, im interleaved)."""
+    rows = np.empty((count, 2 * width))
     for idx in range(count):
         lineno, text = lines[idx]
         parts = text.split()
@@ -243,14 +243,15 @@ def _parse_matrix_rows(path: str, lines, count: int, width: int):
             raise FileFormatError(
                 path, lineno, 1, f"expected {2 * width} numbers, found {len(parts)}"
             )
-        for col, (re_s, im_s) in enumerate(zip(parts[0::2], parts[1::2])):
+        for col, token in enumerate(parts):
             try:
-                rows[idx, col] = complex(float(re_s), float(im_s))
+                value = float(token)
             except ValueError:
-                raise FileFormatError(
-                    path, lineno, 2 * col + 1, f"bad number {re_s!r}/{im_s!r}"
-                ) from None
-    return rows
+                raise FileFormatError(path, lineno, col + 1, f"bad number {token!r}") from None
+            if not math.isfinite(value):
+                raise FileFormatError(path, lineno, col + 1, f"non-finite number {token!r}")
+            rows[idx, col] = value
+    return rows.view(complex)  # (re, im) pairs are complex128's memory layout
 
 
 def _content_lines(path: str, text: str):

@@ -4,18 +4,24 @@ All logarithms are base 2; rates are in bits per channel use.  The factor
 1/2 in every expression reflects the two-slot half-duplex protocol.  The
 exact MI and the Gramian path of the Jensen bound each have one batched
 kernel, which the Monte Carlo estimators call on whole blocks and the
-scalar APIs call on a batch of one.  Schemes whose matrices share an
-eigenbasis (CDD, phase rolling) also have a spectral exact-MI kernel that
-never forms H_eff.
+scalar APIs call on a batch of one.  The estimators' exact-MI kernels never
+form H_eff: schemes whose matrices share an eigenbasis (CDD, phase rolling)
+use their spectra, every other scheme its table of G_i G_j^H products.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .channel_model import ChannelRealization, EffectiveChannel
 from .errors import InternalConsistencyError, InvalidParameterError
 from .relay_schemes import GramianSummary
+
+# Trials per sub-block of mutual_information_products: bounds its (t, N, N)
+# temporaries to ~4 MB at N = 8 without slowing the block down.
+PRODUCTS_SUB_BLOCK = 4096
 
 
 def mutual_information(heff: EffectiveChannel, rho: float) -> float:
@@ -24,15 +30,45 @@ def mutual_information(heff: EffectiveChannel, rho: float) -> float:
 
 
 def mutual_information_batch(heffs: np.ndarray, rho: float) -> np.ndarray:
-    """Exact MI of each (N, N) channel in a (T, N, N) stack, shape (T,).
-
-    (1/2N) log2 det(I + rho H H^H) = (1/N) sum log2 diag(L) for the
-    Cholesky factor L, which exists for every finite H and rho > 0.
-    """
+    """Exact MI of each (N, N) channel in a (T, N, N) stack, shape (T,)."""
     _check_rho(rho)
-    n = heffs.shape[-1]
     gram = heffs @ heffs.conj().transpose(0, 2, 1)
     gram *= rho
+    return _mi_from_gram(gram)
+
+
+def mutual_information_products(
+    products: np.ndarray, f: np.ndarray, h: np.ndarray, rho: float
+) -> np.ndarray:
+    """Exact MI for (T, K) fading draws from the (K*K, N*N) table of
+    vec(G_i G_j^H) (relay_schemes.pair_products), shape (T,).
+
+    rho H H^H = sum_ij w_ij G_i G_j^H with w_ij = rho h~_i conj(h~_j) /
+    (1 + ||h||^2), so each sub-block of trials is one (t, K*K) x (K*K, N*N)
+    product; H_eff is never formed.
+    """
+    _check_rho(rho)
+    k = f.shape[1]
+    n = math.isqrt(products.shape[1])
+    ht = h * f
+    scale = rho / (1.0 + np.sum(np.abs(h) ** 2, axis=1))
+    out = np.empty(ht.shape[0])
+    for lo in range(0, ht.shape[0], PRODUCTS_SUB_BLOCK):
+        hi = lo + PRODUCTS_SUB_BLOCK
+        w = ht[lo:hi, :, None] * ht[lo:hi, None, :].conj()
+        w *= scale[lo:hi, None, None]
+        out[lo:hi] = _mi_from_gram((w.reshape(-1, k * k) @ products).reshape(-1, n, n))
+    return out
+
+
+def _mi_from_gram(gram: np.ndarray) -> np.ndarray:
+    """(1/2N) log2 det(I + gram) for a (T, N, N) stack of Hermitian PSD
+    matrices, shape (T,), updating ``gram`` in place.
+
+    It equals (1/N) sum log2 diag(L) for the Cholesky factor L, which
+    exists for every finite PSD ``gram``.
+    """
+    n = gram.shape[-1]
     gram += np.eye(n)
     try:
         chol = np.linalg.cholesky(gram)

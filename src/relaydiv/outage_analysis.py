@@ -27,10 +27,16 @@ from .codebook import Codebook, difference_matrix, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
 from .information import (
     jensen_mi_via_gramian_batch,
-    mutual_information_batch,
+    mutual_information_products,
     mutual_information_spectral,
 )
-from .relay_schemes import GramianSummary, RelayScheme, common_spectra, gramian
+from .relay_schemes import (
+    GramianSummary,
+    RelayScheme,
+    common_spectra,
+    gramian,
+    pair_products,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -292,16 +298,17 @@ def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]
 
     "exact-spectral" when the matrices share an eigenbasis by exact equality
     (all diagonal or all circulant, whatever the scheme's name or source),
-    else "exact-cholesky", a log-det of I + rho H H^H on the full H_eff.
+    else "exact-products", a Cholesky log-det of I + rho H H^H built from
+    the G_i G_j^H table.  Neither forms H_eff.
     """
     spectra = common_spectra(scheme)
     if spectra is not None:
         return "exact-spectral", lambda f, h, rho: mutual_information_spectral(
             spectra, f, h, rho
         )
-    g_stack = scheme.stacked()
-    return "exact-cholesky", lambda f, h, rho: mutual_information_batch(
-        effective_channels(f, h, g_stack), rho
+    products = pair_products(scheme)
+    return "exact-products", lambda f, h, rho: mutual_information_products(
+        products, f, h, rho
     )
 
 

@@ -130,8 +130,9 @@ def custom_scheme(matrices, name: str = "custom") -> RelayScheme:
             raise InvalidParameterError(
                 f"matrix {i} has shape {g.shape}, expected square ({n}, {n})"
             )
-        dev = np.abs(g @ g.conj().T - np.eye(n) / n).max()
-        if dev > UNITARY_SCALING_TOL:
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.abs(g @ g.conj().T - np.eye(n) / n).max()
+        if not dev <= UNITARY_SCALING_TOL:  # a NaN deviation fails too
             raise SchemeInvalidError(i, float(dev))
     return RelayScheme(tuple(mats), name=name)
 
@@ -155,6 +156,18 @@ def gramian(scheme: RelayScheme) -> GramianSummary:
         block_length=scheme.block_length,
         eigenvalues=eig,
     )
+
+
+def pair_products(scheme: RelayScheme) -> np.ndarray:
+    """All products G_i G_j^H as one read-only (K*K, N*N) array.
+
+    Row i*K + j is vec(G_i G_j^H) in row-major order, so its trace is
+    gramian(scheme).gram[j, i].
+    """
+    g = scheme.stacked()
+    k, n = scheme.num_relays, scheme.block_length
+    products = g[:, None] @ g.conj().transpose(0, 2, 1)[None]  # (K, K, N, N)
+    return _as_readonly(products.reshape(k * k, n * n))
 
 
 def common_spectra(scheme: RelayScheme) -> np.ndarray | None:

@@ -23,6 +23,18 @@ def test_sample_channel_deterministic_under_fixed_seed():
     assert a.f.shape == (2,)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 5, 3), (0, 4), (), (2, 16384, 2)])
+def test_complex_gaussian_keeps_the_bits_of_the_quotient_form(shape):
+    # the draw writes re/sqrt(2) and im/sqrt(2) into one array; it must give
+    # exactly the bits of (a + jb)/sqrt(2) from the same generator state
+    for seed in range(3):
+        got = complex_gaussian(np.random.default_rng(seed), shape)
+        twin = np.random.default_rng(seed)
+        want = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / np.sqrt(2.0)
+        assert got.shape == np.shape(want) and got.dtype == want.dtype
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
 def test_sample_channel_rejects_zero_relays():
     with pytest.raises(InvalidParameterError):
         sample_channel(0, np.random.default_rng(0))

@@ -1,5 +1,7 @@
 """Codebooks, difference matrices, and the rank/eigenvalue conditions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from relaydiv import (
     phase_rolling_scheme,
     rank_full,
 )
+from relaydiv import codebook
+from relaydiv.channel_model import complex_gaussian
 
 
 def _svd_rank(phi, tol=1e-9):
@@ -210,6 +214,50 @@ def test_min_gram_eigenvalue_sign_symmetry():
         np.linalg.eigvalsh(phi_neg.conj().T @ phi_neg),
         atol=1e-12,
     )
+
+
+def test_min_gram_eigenvalue_is_independent_of_the_pair_block(monkeypatch):
+    # 60 words give 1770 pairs: one block by default, 253 blocks of 7
+    rng = np.random.default_rng(31)
+    book = Codebook(complex_gaussian(rng, (60, 4)), 0.1, 10.0)
+    scheme = custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (4, 4)))[0] / 2.0 for _ in range(3)]
+    )
+    whole = min_gram_eigenvalue(scheme, book)
+    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 7)
+    assert min_gram_eigenvalue(scheme, book) == whole
+
+
+def _min_gram_peak_bytes(scheme, book):
+    tracemalloc.start()
+    try:
+        min_gram_eigenvalue(scheme, book)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_min_gram_eigenvalue_memory_is_bounded_by_the_block(monkeypatch):
+    # 300 words, 44850 pairs at N = K = 4: unblocked, the (P, N, K) and
+    # (P, K, K) arrays alone take ~35 MB; in blocks of 256 pairs only the
+    # pair indices (~0.7 MB) grow with the book
+    rng = np.random.default_rng(32)
+    book = Codebook(complex_gaussian(rng, (300, 4)), 0.1, 10.0)
+    scheme = cyclic_delay_scheme(4, 4)
+    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 1 << 20)
+    unblocked = _min_gram_peak_bytes(scheme, book)
+    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 256)
+    blocked = _min_gram_peak_bytes(scheme, book)
+    assert unblocked > 30e6
+    assert blocked < 2e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_codebook_rejects_non_finite_codewords(bad):
+    words = np.ones((3, 4), dtype=complex)
+    words[2, 1] = bad
+    with pytest.raises(InvalidParameterError):
+        Codebook(words, 0.1, 10.0)
 
 
 def test_rank_full_invariant_under_common_unitary():

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydiv import (
     Codebook,
@@ -16,6 +18,7 @@ from relaydiv import (
     gaussian_codebook,
     phase_rolling_scheme,
 )
+from relaydiv.channel_model import complex_gaussian
 from relaydiv.experiment_cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -145,6 +148,94 @@ def test_codebook_file_count_mismatch(tmp_path):
     path = _write(tmp_path / "bad.txt", "N 2 COUNT 3\n1 0 0 0\n0 1 0 0\n")
     with pytest.raises(FileFormatError):
         load_codebook_file(path)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(1, 4), extra_n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_scheme_file_round_trip_is_bit_exact(tmp_path_factory, k, extra_n, seed):
+    n = k + extra_n
+    rng = np.random.default_rng(seed)
+    scheme = custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)]
+    )
+    path = str(tmp_path_factory.mktemp("scheme") / "s.txt")
+    save_scheme_file(path, scheme)
+    assert _bits(load_scheme_file(path).stacked()) == _bits(scheme.stacked())
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    words=st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.tuples(_FINITE, _FINITE), min_size=n, max_size=n),
+            min_size=1, max_size=6,
+        )
+    )
+)
+def test_codebook_file_round_trip_is_bit_exact(tmp_path_factory, words):
+    # any finite float, signed zeros and subnormals included
+    arr = np.array([[complex(re, im) for re, im in row] for row in words])
+    book = Codebook(arr, 0.1, 10.0)
+    path = str(tmp_path_factory.mktemp("book") / "b.txt")
+    save_codebook_file(path, book)
+    assert _bits(load_codebook_file(path).codewords) == _bits(book.codewords)
+
+
+def _is_finite_number(token):
+    try:
+        return np.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+# One whitespace-free token without '#': no separators, so it stays one token
+# on its line.
+_TOKEN = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"), min_size=1
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["scheme", "codebook"]),
+    row=st.integers(0, 3),
+    mutation=st.sampled_from(["drop", "extra", "replace"]),
+    position=st.integers(0, 3),
+    token=_TOKEN,
+)
+def test_bad_rows_raise_file_format_errors_only(tmp_path_factory, kind, row, mutation,
+                                                position, token):
+    # a K=2, N=2 scheme or a 4-word N=2 codebook, one row of which loses a
+    # token, gains one, or has one replaced by anything but a finite number
+    if kind == "scheme":
+        g = repr(0.5**0.5)  # two copies of I/sqrt(2)
+        lines = ["N 2 K 2"] + [f"{g} 0.0 0.0 0.0", f"0.0 0.0 {g} 0.0"] * 2
+        load = load_scheme_file
+    else:
+        lines = ["N 2 COUNT 4"] + ["1.5 -2.0 0.25 3e-3"] * 4
+        load = load_codebook_file
+    parts = lines[1 + row].split()
+    if mutation == "drop":
+        del parts[position]
+    elif mutation == "extra":
+        parts.insert(position, token)
+    else:
+        if _is_finite_number(token):
+            token = "nan"
+        parts[position] = token
+    lines[1 + row] = " ".join(parts)
+    path = tmp_path_factory.mktemp("bad") / "f.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as excinfo:
+        load(str(path))
+    assert excinfo.value.line == 2 + row
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +478,7 @@ def test_cli_outputs_replace_old_files_and_leave_no_temp_files(tmp_path):
     "experiment,scheme,outage,kernel",
     [("outage-sweep", "cdd", "jensen", "jensen"),
      ("dm-slope", "cdd", "exact", "exact-spectral"),
-     ("outage-sweep", "haar", "exact", "exact-cholesky")],
+     ("outage-sweep", "haar", "exact", "exact-products")],
 )
 def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage, kernel):
     if scheme == "haar":
@@ -443,6 +534,30 @@ def test_cli_non_finite_numbers_are_config_errors(tmp_path, experiment, snr_db, 
                "--seed", "5", "--out", str(tmp_path / "s.csv")])
     assert rc == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_non_finite_codebook_entries_are_config_errors(tmp_path, capsys, bad):
+    book = _write(tmp_path / "book.txt", f"N 2 COUNT 2\n1 0 0 1\n0 1 {bad} 0\n")
+    out = tmp_path / "report.txt"
+    rc = main(["certify-code", "--scheme", "cdd", "--k", "2", "--n", "2", "--r", "0.1",
+               "--snr-db", "20", "--seed", "1", "--codebook", book, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{book}:3:3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outage", ["jensen", "exact"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_scheme_entries_are_config_errors(tmp_path, capsys, outage, bad):
+    scheme = _write(tmp_path / "scheme.txt", f"N 2 K 1\n{bad} 0 0 0\n0 0 0.7 0\n")
+    out = tmp_path / "s.csv"
+    rc = main(["outage-sweep", "--scheme", scheme, "--k", "1", "--n", "2", "--r", "0.25",
+               "--snr-db", "20", "--trials", "1000", "--seed", "1", "--outage", outage,
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{scheme}:2:1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scheme.txt"]
 
 
 def test_cli_analytic_curve(tmp_path):

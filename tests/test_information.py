@@ -26,9 +26,14 @@ from relaydiv.channel_model import (
     effective_channels,
 )
 from relaydiv.experiment_cli import load_scheme_file, save_scheme_file
-from relaydiv.information import mutual_information_batch, mutual_information_spectral
+from relaydiv.information import (
+    PRODUCTS_SUB_BLOCK,
+    mutual_information_batch,
+    mutual_information_products,
+    mutual_information_spectral,
+)
 from relaydiv.outage_analysis import mc_exact_outage
-from relaydiv.relay_schemes import EIGENVALUE_CLAMP_TOL, common_spectra
+from relaydiv.relay_schemes import EIGENVALUE_CLAMP_TOL, common_spectra, pair_products
 
 
 def _random_heff(rng, n=4):
@@ -174,11 +179,29 @@ def test_exact_mi_kernels_match_eigenvalue_oracle(kind, k, extra_n, rho, seed):
     heffs = effective_channels(f, h, scheme.stacked())
     want = _eigvalsh_oracle(heffs, rho)
     _assert_matches_oracle(mutual_information_batch(heffs, rho), want)
+    _assert_matches_oracle(mutual_information_products(pair_products(scheme), f, h, rho), want)
     spectra = common_spectra(scheme)
     if kind != "haar":
         assert spectra is not None
     if spectra is not None:
         _assert_matches_oracle(mutual_information_spectral(spectra, f, h, rho), want)
+
+
+def test_products_kernel_sub_blocks_match_trials_one_by_one():
+    # two full sub-blocks and a 3-trial tail; a slicing slip at a boundary
+    # would move whole trials, not roundoff
+    rng = np.random.default_rng(12)
+    scheme = _haar_scheme(3, 8, rng)
+    products = pair_products(scheme)
+    trials = 2 * PRODUCTS_SUB_BLOCK + 3
+    f = complex_gaussian(rng, (trials, 3))
+    h = complex_gaussian(rng, (trials, 3))
+    got = mutual_information_products(products, f, h, 300.0)
+    one_by_one = np.array([
+        mutual_information_products(products, f[t : t + 1], h[t : t + 1], 300.0)[0]
+        for t in range(trials)
+    ])
+    np.testing.assert_allclose(got, one_by_one, rtol=1e-14, atol=0.0)
 
 
 def test_common_spectra_diagonalise_builtin_schemes_in_one_basis():

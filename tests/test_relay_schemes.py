@@ -14,6 +14,8 @@ from relaydiv import (
     gramian,
     phase_rolling_scheme,
 )
+from relaydiv.channel_model import complex_gaussian
+from relaydiv.relay_schemes import pair_products
 
 
 def test_cdd_single_relay_is_scaled_identity():
@@ -110,6 +112,15 @@ def test_custom_scheme_rejects_unscaled_identity():
     assert excinfo.value.deviation == pytest.approx(1.0 - 0.25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_scheme_rejects_non_finite_entries(bad):
+    g = np.eye(2) / np.sqrt(2)
+    g[0, 0] = bad
+    with pytest.raises(SchemeInvalidError) as excinfo:
+        custom_scheme([np.eye(2) / np.sqrt(2), g])
+    assert excinfo.value.index == 1
+
+
 def test_custom_scheme_matches_builtin_gramian():
     cdd = cyclic_delay_scheme(3, 5)
     rebuilt = custom_scheme([np.array(g) for g in cdd.matrices])
@@ -186,3 +197,22 @@ def test_stacked_is_built_once_and_read_only():
     assert stack.shape == (2, 4, 4) and not stack.flags.writeable
     for g, s in zip(scheme.matrices, stack):
         np.testing.assert_array_equal(g, s)
+
+
+def test_pair_products_rows_and_traces_match_the_gramian():
+    # row i*K + j is vec(G_i G_j^H), and tr(G_i G_j^H) = gram[j, i]
+    rng = np.random.default_rng(29)
+    haar = custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (5, 5)))[0] / np.sqrt(5) for _ in range(3)]
+    )
+    for scheme in (cyclic_delay_scheme(3, 5), phase_rolling_scheme(3, 5), haar):
+        products = pair_products(scheme)
+        assert products.shape == (9, 25) and not products.flags.writeable
+        g = scheme.matrices
+        for i in range(3):
+            for j in range(3):
+                np.testing.assert_allclose(
+                    products[i * 3 + j].reshape(5, 5), g[i] @ g[j].conj().T, atol=1e-15
+                )
+        traces = np.trace(products.reshape(3, 3, 5, 5), axis1=2, axis2=3)
+        np.testing.assert_allclose(traces, gramian(scheme).gram.T, rtol=0.0, atol=1e-14)
