@@ -130,12 +130,6 @@ def phase_rolling_condition(dx: np.ndarray) -> bool:
     return bool(np.all(np.abs(dx) > ZERO_TOL * np.linalg.norm(dx)))
 
 
-def pair_differences(book: Codebook) -> np.ndarray:
-    """Difference vectors for all unordered codeword pairs, (P, N)."""
-    idx_a, idx_b = np.triu_indices(book.size, k=1)
-    return book.codewords[idx_a] - book.codewords[idx_b]
-
-
 def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
     """min over codeword pairs of lambda_min(Phi(dx)^H Phi(dx)).
 

@@ -4,7 +4,7 @@ Experiments are described by flat ``key = value`` config files (lists in
 brackets, ``#`` comments) so a run is fully reproducible from the manifest
 emitted next to every CSV.  Command-line flags override config keys.
 
-Exit codes: 0 success, 1 self-check failure, 2 config error, 3 resource
+Exit codes: 0 success, 1 identity check failure, 2 config error, 3 resource
 limit, 4 internal consistency failure.
 """
 
@@ -18,17 +18,17 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .channel_model import effective_channel, sample_channel
+from .channel_model import ChannelRealization, complex_gaussian, effective_channel
 from .codebook import (
     Codebook,
     cdd_condition,
     difference_matrix,
     min_gram_eigenvalue,
-    pair_differences,
     phase_rolling_condition,
     rank_full,
 )
@@ -43,7 +43,6 @@ from .errors import (
 from .information import jensen_mi, jensen_mi_via_gramian, mutual_information
 from .outage_analysis import (
     OutageCurve,
-    ProbEstimate,
     adaptive_trials,
     analytic_jensen_bracket,
     exact_mi_kernel,
@@ -70,8 +69,6 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-EXPERIMENTS = ("outage-sweep", "dm-slope", "certify-code", "analytic-curve", "self-check")
-
 _SELF_CHECK_SEED = 20240
 
 OUTAGE_CSV_COLUMNS = ("snr_db", "probability", "ci_low", "ci_high", "trials", "events")
@@ -83,29 +80,36 @@ ANALYTIC_CSV_COLUMNS = ("snr_db", "lower", "upper", "theory_exponent")
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+def _key(default, help: str | None = None):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  Every field is a config key and, as
+    ``--min-trials`` for ``min_trials``, a CLI flag with the help below."""
+
     experiment: str
-    scheme: str = "cdd"
-    k: int = 2
-    n: int = 8
-    r: float = 0.0
-    snr_db: tuple[float, ...] = ()
-    trials: str = "adaptive"  # "adaptive" or a decimal trial count
-    min_trials: int = 100_000
-    max_trials: int = 10_000_000
-    min_events: int = 20
-    rate_bits: float = 1.0
-    outage: str = "jensen"
-    seed: int = 1
-    out: str = ""
-    codebook: str = ""
-    threads: int | None = None
+    scheme: str = _key("cdd", "cdd, phase-rolling, or a scheme file path")
+    k: int = _key(2, "relay count")
+    n: int = _key(8, "block length")
+    r: float = _key(0.0, "multiplexing gain in [0, 1/2]")
+    snr_db: tuple[float, ...] = _key((), "comma-separated dB grid")
+    trials: str = _key("adaptive", "'adaptive' or a fixed per-point count")
+    min_trials: int = _key(100_000)
+    max_trials: int = _key(10_000_000)
+    min_events: int = _key(20)
+    rate_bits: float = _key(1.0, "fixed rate target of a slope fit at r = 0")
+    outage: str = _key("jensen", "jensen or exact")
+    seed: int = _key(1, "64-bit seed")
+    codebook: str = _key("", "codebook file to certify")
+    out: str = _key("", "output path")
+    threads: int | None = _key(None, "worker threads (speed only); default RELAYDIV_THREADS or 1")
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.experiment == "self-check":
+        if not EXPERIMENTS[self.experiment].scheme:
             return
         if self.k < 1 or self.n < self.k:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
@@ -129,47 +133,54 @@ class ExperimentConfig:
             raise ConfigError(f"outage must be 'jensen' or 'exact', got {self.outage!r}")
         if not (math.isfinite(self.rate_bits) and self.rate_bits >= 0):
             raise ConfigError(f"rate_bits must be a finite number >= 0, got {self.rate_bits}")
-        if self.experiment == "certify-code" and not self.codebook:
-            raise ConfigError("certify-code needs a codebook path")
 
     def canonical_text(self) -> str:
-        """Config serialized in the same grammar parse_config_text accepts."""
-        lines = [f"experiment = {self.experiment}"]
-        if self.experiment != "self-check":
-            grid = ", ".join(_fmt_number(v) for v in self.snr_db)
-            lines += [
-                f"scheme = {self.scheme}",
-                f"k = {self.k}",
-                f"n = {self.n}",
-                f"r = {_fmt_number(self.r)}",
-                f"snr_db = [{grid}]",
-                f"trials = {self.trials}",
-                f"min_trials = {self.min_trials}",
-                f"max_trials = {self.max_trials}",
-                f"min_events = {self.min_events}",
-                f"rate_bits = {_fmt_number(self.rate_bits)}",
-                f"outage = {self.outage}",
-                f"seed = {self.seed}",
-            ]
-            if self.codebook:
-                lines.append(f"codebook = {self.codebook}")
-        if self.out:
-            lines.append(f"out = {self.out}")
+        """Config serialized in the same grammar parse_config_text accepts:
+        every key in field order except threads, which changes speed only,
+        and unset strings."""
+        lines = [
+            f"{f.name} = {_FIELD_TYPES[f.type][1](getattr(self, f.name))}"
+            for f in dataclasses.fields(self)
+            if f.name != "threads" and getattr(self, f.name) != ""
+        ]
         return "\n".join(lines) + "\n"
 
 
-_INT_KEYS = {"k", "n", "min_trials", "max_trials", "min_events", "seed", "threads"}
-_FLOAT_KEYS = {"r", "rate_bits"}
-_STR_KEYS = {"experiment", "scheme", "trials", "outage", "out", "codebook"}
+def _fmt_number(v) -> str:
+    f = float(v)
+    if f == int(f) and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def _parse_grid(val) -> tuple[float, ...]:
+    return tuple(float(v) for v in (val.split(",") if isinstance(val, str) else val))
+
+
+def _grid_text(grid) -> str:
+    return "[" + ", ".join(_fmt_number(v) for v in grid) + "]"
+
+
+# Annotation of an ExperimentConfig field -> (parse a raw value, write a
+# value for canonical_text).
+_FIELD_TYPES = {
+    "str": (str, str),
+    "int": (lambda v: int(str(v)), str),
+    "int | None": (lambda v: int(str(v)), str),
+    "float": (lambda v: float(str(v)), _fmt_number),
+    "tuple[float, ...]": (_parse_grid, _grid_text),
+}
+
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+# Keys every experiment takes; one whose table entry has scheme=True takes all.
+_COMMON_KEYS = ("seed", "out", "threads")
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
     """Parse ``key = value`` lines into a raw dict; lists live in brackets."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if "=" not in line:
             raise FileFormatError(origin, lineno, 1, "expected 'key = value'")
         key, _, val = line.partition("=")
@@ -193,40 +204,18 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 def config_from_mapping(raw: dict, origin: str = "<config>") -> ExperimentConfig:
     cfg_kwargs: dict = {}
     for key, val in raw.items():
-        if key == "snr_db":
-            if isinstance(val, str):
-                try:
-                    val = tuple(float(v) for v in val.split(","))
-                except ValueError:
-                    raise ConfigError(f"{origin}: bad snr_db value {val!r}") from None
-            cfg_kwargs[key] = tuple(float(v) for v in val)
-        elif key in _INT_KEYS:
-            try:
-                cfg_kwargs[key] = int(str(val))
-            except ValueError:
-                raise ConfigError(f"{origin}: key {key} needs an integer, got {val!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                cfg_kwargs[key] = float(str(val))
-            except ValueError:
-                raise ConfigError(f"{origin}: key {key} needs a number, got {val!r}") from None
-        elif key in _STR_KEYS:
-            cfg_kwargs[key] = str(val)
-        else:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{origin}: unknown config key {key!r}")
+        kind = _CONFIG_FIELDS[key].type
+        try:
+            cfg_kwargs[key] = _FIELD_TYPES[kind][0](val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{origin}: key {key} needs {kind}, got {val!r}") from None
     if "experiment" not in cfg_kwargs:
         raise ConfigError(f"{origin}: missing 'experiment'")
     cfg = ExperimentConfig(**cfg_kwargs)
     cfg.validate()
     return cfg
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), origin=path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -254,72 +243,66 @@ def _parse_matrix_rows(path: str, lines, count: int, width: int):
     return rows.view(complex)  # (re, im) pairs are complex128's memory layout
 
 
-def _content_lines(path: str, text: str):
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of every line left once ``#`` comments and
+    surrounding blanks are stripped; the grammar of all three file kinds."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((lineno, line))
-    if not out:
-        raise FileFormatError(path, 1, 1, "empty file")
     return out
 
 
-def _parse_header(path: str, lineno: int, line: str, second_key: str) -> tuple[int, int]:
-    parts = line.split()
+def _load_rows(path: str, second_key: str, rows_per_entry) -> tuple[int, int, np.ndarray]:
+    """Header ``N <int> <second_key> <int>``, then the entries' rows of 2N
+    decimals; returns N, the entry count and the (rows, N) complex array."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _content_lines(fh.read())
+    if not lines:
+        raise FileFormatError(path, 1, 1, "empty file")
+    lineno, header = lines[0]
+    parts = header.split()
     if len(parts) != 4 or parts[0].upper() != "N" or parts[2].upper() != second_key:
         raise FileFormatError(path, lineno, 1, f"header must read 'N <int> {second_key} <int>'")
     try:
-        return int(parts[1]), int(parts[3])
+        n, count = int(parts[1]), int(parts[3])
     except ValueError:
         raise FileFormatError(path, lineno, 1, "header sizes must be integers") from None
+    rows = count * rows_per_entry(n)
+    if len(lines) - 1 != rows:
+        raise FileFormatError(path, lines[-1][0], 1, f"expected {rows} rows, found {len(lines) - 1}")
+    return n, count, _parse_matrix_rows(path, lines[1:], rows, n)
+
+
+def _save_rows(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n")
 
 
 def load_scheme_file(path: str) -> RelayScheme:
     """Scheme file: header ``N <int> K <int>``, then K*N matrix rows of
     2N whitespace-separated decimals (re, im interleaved)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _content_lines(path, fh.read())
-    n, k = _parse_header(path, lines[0][0], lines[0][1], "K")
-    body = lines[1:]
-    if len(body) != k * n:
-        raise FileFormatError(
-            path, lines[-1][0], 1, f"expected {k * n} matrix rows, found {len(body)}"
-        )
-    mats = []
-    for i in range(k):
-        mats.append(_parse_matrix_rows(path, body[i * n : (i + 1) * n], n, n))
-    return custom_scheme(mats, name=os.path.basename(path))
+    n, k, rows = _load_rows(path, "K", lambda n: n)
+    return custom_scheme(rows.reshape(k, n, n), name=os.path.basename(path))
 
 
 def load_codebook_file(path: str, r: float = 0.0, rho: float = 2.0) -> Codebook:
     """Codebook file: header ``N <int> COUNT <int>``, then COUNT codeword
     rows of 2N decimals.  Rate/SNR metadata comes from the caller."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _content_lines(path, fh.read())
-    n, count = _parse_header(path, lines[0][0], lines[0][1], "COUNT")
-    body = lines[1:]
-    if len(body) != count:
-        raise FileFormatError(
-            path, lines[-1][0], 1, f"expected {count} codeword rows, found {len(body)}"
-        )
-    words = _parse_matrix_rows(path, body, count, n)
+    _, _, words = _load_rows(path, "COUNT", lambda n: 1)
     return Codebook(words, rate_multiplexing=r, snr=rho)
 
 
 def save_scheme_file(path: str, scheme: RelayScheme) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"N {scheme.block_length} K {scheme.num_relays}\n")
-        for g in scheme.matrices:
-            for row in g:
-                fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n")
+    n = scheme.block_length
+    _save_rows(path, f"N {n} K {scheme.num_relays}", scheme.stacked().reshape(-1, n))
 
 
 def save_codebook_file(path: str, book: Codebook) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"N {book.block_length} COUNT {book.size}\n")
-        for word in book.codewords:
-            fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in word) + "\n")
+    _save_rows(path, f"N {book.block_length} COUNT {book.size}", book.codewords)
 
 
 def build_scheme(cfg: ExperimentConfig) -> RelayScheme:
@@ -341,19 +324,8 @@ def build_scheme(cfg: ExperimentConfig) -> RelayScheme:
 # CSV + manifest output
 # ---------------------------------------------------------------------------
 
-def _fmt_number(v) -> str:
-    if isinstance(v, str):
-        return v
-    f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool included
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -392,7 +364,7 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def write_manifest(csv_path: str, cfg: ExperimentConfig, wall_time: float,
-                   per_point_events, status: str = "ok", extra: dict | None = None) -> str:
+                   per_point_events, status: str = "ok", extra: dict | None = None) -> None:
     manifest = {
         "toolkit_version": __version__,
         "experiment": cfg.experiment,
@@ -403,9 +375,7 @@ def write_manifest(csv_path: str, cfg: ExperimentConfig, wall_time: float,
     }
     if extra:
         manifest.update(extra)
-    path = csv_path + ".manifest.json"
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_atomic(csv_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _curve_rows(curve: OutageCurve, extra: tuple = ()):
@@ -416,6 +386,19 @@ def _curve_rows(curve: OutageCurve, extra: tuple = ()):
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Output:
+    """What main() prints (``text``) and writes: the CSV ``rows`` and the
+    manifest fields, or for a report experiment ``text`` again."""
+
+    text: str
+    rows: Iterable = ()
+    events: Sequence[int] = ()
+    status: str = "ok"
+    extra: dict | None = None
+    code: int = EXIT_OK
+
 
 def _point_trials(cfg: ExperimentConfig, scheme: RelayScheme, rho: float) -> int:
     if cfg.trials != "adaptive":
@@ -443,10 +426,7 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, *, rate_bits: float
             rate_bits=rate_bits, threads=cfg.threads,
         )
         points.append(dataclasses.replace(est, snr_db=float(db)))
-    fingerprint = (
-        f"{cfg.experiment}|{cfg.scheme}|K={cfg.k}|N={cfg.n}|r={cfg.r}|seed={cfg.seed}"
-    )
-    return OutageCurve(tuple(points), fingerprint=fingerprint, mi_kernel=kernel)
+    return OutageCurve(tuple(points), mi_kernel=kernel)
 
 
 def run_outage_sweep(cfg: ExperimentConfig) -> OutageCurve:
@@ -478,7 +458,7 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
     values are reported.
     """
     if len(cfg.snr_db) < 3:
-        raise ConfigError("dm-slope needs a grid of at least 3 points")
+        raise ConfigError("a slope fit needs a grid of at least 3 points")
     scheme = build_scheme(cfg)
     rate_bits = cfg.rate_bits if cfg.r == 0 else None
     curve = _sweep_curve(cfg, scheme, rate_bits=rate_bits)
@@ -507,7 +487,7 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
     return curve, report
 
 
-def run_analytic_curve(cfg: ExperimentConfig):
+def _analytic_curve(cfg: ExperimentConfig) -> Output:
     """Analytic Jensen-outage bracket over the SNR grid."""
     scheme = build_scheme(cfg)
     gram = gramian(scheme)
@@ -516,7 +496,7 @@ def run_analytic_curve(cfg: ExperimentConfig):
     for db in cfg.snr_db:
         lower, upper = analytic_jensen_bracket(cfg.k, gram, cfg.r, 10.0 ** (db / 10.0))
         rows.append((float(db), lower, upper, theory))
-    return rows
+    return Output(f"wrote {cfg.out} ({len(rows)} points)\n", rows)
 
 
 @dataclass
@@ -527,10 +507,7 @@ class CertificationReport:
     first_violation: str = ""
     universal_verdicts: tuple = ()
     simplified_agreement: str = "n/a"
-    lines: list = field(default_factory=list)
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    text: str = ""
 
 
 CERTIFY_BOOK_CAP = 4096  # pair enumeration is quadratic in the book size
@@ -539,8 +516,11 @@ CERTIFY_BOOK_CAP = 4096  # pair enumeration is quadratic in the book size
 def run_certify(cfg: ExperimentConfig) -> CertificationReport:
     """Check every codeword pair of a codebook against the full-rank
     condition, report the minimum Gramian eigenvalue and per-SNR
-    approximate-universality verdicts, and cross-check the scheme's
-    simplified condition against the SVD rank oracle."""
+    approximate-universality verdicts, and, when the scheme holds exactly
+    the CDD or phase-rolling matrices, cross-check that family's simplified
+    condition against the SVD rank oracle."""
+    if not cfg.codebook:
+        raise ConfigError("certification needs a codebook path")
     scheme = build_scheme(cfg)
     book = load_codebook_file(cfg.codebook, r=cfg.r, rho=10.0 ** (cfg.snr_db[0] / 10.0))
     if book.size > CERTIFY_BOOK_CAP:
@@ -549,80 +529,80 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
         raise ConfigError(
             f"codebook N={book.block_length} does not match scheme N={scheme.block_length}"
         )
-    diffs = pair_differences(book)
+    k, n = scheme.num_relays, scheme.block_length
+    family, simplified = "", None
+    for name, make, condition in (
+        ("cdd", cyclic_delay_scheme, cdd_condition),
+        ("phase-rolling", phase_rolling_scheme, phase_rolling_condition),
+    ):
+        if np.array_equal(scheme.stacked(), make(k, n).stacked()):
+            family, simplified = name, condition
+            break
     certified = True
     first_violation = ""
-    simplified = None
-    if scheme.name == "cdd":
-        simplified = cdd_condition
-    elif scheme.name == "phase-rolling":
-        simplified = phase_rolling_condition
-    agree = 0
-    idx_a, idx_b = np.triu_indices(book.size, k=1)
-    for p, dx in enumerate(diffs):
-        phi = difference_matrix(scheme, dx)
-        full = rank_full(phi)
-        if not full and certified:
-            certified = False
-            sv = np.linalg.svd(phi.phi, compute_uv=False)
-            first_violation = (
-                f"pair ({int(idx_a[p])}, {int(idx_b[p])}): rank deficient, "
-                f"singular values {[float(f'{v:.3e}') for v in sv]}"
-            )
-        if simplified is not None:
-            verdict = simplified(dx)
-            if scheme.num_relays == scheme.block_length:
-                ok = verdict == full
-            else:
-                ok = (not verdict) or full  # sufficiency direction only
-            if not ok:
-                raise InternalConsistencyError(
-                    f"simplified condition disagrees with SVD rank on pair "
-                    f"({int(idx_a[p])}, {int(idx_b[p])})"
+    words = book.codewords
+    # One pair at a time: no array grows with the pair count.
+    for a in range(book.size):
+        for b in range(a + 1, book.size):
+            dx = words[a] - words[b]
+            phi = difference_matrix(scheme, dx)
+            full = rank_full(phi)
+            if not full and certified:
+                certified = False
+                sv = np.linalg.svd(phi.phi, compute_uv=False)
+                first_violation = (
+                    f"pair ({a}, {b}): rank deficient, "
+                    f"singular values {[float(f'{v:.3e}') for v in sv]}"
                 )
-            agree += 1
+            if simplified is not None:
+                verdict = simplified(dx)
+                if k == n:
+                    ok = verdict == full
+                else:
+                    ok = (not verdict) or full  # sufficiency direction only
+                if not ok:
+                    raise InternalConsistencyError(
+                        f"simplified condition disagrees with SVD rank on pair ({a}, {b})"
+                    )
+    pairs = book.size * (book.size - 1) // 2
     mu = min_gram_eigenvalue(scheme, book)
-    verdicts = []
-    for db in cfg.snr_db:
-        rho = 10.0 ** (db / 10.0)
-        threshold = rho ** (-2.0 * cfg.r)
-        verdicts.append((float(db), mu > threshold, threshold))
-
     lines = [
         "codebook certification report",
-        f"scheme: {scheme.name} K={scheme.num_relays} N={scheme.block_length}",
+        f"scheme: {scheme.name} K={k} N={n}",
         f"codebook: {cfg.codebook} ({book.size} codewords)",
-        f"pairs checked: {len(diffs)}",
+        f"pairs checked: {pairs}",
         f"full-rank condition: {'PASS (all pairs)' if certified else 'FAIL'}",
     ]
     if first_violation:
         lines.append(f"first violation: {first_violation}")
     lines.append(f"mu_min: {mu!r}")
-    for db, ok, threshold in verdicts:
+    verdicts = []
+    for db in cfg.snr_db:
+        rho = 10.0 ** (db / 10.0)
+        threshold = rho ** (-2.0 * cfg.r)
+        verdicts.append((float(db), mu > threshold, threshold))
         lines.append(
             f"approximately-universal @ snr_db={_fmt_number(db)} r={_fmt_number(cfg.r)}: "
-            f"{'PASS' if ok else 'FAIL'} (threshold rho^-2r = {threshold!r})"
+            f"{'PASS' if mu > threshold else 'FAIL'} (threshold rho^-2r = {threshold!r})"
         )
+    agreement = "n/a"
     if simplified is not None:
-        lines.append(
-            f"simplified-condition agreement ({scheme.name}): {agree}/{len(diffs)} pairs consistent"
-        )
-        agreement = f"{agree}/{len(diffs)}"
-    else:
-        agreement = "n/a"
+        agreement = f"{pairs}/{pairs}"  # a disagreement raised above
+        lines.append(f"simplified-condition agreement ({family}): {agreement} pairs consistent")
     return CertificationReport(
         certified=certified,
-        pairs_checked=len(diffs),
+        pairs_checked=pairs,
         mu_min=mu,
         first_violation=first_violation,
         universal_verdicts=tuple(verdicts),
         simplified_agreement=agreement,
-        lines=lines,
+        text="\n".join(lines) + "\n",
     )
 
 
 # ---------------------------------------------------------------------------
-# Self check
+# Self check: the paper's identities, each measured by one function that the
+# self check and the acceptance tests share
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -636,76 +616,86 @@ class CheckResult:
         return self.measured <= self.tolerance
 
 
-def run_self_check() -> tuple[list[CheckResult], str]:
-    """Named identity checks with tolerances and measured deviations."""
-    rng = np.random.default_rng(_SELF_CHECK_SEED)
-    results: list[CheckResult] = []
-    pairs = [(1, 1), (1, 4), (2, 2), (2, 8), (3, 8), (4, 16), (8, 8)]
-
-    dev = 0.0
-    for k, n in pairs:
-        for scheme in (cyclic_delay_scheme(k, n), phase_rolling_scheme(k, n)):
-            eye = np.eye(n) / n
-            for g in scheme.matrices:
-                dev = max(dev, float(np.abs(g @ g.conj().T - eye).max()))
-    results.append(CheckResult("unitary-scaling G G^H = I/N", 1e-12, dev))
-
-    dev = 0.0
-    for n in (1, 2, 3, 4, 8, 16, 64):
+def duality_deviations(sizes) -> tuple[float, float, float]:
+    """Worst deviations over the (K, N) in ``sizes`` of Lambda_i = F P_i F^H,
+    P_i = F^H Lambda_i F and tr(P_i P_j^H) = N delta_ij, where P_i and
+    Lambda_i are sqrt(N) G_i of CDD and of phase rolling."""
+    dual = diag = orth = 0.0
+    for k, n in sizes:
         f = dft_matrix(n)
-        dev = max(dev, float(np.abs(f @ f.conj().T - np.eye(n)).max()))
-    results.append(CheckResult("DFT unitarity F F^H = I", 1e-12, dev))
+        perms = cyclic_delay_scheme(k, n).stacked() * np.sqrt(n)
+        lams = phase_rolling_scheme(k, n).stacked() * np.sqrt(n)
+        recon = np.einsum("ab,ibc,cd->iad", f, perms, f.conj().T, optimize=True)
+        dual = max(dual, float(np.abs(recon - lams).max()))
+        recon = np.einsum("ab,ibc,cd->iad", f.conj().T, lams, f, optimize=True)
+        diag = max(diag, float(np.abs(recon - perms).max()))
+        inner = np.einsum("iab,jab->ij", perms, perms.conj())
+        orth = max(orth, float(np.abs(inner - n * np.eye(k)).max()))
+    return dual, diag, orth
 
-    dev_diag = 0.0
-    dev_dual = 0.0
-    dev_orth = 0.0
-    for k, n in pairs:
-        f = dft_matrix(n)
-        cdd = cyclic_delay_scheme(k, n)
-        pr = phase_rolling_scheme(k, n)
-        for gc, gp in zip(cdd.matrices, pr.matrices):
-            p_i = gc * np.sqrt(n)
-            lam_i = gp * np.sqrt(n)
-            dev_diag = max(dev_diag, float(np.abs(p_i - f.conj().T @ lam_i @ f).max()))
-            dev_dual = max(dev_dual, float(np.abs(gp - f @ gc @ f.conj().T).max()))
-        for i, gi in enumerate(cdd.matrices):
-            for j, gj in enumerate(cdd.matrices):
-                inner = np.trace((gi * np.sqrt(n)) @ (gj * np.sqrt(n)).conj().T)
-                want = n if i == j else 0.0
-                dev_orth = max(dev_orth, float(abs(inner - want)))
-    results.append(CheckResult("circulant diagonalization P = F^H Lambda F", 1e-12, dev_diag))
-    results.append(CheckResult("time-frequency duality G_pr = F P F^H / sqrt(N)", 1e-12, dev_dual))
-    results.append(CheckResult("shift-matrix orthogonality tr(P_i P_j^H) = N delta", 1e-12, dev_orth))
 
-    dev_gram = 0.0
-    dev_jensen = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        n = int(rng.integers(k, 9))
-        scheme = cyclic_delay_scheme(k, n) if rng.random() < 0.5 else phase_rolling_scheme(k, n)
-        gram = gramian(scheme)
-        ch = sample_channel(k, rng)
+def gramian_deviations(schemes, draws: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Over ``draws`` draws cycling through ``schemes`` at SNRs log-uniform in
+    [1, 10^4]: the worst relative gap between the Jensen MI from H_eff and from
+    the Gramian quadratic form, and the worst excess of exact over Jensen MI."""
+    grams = [gramian(s) for s in schemes]
+    dev_gram = dev_jensen = 0.0
+    for i in range(draws):
+        scheme, gram = schemes[i % len(schemes)], grams[i % len(schemes)]
+        ch = ChannelRealization(
+            f=complex_gaussian(rng, scheme.num_relays),
+            h=complex_gaussian(rng, scheme.num_relays),
+        )
         rho = float(10.0 ** rng.uniform(0, 4))
         heff = effective_channel(scheme, ch)
         jm = jensen_mi(heff, rho)
-        jg = jensen_mi_via_gramian(gram, ch, rho)
-        dev_gram = max(dev_gram, abs(jm - jg) / max(jm, 1e-12))
+        dev_gram = max(dev_gram, abs(jm - jensen_mi_via_gramian(gram, ch, rho)) / max(jm, 1e-12))
         dev_jensen = max(dev_jensen, mutual_information(heff, rho) - jm)
-    results.append(CheckResult("Gramian quadratic-form identity (relative)", 1e-10, dev_gram))
-    results.append(CheckResult("Jensen dominance exact MI <= Jensen MI", 1e-9, dev_jensen))
+    return dev_gram, dev_jensen
 
-    samples = np.abs(
-        (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)) / np.sqrt(2)
-    ) * np.abs(
-        (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)) / np.sqrt(2)
-    )
-    samples.sort()
-    grid = np.linspace(0.0, 6.0, 1201)
+
+def product_rayleigh_deviation(draws: int, x_max: float, points: int,
+                               rng: np.random.Generator) -> float:
+    """Sup-distance on ``points`` grid points in [0, x_max] between the
+    product-Rayleigh CDF and the empirical CDF of ``draws`` draws of |a||b|."""
+    magnitudes = np.abs(complex_gaussian(rng, draws)) * np.abs(complex_gaussian(rng, draws))
+    magnitudes.sort()
+    grid = np.linspace(0.0, x_max, points)
     analytic = np.array([product_rayleigh_cdf(x) for x in grid])
-    empirical = np.searchsorted(samples, grid, side="right") / samples.size
-    sup_dist = float(np.abs(analytic - empirical).max())
-    results.append(CheckResult("product-Rayleigh CDF sup-distance (MC)", 5e-3, sup_dist))
+    empirical = np.searchsorted(magnitudes, grid, side="right") / draws
+    return float(np.abs(analytic - empirical).max())
 
+
+def run_self_check() -> tuple[list[CheckResult], str]:
+    """Named identity checks with tolerances and measured deviations."""
+    rng = np.random.default_rng(_SELF_CHECK_SEED)
+    sizes = [(1, 1), (1, 4), (2, 2), (2, 8), (3, 8), (4, 16), (8, 8)]
+    schemes = [make(k, n) for k, n in sizes for make in (cyclic_delay_scheme, phase_rolling_scheme)]
+
+    unitary = 0.0
+    for scheme in schemes:
+        eye = np.eye(scheme.block_length) / scheme.block_length
+        for g in scheme.matrices:
+            unitary = max(unitary, float(np.abs(g @ g.conj().T - eye).max()))
+
+    dft = 0.0
+    for n in (1, 2, 3, 4, 8, 16, 64):
+        f = dft_matrix(n)
+        dft = max(dft, float(np.abs(f @ f.conj().T - np.eye(n)).max()))
+
+    dual, diag, orth = duality_deviations(sizes)
+    dev_gram, dev_jensen = gramian_deviations(schemes, 200, rng)
+    sup_dist = product_rayleigh_deviation(1_000_000, 6.0, 1201, rng)
+    results = [
+        CheckResult("unitary-scaling G G^H = I/N", 1e-12, unitary),
+        CheckResult("DFT unitarity F F^H = I", 1e-12, dft),
+        CheckResult("circulant diagonalization P = F^H Lambda F", 1e-12, diag),
+        CheckResult("time-frequency duality G_pr = F P F^H / sqrt(N)", 1e-12, dual),
+        CheckResult("shift-matrix orthogonality tr(P_i P_j^H) = N delta", 1e-12, orth),
+        CheckResult("Gramian quadratic-form identity (relative)", 1e-10, dev_gram),
+        CheckResult("Jensen dominance exact MI <= Jensen MI", 1e-9, dev_jensen),
+        CheckResult("product-Rayleigh CDF sup-distance (MC)", 5e-3, sup_dist),
+    ]
     lines = ["self-check report"]
     for res in results:
         lines.append(
@@ -716,6 +706,53 @@ def run_self_check() -> tuple[list[CheckResult], str]:
 
 
 # ---------------------------------------------------------------------------
+# Experiment table
+# ---------------------------------------------------------------------------
+
+def _outage_sweep(cfg: ExperimentConfig) -> Output:
+    curve = run_outage_sweep(cfg)
+    return Output(f"wrote {cfg.out} ({len(curve.points)} points)\n", _curve_rows(curve),
+                  [p.events for p in curve.points], extra={"mi_kernel": curve.mi_kernel})
+
+
+def _dm_slope(cfg: ExperimentConfig) -> Output:
+    curve, report = run_dm_slope(cfg)
+    extra = (report.d_hat, report.d_hat_raw, report.stderr, report.d_theory)
+    return Output(
+        f"wrote {cfg.out}: d_hat={report.d_hat!r} (raw {report.d_hat_raw!r}, "
+        f"theory {report.d_theory!r})\n",
+        _curve_rows(curve, extra), [p.events for p in curve.points], status=report.status,
+        extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
+               "d_theory": report.d_theory, "mi_kernel": curve.mi_kernel,
+               "points_used": report.points_used},
+    )
+
+
+def _certify_code(cfg: ExperimentConfig) -> Output:
+    return Output(run_certify(cfg).text)
+
+
+def _self_check(cfg: ExperimentConfig) -> Output:
+    results, text = run_self_check()
+    return Output(text, code=EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED)
+
+
+class Experiment(NamedTuple):
+    run: Callable[[ExperimentConfig], Output]
+    columns: tuple = ()  # CSV header; a CSV experiment requires out= and writes a manifest
+    scheme: bool = True  # takes the scheme, grid and estimator keys
+
+
+EXPERIMENTS = {
+    "outage-sweep": Experiment(_outage_sweep, OUTAGE_CSV_COLUMNS),
+    "dm-slope": Experiment(_dm_slope, OUTAGE_CSV_COLUMNS + DM_SLOPE_EXTRA_COLUMNS),
+    "certify-code": Experiment(_certify_code),
+    "analytic-curve": Experiment(_analytic_curve, ANALYTIC_CSV_COLUMNS),
+    "self-check": Experiment(_self_check, scheme=False),
+}
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -723,56 +760,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaydiv",
         description="Two-hop relay diversity experiments (outage Monte Carlo, "
-        "diversity slopes, code certification, analytic curves).",
+        "diversity slopes, code certification, analytic curves).  Flags "
+        "override config-file keys.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, experiment in EXPERIMENTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file (key = value lines)")
-        p.add_argument("--seed", type=int, help="64-bit seed; overrides the config")
-        p.add_argument("--out", help="output CSV path; overrides the config")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="worker threads (affects speed only, never results); "
-            "default from RELAYDIV_THREADS or 1",
-        )
-        if name in ("outage-sweep", "dm-slope", "certify-code", "analytic-curve"):
-            p.add_argument("--scheme", help="cdd, phase-rolling, or a scheme file path")
-            p.add_argument("--k", type=int, help="relay count")
-            p.add_argument("--n", type=int, help="block length")
-            p.add_argument("--r", type=float, help="multiplexing gain in [0, 1/2]")
-            p.add_argument("--snr-db", dest="snr_db", help="comma-separated dB grid")
-            p.add_argument("--trials", help="'adaptive' or a fixed per-point count")
-            p.add_argument("--min-trials", dest="min_trials", type=int)
-            p.add_argument("--max-trials", dest="max_trials", type=int)
-            p.add_argument("--min-events", dest="min_events", type=int)
-            p.add_argument("--rate-bits", dest="rate_bits", type=float,
-                           help="fixed rate target used when r = 0 (dm-slope)")
-            p.add_argument("--outage", choices=("jensen", "exact"))
-            p.add_argument("--codebook", help="codebook file (certify-code)")
+        for key, f in _CONFIG_FIELDS.items():
+            if key != "experiment" and (experiment.scheme or key in _COMMON_KEYS):
+                p.add_argument("--" + key.replace("_", "-"), help=f.metadata["help"])
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     raw = {}
-    if getattr(args, "config", None):
-        raw.update(load_config(args.config))
-    raw["experiment"] = args.experiment
-    for key in (
-        "scheme", "k", "n", "r", "snr_db", "trials", "min_trials", "max_trials",
-        "min_events", "rate_bits", "outage", "seed", "out", "codebook", "threads",
-    ):
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            raw.update(parse_config_text(fh.read(), origin=args.config))
+    for key in _CONFIG_FIELDS:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
     return config_from_mapping(raw, origin=args.config or "<cli>")
-
-
-def _require_out(cfg: ExperimentConfig) -> str:
-    if not cfg.out:
-        raise ConfigError("this experiment writes a CSV; set out= or --out")
-    return cfg.out
 
 
 def main(argv=None) -> int:
@@ -780,64 +790,24 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         resolve_threads(cfg.threads)
+        experiment = EXPERIMENTS[cfg.experiment]
+        if experiment.columns and not cfg.out:
+            raise ConfigError(f"{cfg.experiment} writes a CSV; set out= or --out")
         if cfg.out:
             _check_out_path(cfg.out)
-
-        if cfg.experiment == "self-check":
-            results, text = run_self_check()
-            sys.stdout.write(text)
-            if cfg.out:
-                _write_atomic(cfg.out, text)
-            return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
-
         started = time.monotonic()
-        if cfg.experiment == "outage-sweep":
-            out = _require_out(cfg)
-            curve = run_outage_sweep(cfg)
-            write_csv(out, OUTAGE_CSV_COLUMNS, _curve_rows(curve))
-            write_manifest(out, cfg, time.monotonic() - started,
-                           [p.events for p in curve.points],
-                           extra={"mi_kernel": curve.mi_kernel})
-            sys.stdout.write(f"wrote {out} ({len(curve.points)} points)\n")
-            return EXIT_OK
-
-        if cfg.experiment == "dm-slope":
-            out = _require_out(cfg)
-            curve, report = run_dm_slope(cfg)
-            extra = (report.d_hat, report.d_hat_raw, report.stderr, report.d_theory)
-            write_csv(out, OUTAGE_CSV_COLUMNS + DM_SLOPE_EXTRA_COLUMNS,
-                      _curve_rows(curve, extra))
-            write_manifest(out, cfg, time.monotonic() - started,
-                           [p.events for p in curve.points], status=report.status,
-                           extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
-                                  "d_theory": report.d_theory,
-                                  "mi_kernel": curve.mi_kernel,
-                                  "points_used": report.points_used})
-            sys.stdout.write(
-                f"wrote {out}: d_hat={report.d_hat!r} (raw {report.d_hat_raw!r}, "
-                f"theory {report.d_theory!r})\n"
-            )
-            if report.status != "ok":
-                sys.stderr.write(report.status + "\n")
-            return EXIT_OK
-
-        if cfg.experiment == "analytic-curve":
-            out = _require_out(cfg)
-            rows = run_analytic_curve(cfg)
-            write_csv(out, ANALYTIC_CSV_COLUMNS, rows)
-            write_manifest(out, cfg, time.monotonic() - started, [])
-            sys.stdout.write(f"wrote {out} ({len(rows)} points)\n")
-            return EXIT_OK
-
-        if cfg.experiment == "certify-code":
-            report = run_certify(cfg)
-            sys.stdout.write(report.text())
-            if cfg.out:
-                _write_atomic(cfg.out, report.text())
-            return EXIT_OK
-
-        raise ConfigError(f"unhandled experiment {cfg.experiment}")
-    except (ConfigError, FileFormatError) as exc:
+        result = experiment.run(cfg)
+        if experiment.columns:
+            write_csv(cfg.out, experiment.columns, result.rows)
+            write_manifest(cfg.out, cfg, time.monotonic() - started, result.events,
+                           status=result.status, extra=result.extra)
+        elif cfg.out:
+            _write_atomic(cfg.out, result.text)
+        sys.stdout.write(result.text)
+        if result.status != "ok":
+            sys.stderr.write(result.status + "\n")
+        return result.code
+    except (ConfigError, FileFormatError, InvalidParameterError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except ResourceLimitError as exc:
@@ -846,12 +816,6 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return EXIT_INTERNAL
-    except InvalidParameterError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except OSError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

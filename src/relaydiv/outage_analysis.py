@@ -148,11 +148,10 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class OutageCurve:
-    """Estimates ordered by strictly increasing SNR, a config tag and the
-    name of the MI kernel that produced them."""
+    """Estimates ordered by strictly increasing SNR and the name of the MI
+    kernel that produced them."""
 
     points: tuple[ProbEstimate, ...]
-    fingerprint: str = ""
     mi_kernel: str = ""
 
     def __post_init__(self):

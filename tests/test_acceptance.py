@@ -10,6 +10,7 @@ at desk-scale SNR by that same factor).
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,18 +23,23 @@ from relaydiv import (
     gaussian_codebook,
     gramian,
     jensen_mi,
-    jensen_mi_via_gramian,
     mc_exact_outage,
     mc_ml_error,
     min_gram_eigenvalue,
     mutual_information,
     phase_rolling_scheme,
-    product_rayleigh_cdf,
     union_bound,
 )
 from relaydiv.channel_model import ChannelRealization, complex_gaussian, effective_channel
 from relaydiv.codebook import cdd_condition, phase_rolling_condition, difference_matrix
-from relaydiv.experiment_cli import ExperimentConfig, main, run_dm_slope
+from relaydiv.experiment_cli import (
+    ExperimentConfig,
+    duality_deviations,
+    gramian_deviations,
+    main,
+    product_rayleigh_deviation,
+    run_dm_slope,
+)
 from relaydiv.outage_analysis import bracket_log_correction, analytic_jensen_bracket
 
 
@@ -106,14 +112,7 @@ def test_criterion_2_bracket_exponent(k, r):
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_product_rayleigh_cdf():
-    rng = np.random.default_rng(31416)
-    n = 1_000_000
-    magnitudes = np.abs(complex_gaussian(rng, n)) * np.abs(complex_gaussian(rng, n))
-    magnitudes.sort()
-    grid = np.linspace(0.0, 8.0, 1601)
-    analytic = np.array([product_rayleigh_cdf(x) for x in grid])
-    empirical = np.searchsorted(magnitudes, grid, side="right") / n
-    sup_dist = float(np.abs(analytic - empirical).max())
+    sup_dist = product_rayleigh_deviation(1_000_000, 8.0, 1601, np.random.default_rng(31416))
     _report("criterion 3", sup_dist < 5e-3, f"sup-distance={sup_dist:.2e} < 5e-3")
 
 
@@ -163,19 +162,7 @@ def test_criterion_5_gramian_identity():
         schemes.append(phase_rolling_scheme(k, n))
         q, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
         schemes.append(custom_scheme([q @ g for g in cyclic_delay_scheme(k, n).matrices]))
-    summaries = [gramian(s) for s in schemes]
-    worst = 0.0
-    for i in range(10_000):
-        idx = i % len(schemes)
-        scheme, summary = schemes[idx], summaries[idx]
-        ch = ChannelRealization(
-            f=complex_gaussian(rng, scheme.num_relays),
-            h=complex_gaussian(rng, scheme.num_relays),
-        )
-        rho = float(10 ** rng.uniform(0, 4))
-        a = jensen_mi(effective_channel(scheme, ch), rho)
-        b = jensen_mi_via_gramian(summary, ch, rho)
-        worst = max(worst, abs(a - b) / max(a, 1e-12))
+    worst, _ = gramian_deviations(schemes, 10_000, rng)
     _report("criterion 5", worst < 1e-10, f"max relative discrepancy={worst:.2e} over 10^4 draws")
 
 
@@ -184,23 +171,7 @@ def test_criterion_5_gramian_identity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_duality_identities():
-    worst_dual = 0.0
-    worst_diag = 0.0
-    worst_inner = 0.0
-    for n in range(1, 65):
-        f = dft_matrix(n)
-        cdd = cyclic_delay_scheme(n, n)
-        pr = phase_rolling_scheme(n, n)
-        perms = np.stack([g * np.sqrt(n) for g in cdd.matrices])
-        lams = np.stack([g * np.sqrt(n) for g in pr.matrices])
-        # G_i(phase rolling) vs F P_i F^H / sqrt(N), i.e. Lambda_i vs F P_i F^H
-        recon = np.einsum("ab,ibc,cd->iad", f, perms, f.conj().T, optimize=True)
-        worst_dual = max(worst_dual, float(np.abs(recon - lams).max()))
-        # P_i vs F^H Lambda_i F
-        recon = np.einsum("ab,ibc,cd->iad", f.conj().T, lams, f, optimize=True)
-        worst_diag = max(worst_diag, float(np.abs(recon - perms).max()))
-        inner = np.einsum("iab,jab->ij", perms, perms.conj())
-        worst_inner = max(worst_inner, float(np.abs(inner - n * np.eye(n)).max()))
+    worst_dual, worst_diag, worst_inner = duality_deviations([(n, n) for n in range(1, 65)])
     ok = worst_dual <= 1e-12 and worst_diag <= 1e-12 and worst_inner <= 1e-12
     _report(
         "criterion 6",
@@ -312,6 +283,6 @@ def test_criterion_10_thread_determinism(tmp_path):
             ]
         )
         assert rc == 0
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     _report("criterion 10", ok, "byte-identical CSVs for 1, 2, and 8 threads")

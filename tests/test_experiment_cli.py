@@ -2,6 +2,8 @@
 
 import json
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +107,23 @@ def test_canonical_text_round_trips():
     cfg.validate()
     again = config_from_mapping(parse_config_text(cfg.canonical_text()))
     assert again == cfg
+
+
+def test_canonical_text_of_every_key_is_pinned():
+    # manifests echo this text, so its bytes may not move
+    cfg = ExperimentConfig(
+        experiment="certify-code", scheme="phase-rolling", k=3, n=8, r=0.125,
+        snr_db=(20.0, 22.5, 1e20), trials="12345", min_trials=1000, max_trials=2**40,
+        min_events=7, rate_bits=1.5, outage="exact", seed=2**64 - 1, out="dir/o.txt",
+        codebook="dir/book.txt", threads=2,
+    )
+    cfg.validate()
+    assert cfg.canonical_text() == (
+        "experiment = certify-code\nscheme = phase-rolling\nk = 3\nn = 8\nr = 0.125\n"
+        "snr_db = [20, 22.5, 1e+20]\ntrials = 12345\nmin_trials = 1000\n"
+        "max_trials = 1099511627776\nmin_events = 7\nrate_bits = 1.5\noutage = exact\n"
+        "seed = 18446744073709551615\ncodebook = dir/book.txt\nout = dir/o.txt\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +357,37 @@ def test_self_check_passes_on_fresh_build():
     results, text = run_self_check()
     assert all(r.passed for r in results)
     assert "PASS" in text and "FAIL" not in text
+    assert [(r.name, r.tolerance) for r in results] == [
+        ("unitary-scaling G G^H = I/N", 1e-12),
+        ("DFT unitarity F F^H = I", 1e-12),
+        ("circulant diagonalization P = F^H Lambda F", 1e-12),
+        ("time-frequency duality G_pr = F P F^H / sqrt(N)", 1e-12),
+        ("shift-matrix orthogonality tr(P_i P_j^H) = N delta", 1e-12),
+        ("Gramian quadratic-form identity (relative)", 1e-10),
+        ("Jensen dominance exact MI <= Jensen MI", 1e-9),
+        ("product-Rayleigh CDF sup-distance (MC)", 5e-3),
+    ]
+
+
+def test_certify_memory_does_not_grow_with_the_pair_count(tmp_path, monkeypatch):
+    # 96 words, 4560 pairs at N = K = 4.  With min_gram_eigenvalue in blocks
+    # of 64 pairs, only its pair indices (16 B/pair) grow with the book;
+    # building all (P, N) differences up front peaks near 150 B/pair.
+    from relaydiv import codebook
+
+    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 64)
+    path = str(tmp_path / "book.txt")
+    words = complex_gaussian(np.random.default_rng(5), (96, 4))
+    save_codebook_file(path, Codebook(words, 0.25, 100.0))
+    cfg = _sweep_config(experiment="certify-code", k=4, n=4, codebook=path)
+    tracemalloc.start()
+    try:
+        report = run_certify(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 4560
+    assert peak < 64 * 4560
 
 
 def test_cli_oversized_codebook_is_resource_error(tmp_path):
@@ -365,10 +415,10 @@ def test_cli_outage_sweep_writes_csv_and_manifest(tmp_path, capsys):
         ]
     )
     assert rc == EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "snr_db,probability,ci_low,ci_high,trials,events"
     assert len(lines) == 3
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert len(manifest["per_point_events"]) == 2
 
@@ -382,12 +432,12 @@ def test_cli_manifest_round_trip(tmp_path):
         ]
     )
     assert rc == EXIT_OK
-    manifest = json.loads(open(out1 + ".manifest.json").read())
+    manifest = json.loads(Path(out1 + ".manifest.json").read_text())
     cfg_path = _write(tmp_path / "echo.cfg", manifest["config_text"])
     out2 = str(tmp_path / "b.csv")
     rc = main(["outage-sweep", "--config", cfg_path, "--out", out2])
     assert rc == EXIT_OK
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_cli_override_wins_over_config(tmp_path):
@@ -399,7 +449,7 @@ def test_cli_override_wins_over_config(tmp_path):
     out = str(tmp_path / "o.csv")
     rc = main(["outage-sweep", "--config", cfg_path, "--r", "0.25", "--out", out])
     assert rc == EXIT_OK
-    rows = open(out).read().splitlines()[1:]
+    rows = Path(out).read_text().splitlines()[1:]
     assert any(float(row.split(",")[1]) > 0 for row in rows)  # r was overridden
 
 
@@ -492,7 +542,7 @@ def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage
                "--snr-db", "10,15,20", "--trials", "2000", "--seed", "3",
                "--outage", outage, "--out", out])
     assert rc == EXIT_OK
-    assert json.loads(open(out + ".manifest.json").read())["mi_kernel"] == kernel
+    assert json.loads(Path(out + ".manifest.json").read_text())["mi_kernel"] == kernel
 
 
 def test_cli_self_check_exit_zero(capsys):
@@ -509,7 +559,7 @@ def test_cli_env_threads_default(tmp_path, monkeypatch):
     assert main(args + ["--out", out1]) == EXIT_OK
     monkeypatch.setenv("RELAYDIV_THREADS", "8")
     assert main(args + ["--out", out8]) == EXIT_OK
-    assert open(out1, "rb").read() == open(out8, "rb").read()
+    assert Path(out1).read_bytes() == Path(out8).read_bytes()
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
@@ -565,12 +615,34 @@ def test_cli_analytic_curve(tmp_path):
     rc = main(["analytic-curve", "--scheme", "cdd", "--k", "2", "--n", "4",
                "--r", "0.25", "--snr-db", "20,30,40", "--seed", "1", "--out", out])
     assert rc == EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "snr_db,lower,upper,theory_exponent"
     rows = [line.split(",") for line in lines[1:]]
     uppers = [float(r[2]) for r in rows]
     assert uppers == sorted(uppers, reverse=True)
     assert all(float(r[3]) == 1.0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "family,file_name,verdict",
+    [(phase_rolling_scheme, "cdd", "FAIL"), (cyclic_delay_scheme, "pr", "PASS (all pairs)")],
+)
+def test_cli_certify_picks_the_simplified_condition_by_structure(tmp_path, capsys, family,
+                                                                 file_name, verdict):
+    # the file's name must not choose the shortcut: [1, 1, 1, 0] has a zero
+    # entry (phase rolling rank deficient) and no zero DFT bin (CDD full rank)
+    (tmp_path / "dir").mkdir()
+    scheme = str(tmp_path / "dir" / file_name)
+    save_scheme_file(scheme, family(4, 4))
+    book = str(tmp_path / "book.txt")
+    save_codebook_file(book, Codebook(np.array([[1, 1, 1, 0], [0, 0, 0, 0]]), 0.25, 100.0))
+    rc = main(["certify-code", "--scheme", scheme, "--k", "4", "--n", "4", "--r", "0.25",
+               "--snr-db", "20", "--codebook", book])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"full-rank condition: {verdict}" in out
+    name = "phase-rolling" if family is phase_rolling_scheme else "cdd"
+    assert f"simplified-condition agreement ({name}): 1/1 pairs consistent" in out
 
 
 def test_cli_certify_code(tmp_path):
@@ -584,6 +656,6 @@ def test_cli_certify_code(tmp_path):
                "--r", "0.25", "--snr-db", "20,30", "--seed", "1",
                "--codebook", book_path, "--out", out])
     assert rc == EXIT_OK
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "PASS (all pairs)" in text
     assert "mu_min" in text
