@@ -145,16 +145,33 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
         raise InvalidParameterError("codebook and scheme block lengths differ")
     g = scheme.stacked()
     words = book.codewords
-    idx_a, idx_b = np.triu_indices(book.size, k=1)
     best = math.inf
-    for lo in range(0, idx_a.size, MIN_GRAM_PAIR_BLOCK):
-        hi = lo + MIN_GRAM_PAIR_BLOCK
-        diffs = words[idx_a[lo:hi]] - words[idx_b[lo:hi]]  # (P, N)
+    for idx_a, idx_b in _pair_blocks(book.size, MIN_GRAM_PAIR_BLOCK):
+        diffs = words[idx_a] - words[idx_b]  # (P, N)
         cols = np.einsum("kab,pb->pak", g, diffs)  # (P, N, K)
         grams = np.einsum("pak,pal->pkl", cols.conj(), cols)  # (P, K, K)
         eigs = np.linalg.eigvalsh(grams)
         best = min(best, float(np.clip(eigs[:, 0], 0.0, None).min()))
     return best
+
+
+def _pair_blocks(size: int, block: int):
+    """Index arrays (a, b) of the pairs a < b of ``size`` items, in
+    np.triu_indices order, ``block`` pairs at a time.  Each block is cut
+    from a row cursor (a, b), so no array grows with ``size``."""
+    a, b = 0, 1
+    while a < size - 1:
+        rows_a, rows_b = [], []
+        left = block
+        while left and a < size - 1:
+            take = min(left, size - b)
+            rows_a.append(np.full(take, a))
+            rows_b.append(np.arange(b, b + take))
+            left -= take
+            b += take
+            if b == size:
+                a, b = a + 1, a + 2
+        yield np.concatenate(rows_a), np.concatenate(rows_b)
 
 
 def approximately_universal(

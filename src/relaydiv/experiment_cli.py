@@ -109,6 +109,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and not _writable(value, f.default):
+                raise ConfigError(
+                    f"{f.name} = {value!r} cannot be written to a config file: it must be "
+                    "one line with no '#', no leading '[' and no surrounding blanks"
+                )
         if not EXPERIMENTS[self.experiment].scheme:
             return
         if self.k < 1 or self.n < self.k:
@@ -146,9 +153,18 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+def _writable(value: str, default) -> bool:
+    """Whether parse_config_text reads ``value`` back from canonical_text,
+    which omits an empty string, so that only a default may be empty."""
+    if not value:
+        return default == ""
+    return (value == value.strip() and "#" not in value and not value.startswith("[")
+            and value.splitlines() == [value])
+
+
 def _fmt_number(v) -> str:
     f = float(v)
-    if f == int(f) and abs(f) < 1e15:
+    if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
 
@@ -269,6 +285,8 @@ def _load_rows(path: str, second_key: str, rows_per_entry) -> tuple[int, int, np
         n, count = int(parts[1]), int(parts[3])
     except ValueError:
         raise FileFormatError(path, lineno, 1, "header sizes must be integers") from None
+    if n < 1 or count < 1:
+        raise FileFormatError(path, lineno, 1, f"header sizes must be positive, got {n} and {count}")
     rows = count * rows_per_entry(n)
     if len(lines) - 1 != rows:
         raise FileFormatError(path, lines[-1][0], 1, f"expected {rows} rows, found {len(lines) - 1}")

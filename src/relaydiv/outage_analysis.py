@@ -297,7 +297,7 @@ def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]
 
     "exact-spectral" when the matrices share an eigenbasis by exact equality
     (all diagonal or all circulant, whatever the scheme's name or source),
-    else "exact-products", a Cholesky log-det of I + rho H H^H built from
+    else "exact-products-ldl", an LDL^H log-det of I + rho H H^H built from
     the G_i G_j^H table.  Neither forms H_eff.
     """
     spectra = common_spectra(scheme)
@@ -306,7 +306,7 @@ def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]
             spectra, f, h, rho
         )
     products = pair_products(scheme)
-    return "exact-products", lambda f, h, rho: mutual_information_products(
+    return "exact-products-ldl", lambda f, h, rho: mutual_information_products(
         products, f, h, rho
     )
 

@@ -228,6 +228,18 @@ def test_min_gram_eigenvalue_is_independent_of_the_pair_block(monkeypatch):
     assert min_gram_eigenvalue(scheme, book) == whole
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 14])
+def test_pair_blocks_cut_triu_indices_into_blocks(block):
+    assert list(codebook._pair_blocks(0, block)) == []
+    assert list(codebook._pair_blocks(1, block)) == []
+    for size in range(2, 30):
+        blocks = list(codebook._pair_blocks(size, block))
+        assert all(a.size == b.size == block for a, b in blocks[:-1])
+        want_a, want_b = np.triu_indices(size, k=1)
+        np.testing.assert_array_equal(np.concatenate([a for a, _ in blocks]), want_a)
+        np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), want_b)
+
+
 def _min_gram_peak_bytes(scheme, book):
     tracemalloc.start()
     try:
@@ -239,8 +251,8 @@ def _min_gram_peak_bytes(scheme, book):
 
 def test_min_gram_eigenvalue_memory_is_bounded_by_the_block(monkeypatch):
     # 300 words, 44850 pairs at N = K = 4: unblocked, the (P, N, K) and
-    # (P, K, K) arrays alone take ~35 MB; in blocks of 256 pairs only the
-    # pair indices (~0.7 MB) grow with the book
+    # (P, K, K) arrays alone take ~35 MB; in blocks of 256 pairs nothing
+    # grows with the book
     rng = np.random.default_rng(32)
     book = Codebook(complex_gaussian(rng, (300, 4)), 0.1, 10.0)
     scheme = cyclic_delay_scheme(4, 4)

@@ -1,5 +1,6 @@
 """Config grammar, scheme/codebook files, runners, and the CLI surface."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from relaydiv import (
@@ -25,6 +26,7 @@ from relaydiv.experiment_cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    EXPERIMENTS,
     ExperimentConfig,
     config_from_mapping,
     load_codebook_file,
@@ -124,6 +126,78 @@ def test_canonical_text_of_every_key_is_pinned():
         "max_trials = 1099511627776\nmin_events = 7\nrate_bits = 1.5\noutage = exact\n"
         "seed = 18446744073709551615\ncodebook = dir/book.txt\nout = dir/o.txt\n"
     )
+
+
+# Config-file text: any characters, '#', brackets, blanks and line breaks
+# included, so validate() decides what a config may hold.
+_CONFIG_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+# NaN is left out only because it never equals itself.
+_FLOAT = st.floats(allow_nan=False)
+_BIG_INT = st.integers(-(2**70), 2**70)
+_KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    experiment=st.sampled_from(sorted(EXPERIMENTS)),
+    scheme=st.one_of(st.sampled_from(["cdd", "phase-rolling"]), _CONFIG_TEXT),
+    k=st.integers(1, 64),
+    extra_n=st.integers(0, 64),
+    r=st.one_of(st.floats(0.0, 0.5), _FLOAT),
+    snr_db=st.lists(_FLOAT, min_size=1, max_size=6, unique=True).map(
+        lambda v: tuple(sorted(v))
+    ),
+    trials=st.one_of(st.just("adaptive"), st.integers(1, 2**63).map(str), _CONFIG_TEXT),
+    counts=st.tuples(_BIG_INT, _BIG_INT, _BIG_INT),
+    rate_bits=st.one_of(st.floats(0.0, 1e300), _FLOAT),
+    outage=st.one_of(st.sampled_from(["jensen", "exact"]), _CONFIG_TEXT),
+    seed=st.integers(0, 2**64 - 1),
+    codebook=st.one_of(st.just(""), _CONFIG_TEXT),
+    out=st.one_of(st.just(""), _CONFIG_TEXT),
+    threads=st.one_of(st.none(), st.integers(1, 64)),
+)
+def test_canonical_text_round_trips_every_valid_config(
+    experiment, scheme, k, extra_n, r, snr_db, trials, counts, rate_bits, outage, seed,
+    codebook, out, threads,
+):
+    # self-check validates none of the scheme keys, so they may be anything
+    cfg = ExperimentConfig(
+        experiment=experiment, scheme=scheme, k=k, n=k + extra_n, r=r, snr_db=snr_db,
+        trials=trials, min_trials=counts[0], max_trials=counts[1], min_events=counts[2],
+        rate_bits=rate_bits, outage=outage, seed=seed, codebook=codebook, out=out,
+        threads=threads,
+    )
+    try:
+        cfg.validate()
+    except ConfigError:
+        reject()
+    # threads changes speed only and is not written
+    again = config_from_mapping(parse_config_text(cfg.canonical_text()))
+    assert again == dataclasses.replace(cfg, threads=None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    line=st.one_of(
+        st.text(max_size=30),
+        st.tuples(st.sampled_from(_KEYS + ["bogus"]), _CONFIG_TEXT).map(
+            " = ".join
+        ),
+        st.tuples(st.sampled_from(_KEYS), st.lists(_CONFIG_TEXT)).map(
+            lambda kv: f"{kv[0]} = [{', '.join(kv[1])}]"
+        ),
+    ),
+    position=st.integers(0, 16),
+)
+def test_bad_config_lines_raise_config_errors_only(line, position):
+    lines = ExperimentConfig(
+        experiment="outage-sweep", snr_db=(20.0, 30.0), out="o.csv"
+    ).canonical_text().splitlines()
+    lines.insert(position, line)
+    try:
+        config_from_mapping(parse_config_text("\n".join(lines)))
+    except (FileFormatError, ConfigError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -369,25 +443,32 @@ def test_self_check_passes_on_fresh_build():
     ]
 
 
-def test_certify_memory_does_not_grow_with_the_pair_count(tmp_path, monkeypatch):
-    # 96 words, 4560 pairs at N = K = 4.  With min_gram_eigenvalue in blocks
-    # of 64 pairs, only its pair indices (16 B/pair) grow with the book;
-    # building all (P, N) differences up front peaks near 150 B/pair.
-    from relaydiv import codebook
-
-    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 64)
-    path = str(tmp_path / "book.txt")
-    words = complex_gaussian(np.random.default_rng(5), (96, 4))
+def _certify_peak_bytes(tmp_path, words):
+    path = str(tmp_path / f"book{len(words)}.txt")
     save_codebook_file(path, Codebook(words, 0.25, 100.0))
     cfg = _sweep_config(experiment="certify-code", k=4, n=4, codebook=path)
     tracemalloc.start()
     try:
         report = run_certify(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return report.pairs_checked, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.pairs_checked == 4560
-    assert peak < 64 * 4560
+
+
+def test_certify_memory_does_not_grow_with_the_pair_count(tmp_path, monkeypatch):
+    # 64 and 96 words, 2016 and 4560 pairs at N = K = 4, with
+    # min_gram_eigenvalue in blocks of 64 pairs.  Building all (P, N)
+    # differences up front peaks near 150 B/pair; whole-book pair index
+    # arrays add 16 B for every pair.
+    from relaydiv import codebook
+
+    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 64)
+    words = complex_gaussian(np.random.default_rng(5), (96, 4))
+    small_pairs, small_peak = _certify_peak_bytes(tmp_path, words[:64])
+    pairs, peak = _certify_peak_bytes(tmp_path, words)
+    assert (small_pairs, pairs) == (2016, 4560)
+    assert peak < 64 * pairs
+    assert (peak - small_peak) / (pairs - small_pairs) < 4
 
 
 def test_cli_oversized_codebook_is_resource_error(tmp_path):
@@ -528,7 +609,7 @@ def test_cli_outputs_replace_old_files_and_leave_no_temp_files(tmp_path):
     "experiment,scheme,outage,kernel",
     [("outage-sweep", "cdd", "jensen", "jensen"),
      ("dm-slope", "cdd", "exact", "exact-spectral"),
-     ("outage-sweep", "haar", "exact", "exact-products")],
+     ("outage-sweep", "haar", "exact", "exact-products-ldl")],
 )
 def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage, kernel):
     if scheme == "haar":
@@ -608,6 +689,28 @@ def test_cli_non_finite_scheme_entries_are_config_errors(tmp_path, capsys, outag
     assert rc == EXIT_CONFIG
     assert f"{scheme}:2:1" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scheme.txt"]
+
+
+@pytest.mark.parametrize("header", ["N 0 K 1", "N 1 K 0", "N -2 K 1"])
+def test_cli_non_positive_scheme_header_sizes_are_config_errors(tmp_path, capsys, header):
+    scheme = _write(tmp_path / "z.txt", header + "\n")
+    out = tmp_path / "o.csv"
+    rc = main(["outage-sweep", "--scheme", scheme, "--k", "1", "--n", "1", "--snr-db", "20",
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{scheme}:1:1: header sizes must be positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["z.txt"]
+
+
+@pytest.mark.parametrize("header", ["N 2 COUNT 0", "N 0 COUNT 0", "N 0 COUNT 1"])
+def test_cli_non_positive_codebook_header_sizes_are_config_errors(tmp_path, capsys, header):
+    book = _write(tmp_path / "book.txt", header + "\n")
+    out = tmp_path / "report.txt"
+    rc = main(["certify-code", "--scheme", "cdd", "--k", "2", "--n", "2", "--r", "0.1",
+               "--snr-db", "20", "--seed", "1", "--codebook", book, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{book}:1:1: header sizes must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_analytic_curve(tmp_path):

@@ -28,6 +28,8 @@ from relaydiv.channel_model import (
 from relaydiv.experiment_cli import load_scheme_file, save_scheme_file
 from relaydiv.information import (
     PRODUCTS_SUB_BLOCK,
+    _lower_rows,
+    _mi_from_lower,
     mutual_information_batch,
     mutual_information_products,
     mutual_information_spectral,
@@ -240,12 +242,49 @@ def test_common_spectra_is_none_without_a_shared_basis():
         _assert_matches_oracle(mutual_information_batch(heffs, rho), _eigvalsh_oracle(heffs, rho))
 
 
-def test_cholesky_failure_is_an_internal_consistency_error(monkeypatch):
-    # I + rho H H^H is positive definite for every finite H, so the failure
-    # is injected
-    def not_positive_definite(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+def _packed_lower(grams):
+    """A (T, N, N) stack as _mi_from_lower takes it."""
+    n = grams.shape[-1]
+    return grams.transpose(1, 2, 0).reshape(n * n, -1)[_lower_rows(n)]
 
-    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
-    with pytest.raises(InternalConsistencyError):
-        mutual_information_batch(np.eye(3, dtype=complex)[None], 10.0)
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 24),
+    rank=st.integers(0, 24),
+    rho=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ldl_log_det_matches_eigenvalue_oracle(n, rank, rho, seed):
+    # rho B B^H for B with only its first `rank` columns nonzero: Hermitian
+    # PSD, rank-deficient whenever rank < n.  Each zero eigenvalue costs
+    # both the oracle and the elimination ~eps rho ||B||^2 of absolute
+    # error, so rho stops where that stays under the bound: at rho = 1e5 a
+    # rank-r determinant det(I + rho B^H B) put them 1.3e-11 and 4e-12 off.
+    rng = np.random.default_rng(seed)
+    b = complex_gaussian(rng, (32, n, n)) / np.sqrt(n)
+    b[:, :, rank:] = 0.0
+    grams = rho * (b @ b.conj().transpose(0, 2, 1))
+    _assert_matches_oracle(_mi_from_lower(_packed_lower(grams), n), _eigvalsh_oracle(b, rho))
+
+
+def test_non_positive_definite_input_is_an_internal_consistency_error():
+    # every LDL^H pivot of I + PSD is >= 1: a -2 on the diagonal makes one
+    # -1, a NaN makes one NaN; trial 0 is fine and must not hide trial 1
+    for entry, value in (((1, 1), -2.0), ((2, 0), np.nan)):
+        grams = np.zeros((2, 3, 3), dtype=complex)
+        grams[1][entry] = value
+        with pytest.raises(InternalConsistencyError):
+            _mi_from_lower(_packed_lower(grams), 3)
+        # K = 1 and f = h = 1 at rho = 2 give w = 1, so I + rho H H^H is I
+        # plus the table's one row
+        with pytest.raises(InternalConsistencyError):
+            mutual_information_products(
+                grams[1].reshape(1, 9), np.ones((1, 1)), np.ones((1, 1)), 2.0
+            )
+        # H H^H is PSD for every finite H, so only a non-finite H reaches the
+        # check through the H-stack kernel
+        heffs = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
+        heffs[1][entry] = np.nan
+        with pytest.raises(InternalConsistencyError):
+            mutual_information_batch(heffs, 10.0)
