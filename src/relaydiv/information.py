@@ -67,7 +67,7 @@ def mutual_information_products(
         hi = lo + PRODUCTS_SUB_BLOCK
         w = ht[:, None, lo:hi] * ht[None, :, lo:hi].conj()
         w *= scale[lo:hi]
-        out[lo:hi] = _mi_from_lower(table @ w.reshape(k * k, -1), n)
+        out[lo:hi] = _mi_from_lower(table @ w.reshape(k * k, -1), n, first=lo)
     return out
 
 
@@ -81,10 +81,11 @@ def _lower_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _mi_from_lower(lower: np.ndarray, n: int) -> np.ndarray:
+def _mi_from_lower(lower: np.ndarray, n: int, first: int = 0) -> np.ndarray:
     """(1/2N) log2 det(I + A) for t Hermitian PSD (N, N) matrices A, given
     trial-last as their packed lower triangles (_lower_rows order), shape
-    (N(N+1)/2, t); returns shape (t,) and overwrites ``lower``.
+    (N(N+1)/2, t); returns shape (t,) and overwrites ``lower``.  A fault
+    names its trial as ``first`` plus its column in ``lower``.
 
     One LDL^H elimination of I + A runs across all trials at once: step j
     takes the pivot d_j = 1 + A[j, j] and subtracts the rank-1 update
@@ -99,7 +100,7 @@ def _mi_from_lower(lower: np.ndarray, n: int) -> np.ndarray:
         for j in range(n):
             np.add(lower[start].real, 1.0, out=pivots[j])
             col = lower[start + 1 : start + n - j]  # A[j+1:, j]
-            scaled = col.conj()
+            scaled = np.conjugate(col)  # a copy even for real input, unlike col.conj()
             scaled /= pivots[j]
             start += n - j
             target = start  # row of A[k, k] for k = j+1, j+2, ...
@@ -109,7 +110,8 @@ def _mi_from_lower(lower: np.ndarray, n: int) -> np.ndarray:
     if not np.all(pivots > 0):
         j, t = np.argwhere(~(pivots > 0))[0]
         raise InternalConsistencyError(
-            f"I + rho H H^H is not positive definite: pivot {j} of trial {t} is {pivots[j, t]!r}"
+            f"I + rho H H^H is not positive definite: "
+            f"pivot {j} of trial {first + t} is {pivots[j, t]}"
         )
     return np.sum(np.log2(pivots), axis=0) / (2 * n)
 

@@ -253,19 +253,53 @@ def _packed_lower(grams):
     n=st.integers(1, 24),
     rank=st.integers(0, 24),
     rho=st.floats(1e-3, 1e3),
+    real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ldl_log_det_matches_eigenvalue_oracle(n, rank, rho, seed):
+def test_ldl_log_det_matches_eigenvalue_oracle(n, rank, rho, real, seed):
     # rho B B^H for B with only its first `rank` columns nonzero: Hermitian
     # PSD, rank-deficient whenever rank < n.  Each zero eigenvalue costs
     # both the oracle and the elimination ~eps rho ||B||^2 of absolute
     # error, so rho stops where that stays under the bound: at rho = 1e5 a
     # rank-r determinant det(I + rho B^H B) put them 1.3e-11 and 4e-12 off.
+    # Real stacks are symmetric PSD, where conj() returns its input itself.
     rng = np.random.default_rng(seed)
     b = complex_gaussian(rng, (32, n, n)) / np.sqrt(n)
+    if real:
+        b = np.ascontiguousarray(b.real)
     b[:, :, rank:] = 0.0
     grams = rho * (b @ b.conj().transpose(0, 2, 1))
     _assert_matches_oracle(_mi_from_lower(_packed_lower(grams), n), _eigvalsh_oracle(b, rho))
+
+
+def test_real_channels_match_eigenvalue_oracle():
+    # H = [[1, 1], [0, 1]]: H H^T = [[2, 1], [1, 1]] has det(I + H H^T) = 5
+    h = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert mutual_information(EffectiveChannel(h), 1.0) == pytest.approx(
+        np.log2(5.0) / 4, rel=1e-15
+    )
+    # rho stops at 1e3 as in the LDL^H property test: at 1e5 a 3x3 draw with
+    # smallest singular value 3e-3 put the oracle 1.7e-11 and the kernel
+    # 2.6e-12 off the exact rational determinant
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 8):
+        heffs = rng.standard_normal((64, n, n)) / np.sqrt(n)
+        for rho in (1.0, 100.0, 1e3):
+            want = _eigvalsh_oracle(heffs, rho)
+            _assert_matches_oracle(mutual_information_batch(heffs, rho), want)
+            _assert_matches_oracle(
+                np.array([mutual_information(EffectiveChannel(m), rho) for m in heffs]), want
+            )
+
+
+def test_fault_names_its_trial_past_the_first_sub_block():
+    trials = PRODUCTS_SUB_BLOCK + 5
+    f = np.ones((trials, 1), dtype=complex)
+    f[trials - 2] = np.nan
+    with pytest.raises(InternalConsistencyError, match=f"pivot 0 of trial {trials - 2} is nan"):
+        mutual_information_products(
+            np.eye(3, dtype=complex).reshape(1, 9), f, np.ones((trials, 1)), 2.0
+        )
 
 
 def test_non_positive_definite_input_is_an_internal_consistency_error():
