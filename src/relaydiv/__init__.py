@@ -11,16 +11,13 @@ __version__ = "0.1.0"
 
 from .channel_model import (
     ChannelRealization,
-    EffectiveChannel,
     effective_channel,
-    sample_channel,
     simulate_normalized,
     simulate_two_hop,
+    two_hop,
 )
 from .codebook import (
     Codebook,
-    DifferenceMatrix,
-    approximately_universal,
     cdd_condition,
     difference_matrix,
     gaussian_codebook,
@@ -45,7 +42,6 @@ from .information import (
 )
 from .outage_analysis import (
     OutageCurve,
-    PepBound,
     ProbEstimate,
     SlopeEstimate,
     adaptive_trials,
@@ -55,7 +51,6 @@ from .outage_analysis import (
     mc_exact_outage,
     mc_jensen_outage,
     mc_ml_error,
-    pep_upper_bound,
     product_rayleigh_cdf,
     union_bound,
 )

@@ -1,4 +1,11 @@
-"""Fading realizations, the effective channel, and the two-hop receive chain.
+"""Fading realizations, the two-hop law, the effective channel, and the
+two receive chains.
+
+``two_hop`` states the two-hop law of the high-SNR model once: a fading
+draw (f, h) of any leading shape (..., K) becomes the per-relay products
+h~ = h o f and the aggregate noise power 1 + ||h||^2.  Every channel
+quantity (``effective_channel`` here, the MI kernels in ``information``)
+takes that pair and a stack of any leading shape.
 
 Two simulators are exposed.  ``simulate_two_hop`` implements the exact
 relay chain: first-hop reception, linear relay processing with the
@@ -43,32 +50,12 @@ class ChannelRealization:
     def num_relays(self) -> int:
         return self.f.size
 
-    @property
-    def h_tilde(self) -> np.ndarray:
-        """Per-relay two-hop products h_i * f_i."""
-        return self.h * self.f
 
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Aggregate N x N channel matrix of the normalized model."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
-
-    @property
-    def block_length(self) -> int:
-        return self.matrix.shape[0]
-
-
-def sample_channel(num_relays: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw i.i.d. unit-variance circularly symmetric complex Gaussian fading."""
-    if num_relays < 1:
-        raise InvalidParameterError("relay count must be >= 1")
-    draws = complex_gaussian(rng, (2, num_relays))
-    return ChannelRealization(f=draws[0], h=draws[1])
+def two_hop(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-hop law of (..., K) fading draws f and h: the per-relay
+    products h~ = h o f, shape (..., K), and the aggregate noise power
+    1 + ||h||^2 of the high-SNR model, shape (...)."""
+    return h * f, 1.0 + np.sum(np.abs(h) ** 2, axis=-1)
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -86,19 +73,15 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def effective_channel(scheme: RelayScheme, ch: ChannelRealization) -> EffectiveChannel:
-    """H_eff = sum_i h_i f_i G_i / sqrt(1 + ||h||^2)."""
-    if scheme.num_relays != ch.num_relays:
+def effective_channel(ht: np.ndarray, noise: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """H_eff = sum_i h~_i G_i / sqrt(1 + ||h||^2) for a (..., K) stack of
+    two-hop pairs and the (K, N, N) matrix stack g, shape (..., N, N)."""
+    if ht.shape[-1] != g.shape[0]:
         raise InvalidParameterError(
-            f"scheme has K={scheme.num_relays} relays, realization has {ch.num_relays}"
+            f"scheme has K={g.shape[0]} relays, realization has {ht.shape[-1]}"
         )
-    return EffectiveChannel(effective_channels(ch.f[None], ch.h[None], scheme.stacked())[0])
-
-
-def effective_channels(f: np.ndarray, h: np.ndarray, g_stack: np.ndarray) -> np.ndarray:
-    """Batched H_eff: (T, N, N) from (T, K) fading and the (K, N, N) stack."""
-    heff = np.einsum("nk,kab->nab", h * f, g_stack)
-    heff /= np.sqrt(1.0 + np.sum(np.abs(h) ** 2, axis=1))[:, None, None]
+    heff = np.einsum("...k,kab->...ab", ht, g)
+    heff /= np.sqrt(noise)[..., None, None]
     return heff
 
 
@@ -125,9 +108,9 @@ def simulate_two_hop(
     x = _check_signal(scheme, ch, x)
     rho = float(rho)
     scale = float(relay_power_scale)
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError("rho must be positive")
-    if scale <= 0:
+    if not scale > 0:
         raise InvalidParameterError("relay_power_scale must be positive")
     n = scheme.block_length
     relay_gain = np.sqrt(scale * rho / (1.0 + rho))
@@ -160,10 +143,10 @@ def simulate_normalized(
 ) -> np.ndarray:
     """High-SNR model: y = sqrt(rho) H_eff x + z with z white unit-variance."""
     x = _check_signal(scheme, ch, x)
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError("rho must be positive")
-    heff = effective_channel(scheme, ch)
-    y = np.sqrt(float(rho)) * (heff.matrix @ x)
+    heff = effective_channel(*two_hop(ch.f, ch.h), scheme.stacked())
+    y = np.sqrt(float(rho)) * (heff @ x)
     if dest_noise:
         y = y + complex_gaussian(rng, scheme.block_length)
     return y

@@ -55,20 +55,6 @@ class Codebook:
         return self.codewords.shape[1]
 
 
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Phi(dx): column i is G_i dx."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _as_readonly(self.phi))
-
-    @property
-    def num_relays(self) -> int:
-        return self.phi.shape[1]
-
-
 def nominal_size(block_length: int, r: float, rho: float) -> int:
     """ceil(rho^(2 N r)) with a small relative guard against float slop."""
     v = float(rho) ** (2.0 * block_length * r)
@@ -89,7 +75,7 @@ def gaussian_codebook(
     """
     if not 0.0 <= r <= 0.5:
         raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError("rho must be positive")
     size = nominal_size(block_length, r, rho)
     if size > size_cap:
@@ -98,23 +84,24 @@ def gaussian_codebook(
     return Codebook(cw, rate_multiplexing=r, snr=float(rho))
 
 
-def difference_matrix(scheme: RelayScheme, dx: np.ndarray) -> DifferenceMatrix:
-    """Phi(dx) = [G_1 dx ... G_K dx], an N x K matrix."""
+def difference_matrix(scheme: RelayScheme, dx: np.ndarray) -> np.ndarray:
+    """Phi(dx) = [G_1 dx ... G_K dx] for a (..., N) stack of codeword
+    differences, shape (..., N, K)."""
     dx = np.asarray(dx, dtype=complex)
-    if dx.shape != (scheme.block_length,):
+    if dx.ndim < 1 or dx.shape[-1] != scheme.block_length:
         raise InvalidParameterError(
-            f"dx must have shape ({scheme.block_length},), got {dx.shape}"
+            f"dx must have shape (..., {scheme.block_length}), got {dx.shape}"
         )
-    cols = np.tensordot(scheme.stacked(), dx, axes=(2, 0))  # (K, N)
-    return DifferenceMatrix(cols.T)
+    return np.einsum("kab,...b->...ak", scheme.stacked(), dx)
 
 
-def rank_full(phi: DifferenceMatrix, tol: float = RANK_REL_TOL) -> bool:
-    """True iff the smallest singular value clears K * sigma_max * tol."""
-    s = np.linalg.svd(phi.phi, compute_uv=False)
+def rank_full(phi: np.ndarray, tol: float = RANK_REL_TOL) -> bool:
+    """True iff the smallest singular value of the N x K matrix Phi clears
+    K * sigma_max * tol."""
+    s = np.linalg.svd(phi, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return False
-    return bool(s[-1] > phi.num_relays * s[0] * tol)
+    return bool(s[-1] > phi.shape[-1] * s[0] * tol)
 
 
 def cdd_condition(dx: np.ndarray) -> bool:
@@ -143,12 +130,10 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
         return math.inf
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
-    g = scheme.stacked()
     words = book.codewords
     best = math.inf
     for idx_a, idx_b in _pair_blocks(book.size, MIN_GRAM_PAIR_BLOCK):
-        diffs = words[idx_a] - words[idx_b]  # (P, N)
-        cols = np.einsum("kab,pb->pak", g, diffs)  # (P, N, K)
+        cols = difference_matrix(scheme, words[idx_a] - words[idx_b])  # (P, N, K)
         grams = np.einsum("pak,pal->pkl", cols.conj(), cols)  # (P, K, K)
         eigs = np.linalg.eigvalsh(grams)
         best = min(best, float(np.clip(eigs[:, 0], 0.0, None).min()))
@@ -173,14 +158,3 @@ def _pair_blocks(size: int, block: int):
                 a, b = a + 1, a + 2
         yield np.concatenate(rows_a), np.concatenate(rows_b)
 
-
-def approximately_universal(
-    scheme: RelayScheme, book: Codebook, r: float, rho: float
-) -> bool:
-    """Finite-SNR surrogate for the universality condition: the minimum
-    pair Gramian eigenvalue must exceed rho^(-2r) at the given rho."""
-    if not 0.0 <= r <= 0.5:
-        raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
-    if rho <= 1:
-        raise InvalidParameterError("rho must exceed 1")
-    return min_gram_eigenvalue(scheme, book) > float(rho) ** (-2.0 * r)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .channel_model import ChannelRealization, complex_gaussian, effective_channel
+from .channel_model import complex_gaussian, effective_channel, two_hop
 from .codebook import (
     Codebook,
     cdd_condition,
@@ -567,7 +567,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
             full = rank_full(phi)
             if not full and certified:
                 certified = False
-                sv = np.linalg.svd(phi.phi, compute_uv=False)
+                sv = np.linalg.svd(phi, compute_uv=False)
                 first_violation = (
                     f"pair ({a}, {b}): rank deficient, "
                     f"singular values {[float(f'{v:.3e}') for v in sv]}"
@@ -655,20 +655,25 @@ def duality_deviations(sizes) -> tuple[float, float, float]:
 def gramian_deviations(schemes, draws: int, rng: np.random.Generator) -> tuple[float, float]:
     """Over ``draws`` draws cycling through ``schemes`` at SNRs log-uniform in
     [1, 10^4]: the worst relative gap between the Jensen MI from H_eff and from
-    the Gramian quadratic form, and the worst excess of exact over Jensen MI."""
-    grams = [gramian(s) for s in schemes]
-    dev_gram = dev_jensen = 0.0
+    the Gramian quadratic form, and the worst excess of exact over Jensen MI.
+    Each draw takes f, h and rho in turn; each scheme's draws are then
+    evaluated as one stack."""
+    drawn = [[] for _ in schemes]
     for i in range(draws):
-        scheme, gram = schemes[i % len(schemes)], grams[i % len(schemes)]
-        ch = ChannelRealization(
-            f=complex_gaussian(rng, scheme.num_relays),
-            h=complex_gaussian(rng, scheme.num_relays),
-        )
-        rho = float(10.0 ** rng.uniform(0, 4))
-        heff = effective_channel(scheme, ch)
+        k = schemes[i % len(schemes)].num_relays
+        f, h = complex_gaussian(rng, k), complex_gaussian(rng, k)
+        drawn[i % len(schemes)].append((f, h, float(10.0 ** rng.uniform(0, 4))))
+    dev_gram = dev_jensen = 0.0
+    for scheme, stack in zip(schemes, drawn):
+        if not stack:
+            continue
+        f, h, rho = (np.array(column) for column in zip(*stack))
+        ht, noise = two_hop(f, h)
+        heff = effective_channel(ht, noise, scheme.stacked())
         jm = jensen_mi(heff, rho)
-        dev_gram = max(dev_gram, abs(jm - jensen_mi_via_gramian(gram, ch, rho)) / max(jm, 1e-12))
-        dev_jensen = max(dev_jensen, mutual_information(heff, rho) - jm)
+        via_gram = jensen_mi_via_gramian(gramian(scheme), ht, noise, rho)
+        dev_gram = max(dev_gram, float(np.max(np.abs(jm - via_gram) / np.maximum(jm, 1e-12))))
+        dev_jensen = max(dev_jensen, float(np.max(mutual_information(heff, rho) - jm)))
     return dev_gram, dev_jensen
 
 

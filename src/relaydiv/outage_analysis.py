@@ -13,20 +13,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .channel_model import (
-    ChannelRealization,
-    complex_gaussian,
-    effective_channel,
-    effective_channels,
-)
-from .codebook import Codebook, difference_matrix, min_gram_eigenvalue
+from .channel_model import complex_gaussian, effective_channel, two_hop
+from .codebook import Codebook, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
 from .information import (
-    jensen_mi_via_gramian_batch,
+    jensen_mi_via_gramian,
     mutual_information_products,
     mutual_information_spectral,
 )
@@ -64,7 +59,7 @@ def bessel_k1(x: float) -> float:
     truncation above; absolute error stays below 1e-12 on [1e-6, 700].
     Underflows gracefully to 0 for very large arguments.
     """
-    if x <= 0:
+    if not x > 0:
         raise InvalidParameterError("bessel_k1 requires x > 0")
     if x < _K1_CROSSOVER:
         log_i1, series = _k1_series_parts(x)
@@ -109,7 +104,7 @@ def product_rayleigh_cdf(x: float) -> float:
     """CDF of the product of two unit-power Rayleigh magnitudes,
     F(x) = 1 - 2x K1(2x), with a cancellation-free series branch so small
     arguments keep full relative precision."""
-    if x < 0:
+    if not x >= 0:
         raise InvalidParameterError("product_rayleigh_cdf requires x >= 0")
     if x == 0.0:
         return 0.0
@@ -169,13 +164,6 @@ class SlopeEstimate:
     d_hat: float
     stderr: float
     points_used: int
-
-
-class PepBound(NamedTuple):
-    """Chernoff bound on the pairwise error and its Rayleigh-Ritz relaxation."""
-
-    chernoff: float
-    rayleigh_ritz: float
 
 
 def wilson_interval(events: int, trials: int) -> tuple[float, float]:
@@ -238,14 +226,15 @@ def _mc_event_count(
 
 
 def _sample_fading(rng: np.random.Generator, n: int, k: int):
-    """Shared draw order for all outage estimators: f first, then h."""
+    """Shared draw order for all outage estimators: f first, then h; returns
+    the draw's two-hop pair (h~, 1 + ||h||^2), shapes (n, k) and (n,)."""
     fh = complex_gaussian(rng, (2, n, k))
-    return fh[0], fh[1]
+    return two_hop(fh[0], fh[1])
 
 
 def _rate_threshold(r: float, rho: float, rate_bits: float | None) -> float:
     if rate_bits is not None:
-        if rate_bits < 0:
+        if not rate_bits >= 0:
             raise InvalidParameterError("rate_bits must be >= 0")
         return float(rate_bits)
     return r * math.log2(rho)
@@ -268,7 +257,7 @@ def mc_jensen_outage(
     gram = gramian(scheme)
     return _mc_outage(
         scheme, r, rho, trials, seed, rate_bits, threads,
-        lambda f, h: jensen_mi_via_gramian_batch(gram, f, h, rho),
+        lambda ht, noise: jensen_mi_via_gramian(gram, ht, noise, rho),
     )
 
 
@@ -288,12 +277,14 @@ def mc_exact_outage(
     _check_outage_args(r, rho)
     _, mi = exact_mi_kernel(scheme)
     return _mc_outage(
-        scheme, r, rho, trials, seed, rate_bits, threads, lambda f, h: mi(f, h, rho)
+        scheme, r, rho, trials, seed, rate_bits, threads,
+        lambda ht, noise: mi(ht, noise, rho),
     )
 
 
 def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]]:
-    """Name and batched ``mi(f, h, rho)`` of the exact-MI kernel for a scheme.
+    """Name and batched ``mi(ht, noise, rho)`` of the exact-MI kernel for a
+    scheme, taking the two-hop pair of a fading draw.
 
     "exact-spectral" when the matrices share an eigenbasis by exact equality
     (all diagonal or all circulant, whatever the scheme's name or source),
@@ -302,12 +293,12 @@ def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]
     """
     spectra = common_spectra(scheme)
     if spectra is not None:
-        return "exact-spectral", lambda f, h, rho: mutual_information_spectral(
-            spectra, f, h, rho
+        return "exact-spectral", lambda ht, noise, rho: mutual_information_spectral(
+            spectra, ht, noise, rho
         )
     products = pair_products(scheme)
-    return "exact-products-ldl", lambda f, h, rho: mutual_information_products(
-        products, f, h, rho
+    return "exact-products-ldl", lambda ht, noise, rho: mutual_information_products(
+        products, ht, noise, rho
     )
 
 
@@ -321,13 +312,12 @@ def _mc_outage(
     threads: int | None,
     mi: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ProbEstimate:
-    """Count draws whose per-trial MI ``mi(f, h)`` falls below the target."""
+    """Count draws whose per-trial MI ``mi(ht, noise)`` falls below the target."""
     thresh = _rate_threshold(r, rho, rate_bits)
     k = scheme.num_relays
 
     def block(rng: np.random.Generator, n: int) -> int:
-        f, h = _sample_fading(rng, n, k)
-        return int(np.count_nonzero(mi(f, h) < thresh))
+        return int(np.count_nonzero(mi(*_sample_fading(rng, n, k)) < thresh))
 
     events = _mc_event_count(trials, seed, threads, block)
     return _estimate(rho, events, trials)
@@ -349,7 +339,7 @@ def mc_ml_error(
         raise InvalidParameterError("ML simulation needs at least 2 codewords")
     if book.size > size_cap:
         raise ResourceLimitError("codebook too large for ML decoding", book.size, size_cap)
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError("rho must be positive")
     g_stack = scheme.stacked()
     words = book.codewords
@@ -361,10 +351,10 @@ def mc_ml_error(
     chunk = max(1, int(4_000_000 / (m * n_block)))
 
     def block(rng: np.random.Generator, n: int) -> int:
-        f, h = _sample_fading(rng, n, k)
+        ht, noise = _sample_fading(rng, n, k)
         sent = rng.integers(0, m, size=n)
         z = complex_gaussian(rng, (n, n_block))
-        heff = effective_channels(f, h, g_stack)
+        heff = effective_channel(ht, noise, g_stack)
         errors = 0
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -394,7 +384,7 @@ def _estimate(rho: float, events: int, trials: int) -> ProbEstimate:
 def _check_outage_args(r: float, rho: float) -> None:
     if not 0.0 <= r <= 0.5:
         raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
-    if rho <= 1:
+    if not rho > 1:
         raise InvalidParameterError("rho must exceed 1")
 
 
@@ -508,37 +498,15 @@ def fit_diversity_slope(curve: OutageCurve, min_events: int = 20) -> SlopeEstima
 
 
 # ---------------------------------------------------------------------------
-# Pairwise error bounds
+# Union bound
 # ---------------------------------------------------------------------------
-
-def pep_upper_bound(
-    scheme: RelayScheme, dx: np.ndarray, ch: ChannelRealization, rho: float
-) -> PepBound:
-    """Chernoff bound exp(-rho/4 ||H dx||^2) on the conditional pairwise
-    error, and the looser form exp(-rho mu ||h~||^2 / (4(1+K))) obtained by
-    bounding ||Phi(dx) h~||^2 below with the minimum Gramian eigenvalue.
-    Both are clamped at 1."""
-    if rho <= 0:
-        raise InvalidParameterError("rho must be positive")
-    heff = effective_channel(scheme, ch)
-    hdx2 = float(np.linalg.norm(heff.matrix @ np.asarray(dx, dtype=complex)) ** 2)
-    chernoff = min(1.0, math.exp(-rho / 4.0 * hdx2))
-
-    phi = difference_matrix(scheme, dx).phi
-    mu = float(np.linalg.eigvalsh(phi.conj().T @ phi)[0])
-    mu = max(mu, 0.0)
-    ht2 = float(np.linalg.norm(ch.h_tilde) ** 2)
-    k = scheme.num_relays
-    rr = min(1.0, math.exp(-rho * mu * ht2 / (4.0 * (1.0 + k))))
-    return PepBound(chernoff=chernoff, rayleigh_ritz=rr)
-
 
 def union_bound(scheme: RelayScheme, book: Codebook, rho: float, r: float) -> float:
     """rho^(2Nr) exp(-mu_min rho^(2r) / (4(1+K))), evaluated in log space.
 
     Vacuous (>1) values are reported as-is; a zero mu_min yields exactly
     rho^(2Nr)."""
-    if rho <= 1:
+    if not rho > 1:
         raise InvalidParameterError("rho must exceed 1")
     if not 0.0 <= r <= 0.5:
         raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
@@ -552,24 +520,3 @@ def union_bound(scheme: RelayScheme, book: Codebook, rho: float, r: float) -> fl
         return math.inf
     return math.exp(log_bound)
 
-
-__all__ = [
-    "BLOCK_TRIALS",
-    "OutageCurve",
-    "PepBound",
-    "ProbEstimate",
-    "SlopeEstimate",
-    "adaptive_trials",
-    "analytic_jensen_bracket",
-    "bessel_k1",
-    "bracket_log_correction",
-    "exact_mi_kernel",
-    "fit_diversity_slope",
-    "mc_exact_outage",
-    "mc_jensen_outage",
-    "mc_ml_error",
-    "pep_upper_bound",
-    "product_rayleigh_cdf",
-    "union_bound",
-    "wilson_interval",
-]

@@ -8,19 +8,25 @@ from relaydiv import (
     cyclic_delay_scheme,
     effective_channel,
     phase_rolling_scheme,
-    sample_channel,
     simulate_normalized,
     simulate_two_hop,
+    two_hop,
 )
 from relaydiv.channel_model import ChannelRealization, complex_gaussian
+from relaydiv.outage_analysis import _sample_fading
 
 
-def test_sample_channel_deterministic_under_fixed_seed():
-    a = sample_channel(2, np.random.default_rng(1234))
-    b = sample_channel(2, np.random.default_rng(1234))
-    np.testing.assert_array_equal(a.f, b.f)
-    np.testing.assert_array_equal(a.h, b.h)
-    assert a.f.shape == (2,)
+def _draw(k, rng):
+    """One realization: f then h, each CN(0, 1) per relay."""
+    return ChannelRealization(*complex_gaussian(rng, (2, k)))
+
+
+def test_fading_draw_deterministic_under_fixed_seed():
+    a = _sample_fading(np.random.default_rng(1234), 5, 2)
+    b = _sample_fading(np.random.default_rng(1234), 5, 2)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+    assert a[0].shape == (5, 2) and a[1].shape == (5,)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 5, 3), (0, 4), (), (2, 16384, 2)])
@@ -35,14 +41,14 @@ def test_complex_gaussian_keeps_the_bits_of_the_quotient_form(shape):
         assert got.tobytes() == np.asarray(want).tobytes()
 
 
-def test_sample_channel_rejects_zero_relays():
+def test_channel_realization_rejects_zero_relays():
     with pytest.raises(InvalidParameterError):
-        sample_channel(0, np.random.default_rng(0))
+        ChannelRealization(f=np.zeros(0), h=np.zeros(0))
 
 
 def test_fading_entry_statistics():
     # one big draw gives 10^6 i.i.d. entries across f and h
-    ch = sample_channel(500_000, np.random.default_rng(77))
+    ch = _draw(500_000, np.random.default_rng(77))
     entries = np.concatenate([ch.f, ch.h])
     assert abs(entries.mean()) < 2e-3
     var = np.mean(np.abs(entries) ** 2)
@@ -55,30 +61,28 @@ def test_fading_entry_statistics():
 
 
 def test_two_hop_product_second_moment():
-    ch = sample_channel(1_000_000, np.random.default_rng(78))
-    second = np.mean(np.abs(ch.h_tilde) ** 2)
+    ch = _draw(1_000_000, np.random.default_rng(78))
+    second = np.mean(np.abs(two_hop(ch.f, ch.h)[0]) ** 2)
     assert 0.99 < second < 1.01
 
 
 def test_effective_channel_unit_fading_single_relay():
     for n in (1, 2, 5):
         scheme = cyclic_delay_scheme(1, n)
-        ch = ChannelRealization(f=np.ones(1), h=np.ones(1))
-        heff = effective_channel(scheme, ch)
-        np.testing.assert_allclose(heff.matrix, np.eye(n) / np.sqrt(2 * n), atol=1e-15)
+        heff = effective_channel(*two_hop(np.ones(1), np.ones(1)), scheme.stacked())
+        np.testing.assert_allclose(heff, np.eye(n) / np.sqrt(2 * n), atol=1e-15)
 
 
 def test_effective_channel_zero_fading():
     scheme = cyclic_delay_scheme(2, 4)
-    ch = ChannelRealization(f=np.zeros(2), h=np.zeros(2))
-    assert np.all(effective_channel(scheme, ch).matrix == 0)
+    assert np.all(effective_channel(*two_hop(np.zeros(2), np.zeros(2)), scheme.stacked()) == 0)
 
 
 def test_effective_channel_dimension_mismatch():
     scheme = cyclic_delay_scheme(2, 4)
-    ch = sample_channel(3, np.random.default_rng(0))
+    ht, noise = two_hop(*complex_gaussian(np.random.default_rng(0), (2, 3)))
     with pytest.raises(InvalidParameterError):
-        effective_channel(scheme, ch)
+        effective_channel(ht, noise, scheme.stacked())
 
 
 def test_frobenius_norm_triangle_bound():
@@ -86,10 +90,10 @@ def test_frobenius_norm_triangle_bound():
     scheme = cyclic_delay_scheme(3, 5)
     max_g = max(np.linalg.norm(g) for g in scheme.matrices)
     for _ in range(50):
-        ch = sample_channel(3, rng)
-        heff = effective_channel(scheme, ch)
-        bound = np.abs(ch.h_tilde).sum() * max_g / np.sqrt(1 + np.linalg.norm(ch.h) ** 2)
-        assert np.linalg.norm(heff.matrix) <= bound + 1e-12
+        f, h = complex_gaussian(rng, (2, 3))
+        heff = effective_channel(*two_hop(f, h), scheme.stacked())
+        bound = np.abs(h * f).sum() * max_g / np.sqrt(1 + np.linalg.norm(h) ** 2)
+        assert np.linalg.norm(heff) <= bound + 1e-12
 
 
 def test_effective_channel_superposition_in_first_hop():
@@ -99,18 +103,16 @@ def test_effective_channel_superposition_in_first_hop():
     h = complex_gaussian(rng, 3)
     f1 = complex_gaussian(rng, 3)
     f2 = complex_gaussian(rng, 3)
-    combined = effective_channel(scheme, ChannelRealization(f=f1 + f2, h=h)).matrix
-    split = (
-        effective_channel(scheme, ChannelRealization(f=f1, h=h)).matrix
-        + effective_channel(scheme, ChannelRealization(f=f2, h=h)).matrix
-    )
+    g = scheme.stacked()
+    combined = effective_channel(*two_hop(f1 + f2, h), g)
+    split = effective_channel(*two_hop(f1, h), g) + effective_channel(*two_hop(f2, h), g)
     np.testing.assert_allclose(combined, split, atol=1e-13)
 
 
 def test_two_hop_high_snr_approaches_normalized_model():
     rng = np.random.default_rng(44)
     scheme = cyclic_delay_scheme(2, 4)
-    ch = sample_channel(2, rng)
+    ch = _draw(2, rng)
     x = complex_gaussian(rng, 4)
     got = simulate_two_hop(scheme, ch, x, 1e6, rng, relay_noise=False, dest_noise=False)
     want = simulate_normalized(scheme, ch, x, 1e6, rng, dest_noise=False)
@@ -131,7 +133,7 @@ def test_two_hop_single_relay_closed_form():
     rng = np.random.default_rng(46)
     n = 4
     scheme = cyclic_delay_scheme(1, n)
-    ch = sample_channel(1, rng)
+    ch = _draw(1, rng)
     x = complex_gaussian(rng, n)
     got = simulate_two_hop(scheme, ch, x, 7.5, rng, relay_noise=False, dest_noise=False)
     rho = 7.5
@@ -145,7 +147,7 @@ def test_two_hop_noise_is_white_after_normalization():
     rng = np.random.default_rng(47)
     n, k, trials = 4, 2, 100_000
     scheme = cyclic_delay_scheme(k, n)
-    ch = sample_channel(k, rng)
+    ch = _draw(k, rng)
     x = np.zeros(n, dtype=complex)
     samples = np.empty((trials, n), dtype=complex)
     for t in range(trials):
@@ -160,11 +162,11 @@ def test_two_hop_noise_is_white_after_normalization():
 def test_normalized_model_definition_and_reproducibility():
     rng = np.random.default_rng(48)
     scheme = phase_rolling_scheme(2, 4)
-    ch = sample_channel(2, rng)
+    ch = _draw(2, rng)
     x = complex_gaussian(rng, 4)
     noiseless = simulate_normalized(scheme, ch, x, 30.0, rng, dest_noise=False)
-    heff = effective_channel(scheme, ch)
-    np.testing.assert_array_equal(noiseless, np.sqrt(30.0) * (heff.matrix @ x))
+    heff = effective_channel(*two_hop(ch.f, ch.h), scheme.stacked())
+    np.testing.assert_array_equal(noiseless, np.sqrt(30.0) * (heff @ x))
     a = simulate_normalized(scheme, ch, x, 30.0, np.random.default_rng(9))
     b = simulate_normalized(scheme, ch, x, 30.0, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
@@ -174,7 +176,7 @@ def test_signal_parts_of_both_chains_agree_at_high_snr():
     rng = np.random.default_rng(49)
     scheme = cyclic_delay_scheme(3, 6)
     for _ in range(20):
-        ch = sample_channel(3, rng)
+        ch = _draw(3, rng)
         x = complex_gaussian(rng, 6)
         exact = simulate_two_hop(scheme, ch, x, 1e6, rng, relay_noise=False, dest_noise=False)
         model = simulate_normalized(scheme, ch, x, 1e6, rng, dest_noise=False)
@@ -187,7 +189,7 @@ def test_power_scale_variant_closed_form_and_whiteness():
     rng = np.random.default_rng(51)
     n, scale, rho = 4, 0.5, 10.0
     scheme = cyclic_delay_scheme(1, n)
-    ch = sample_channel(1, rng)
+    ch = _draw(1, rng)
     x = complex_gaussian(rng, n)
     got = simulate_two_hop(
         scheme, ch, x, rho, rng, relay_noise=False, dest_noise=False, relay_power_scale=scale

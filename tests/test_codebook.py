@@ -9,7 +9,6 @@ from relaydiv import (
     Codebook,
     InvalidParameterError,
     ResourceLimitError,
-    approximately_universal,
     cdd_condition,
     custom_scheme,
     cyclic_delay_scheme,
@@ -62,7 +61,7 @@ def test_codebook_rejects_bad_rate():
 def test_difference_matrix_zero_vector():
     scheme = cyclic_delay_scheme(2, 4)
     phi = difference_matrix(scheme, np.zeros(4))
-    assert np.all(phi.phi == 0)
+    assert np.all(phi == 0)
     assert not rank_full(phi)
 
 
@@ -73,9 +72,9 @@ def test_difference_matrix_basis_vector_full_rank():
     dx[0] = 1.0
     phi = difference_matrix(scheme, dx)
     # columns are distinct shifted unit vectors over sqrt(N)
-    np.testing.assert_allclose(np.abs(phi.phi).sum(axis=0), np.ones(n) / np.sqrt(n))
+    np.testing.assert_allclose(np.abs(phi).sum(axis=0), np.ones(n) / np.sqrt(n))
     assert rank_full(phi)
-    assert _svd_rank(phi.phi) == n
+    assert _svd_rank(phi) == n
 
 
 def test_difference_matrix_rank_matches_svd_oracle():
@@ -84,7 +83,7 @@ def test_difference_matrix_rank_matches_svd_oracle():
     for _ in range(100):
         dx = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi = difference_matrix(scheme, dx)
-        assert rank_full(phi) == (_svd_rank(phi.phi) == 3)
+        assert rank_full(phi) == (_svd_rank(phi) == 3)
 
 
 def test_difference_matrix_dimension_check():
@@ -176,7 +175,7 @@ def test_min_gram_eigenvalue_exhaustive_pairs():
     best = np.inf
     for a in range(4):
         for b in range(a + 1, 4):
-            phi = difference_matrix(scheme, words[a] - words[b]).phi
+            phi = difference_matrix(scheme, words[a] - words[b])
             best = min(best, float(np.linalg.eigvalsh(phi.conj().T @ phi)[0]))
     assert got == pytest.approx(best, rel=1e-12)
 
@@ -207,8 +206,8 @@ def test_min_gram_eigenvalue_sign_symmetry():
     rng = np.random.default_rng(9)
     scheme = cyclic_delay_scheme(2, 4)
     dx = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    phi_pos = difference_matrix(scheme, dx).phi
-    phi_neg = difference_matrix(scheme, -dx).phi
+    phi_pos = difference_matrix(scheme, dx)
+    phi_neg = difference_matrix(scheme, -dx)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(phi_pos.conj().T @ phi_pos),
         np.linalg.eigvalsh(phi_neg.conj().T @ phi_neg),
@@ -283,25 +282,3 @@ def test_rank_full_invariant_under_common_unitary():
         b = rank_full(difference_matrix(rotated, dx))
         assert a == b
 
-
-def test_approximately_universal_threshold_cases():
-    n = 8
-    scheme = cyclic_delay_scheme(n, n)
-    base = np.zeros(n, dtype=complex)
-    other = np.array(base)
-    other[0] = 1.0
-    book = Codebook(np.stack([base, other]), rate_multiplexing=0.25, snr=100.0)
-    # mu_min = 1/8 > 100^-0.5 = 0.1
-    assert approximately_universal(scheme, book, 0.25, 100.0)
-    # rank-deficient pair forces mu_min to 0: fails for every r > 0
-    dup = Codebook(np.stack([other, other]), rate_multiplexing=0.25, snr=100.0)
-    assert not approximately_universal(scheme, dup, 0.25, 100.0)
-    assert not approximately_universal(scheme, dup, 0.5, 100.0)
-
-
-def test_approximately_universal_rate_zero_compares_to_one():
-    scheme = cyclic_delay_scheme(2, 2)
-    words = np.array([[2.0, 2.0j], [-2.0, -2.0j]])
-    book = Codebook(words, rate_multiplexing=0.0, snr=100.0)
-    assert min_gram_eigenvalue(scheme, book) > 1.0
-    assert approximately_universal(scheme, book, 0.0, 100.0)

@@ -411,6 +411,7 @@ def test_certify_flags_duplicate_codewords(tmp_path):
     assert not report.certified
     assert "pair (0, 1)" in report.first_violation
     assert report.mu_min == pytest.approx(0.0, abs=1e-12)
+    assert not any(ok for _, ok, _ in report.universal_verdicts)
 
 
 def test_certify_passes_basis_difference_book(tmp_path):
@@ -425,6 +426,10 @@ def test_certify_passes_basis_difference_book(tmp_path):
     assert report.mu_min == pytest.approx(1.0 / n, rel=1e-12)
     assert report.simplified_agreement == "1/1"
     assert all(ok for _, ok, _ in report.universal_verdicts)
+    # at r = 0 the threshold rho^-2r is 1 at every SNR, above mu_min = 1/N
+    cfg = _sweep_config(experiment="certify-code", k=n, n=n, r=0.0, codebook=path)
+    verdicts = run_certify(cfg).universal_verdicts
+    assert [(ok, threshold) for _, ok, threshold in verdicts] == [(False, 1.0)] * 3
 
 
 def test_self_check_passes_on_fresh_build():

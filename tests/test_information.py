@@ -17,20 +17,14 @@ from relaydiv import (
     jensen_mi_via_gramian,
     mutual_information,
     phase_rolling_scheme,
-    sample_channel,
+    two_hop,
 )
-from relaydiv.channel_model import (
-    ChannelRealization,
-    EffectiveChannel,
-    complex_gaussian,
-    effective_channels,
-)
+from relaydiv.channel_model import complex_gaussian
 from relaydiv.experiment_cli import load_scheme_file, save_scheme_file
 from relaydiv.information import (
     PRODUCTS_SUB_BLOCK,
     _lower_rows,
     _mi_from_lower,
-    mutual_information_batch,
     mutual_information_products,
     mutual_information_spectral,
 )
@@ -39,18 +33,18 @@ from relaydiv.relay_schemes import EIGENVALUE_CLAMP_TOL, common_spectra, pair_pr
 
 
 def _random_heff(rng, n=4):
-    return EffectiveChannel(0.3 * complex_gaussian(rng, (n, n)))
+    return 0.3 * complex_gaussian(rng, (n, n))
 
 
 def test_zero_channel_gives_zero_information():
-    heff = EffectiveChannel(np.zeros((3, 3)))
+    heff = np.zeros((3, 3))
     assert mutual_information(heff, 10.0) == 0.0
     assert jensen_mi(heff, 10.0) == 0.0
 
 
 def test_equal_eigenvalue_case_makes_jensen_tight():
     for n in (1, 2, 8):
-        heff = EffectiveChannel(np.eye(n) / np.sqrt(2 * n))
+        heff = np.eye(n) / np.sqrt(2 * n)
         rho = 37.0
         want = 0.5 * np.log2(1 + rho / (2 * n))
         assert mutual_information(heff, rho) == pytest.approx(want, rel=1e-12)
@@ -62,9 +56,8 @@ def test_eigenvalue_sum_matches_log_det():
     for _ in range(50):
         heff = _random_heff(rng)
         rho = float(10 ** rng.uniform(0, 3))
-        m = heff.matrix
-        n = m.shape[0]
-        det = np.linalg.det(np.eye(n) + rho * (m @ m.conj().T))
+        n = heff.shape[0]
+        det = np.linalg.det(np.eye(n) + rho * (heff @ heff.conj().T))
         want = float(np.log2(det.real)) / (2 * n)
         assert mutual_information(heff, rho) == pytest.approx(want, abs=1e-10)
 
@@ -89,12 +82,13 @@ def test_gramian_path_single_relay_closed_form():
     n = 4
     scheme = cyclic_delay_scheme(1, n)
     summary = gramian(scheme)
-    ch = ChannelRealization(f=np.array([0.7 - 0.2j]), h=np.array([1.1 + 0.4j]))
+    f, h = np.array([0.7 - 0.2j]), np.array([1.1 + 0.4j])
     rho = 25.0
-    ht2 = abs(ch.h[0] * ch.f[0]) ** 2
-    want = 0.5 * np.log2(1 + rho * ht2 / (n * (1 + abs(ch.h[0]) ** 2)))
-    assert jensen_mi_via_gramian(summary, ch, rho) == pytest.approx(want, rel=1e-12)
-    heff = effective_channel(scheme, ch)
+    ht2 = abs(h[0] * f[0]) ** 2
+    want = 0.5 * np.log2(1 + rho * ht2 / (n * (1 + abs(h[0]) ** 2)))
+    ht, noise = two_hop(f, h)
+    assert jensen_mi_via_gramian(summary, ht, noise, rho) == pytest.approx(want, rel=1e-12)
+    heff = effective_channel(ht, noise, scheme.stacked())
     assert jensen_mi(heff, rho) == pytest.approx(want, rel=1e-12)
 
 
@@ -104,33 +98,68 @@ def test_gramian_path_identity_gramian_closed_form():
     rng = np.random.default_rng(6)
     for scheme in (cyclic_delay_scheme(3, 6), phase_rolling_scheme(3, 6)):
         summary = gramian(scheme)
-        ch = sample_channel(3, rng)
+        f, h = complex_gaussian(rng, (2, 3))
+        ht, noise = two_hop(f, h)
         rho = 100.0
         want = 0.5 * np.log2(
-            1 + rho * np.sum(np.abs(ch.h_tilde) ** 2) / (6 * (1 + np.linalg.norm(ch.h) ** 2))
+            1 + rho * np.sum(np.abs(h * f) ** 2) / (6 * (1 + np.linalg.norm(h) ** 2))
         )
-        assert jensen_mi_via_gramian(summary, ch, rho) == pytest.approx(want, rel=1e-12)
-        assert jensen_mi(effective_channel(scheme, ch), rho) == pytest.approx(want, rel=1e-11)
+        assert jensen_mi_via_gramian(summary, ht, noise, rho) == pytest.approx(want, rel=1e-12)
+        heff = effective_channel(ht, noise, scheme.stacked())
+        assert jensen_mi(heff, rho) == pytest.approx(want, rel=1e-11)
 
 
 def test_gramian_path_agrees_with_matrix_path():
+    # one realization at a time, then the same draws as one stack: the
+    # stacked calls (per-trial rho, and a (2, 250) leading shape) must give
+    # each realization's bits, at K = 2 too
     rng = np.random.default_rng(7)
-    scheme = phase_rolling_scheme(3, 4)
-    summary = gramian(scheme)
-    for _ in range(500):
-        ch = sample_channel(3, rng)
-        rho = float(10 ** rng.uniform(0, 4))
-        via_matrix = jensen_mi(effective_channel(scheme, ch), rho)
-        via_gram = jensen_mi_via_gramian(summary, ch, rho)
-        assert abs(via_matrix - via_gram) <= 1e-10 * max(via_matrix, 1e-12)
+    for k in (3, 2):
+        scheme = phase_rolling_scheme(k, 4)
+        summary = gramian(scheme)
+        g = scheme.stacked()
+        draws, rhos, singles = [], [], []
+        for _ in range(500):
+            f, h = complex_gaussian(rng, (2, k))
+            rho = float(10 ** rng.uniform(0, 4))
+            ht, noise = two_hop(f, h)
+            heff = effective_channel(ht, noise, g)
+            via_matrix = jensen_mi(heff, rho)
+            via_gram = jensen_mi_via_gramian(summary, ht, noise, rho)
+            assert abs(via_matrix - via_gram) <= 1e-10 * max(via_matrix, 1e-12)
+            draws.append((f, h))
+            rhos.append(rho)
+            singles.append((heff, via_matrix, via_gram))
+        f, h = (np.array(part) for part in zip(*draws))
+        rho = np.array(rhos)
+        ht, noise = two_hop(f, h)
+        heffs = effective_channel(ht, noise, g)
+        stacked = (heffs, jensen_mi(heffs, rho), jensen_mi_via_gramian(summary, ht, noise, rho))
+        for got, want in zip(stacked, zip(*singles)):
+            assert got.tobytes() == np.array(want).tobytes()
+        grid = (2, 250)
+        ht2, noise2, rho2 = ht.reshape(grid + (k,)), noise.reshape(grid), rho.reshape(grid)
+        heffs2 = effective_channel(ht2, noise2, g)
+        assert heffs2.tobytes() == heffs.tobytes()
+        assert jensen_mi(heffs2, rho2).tobytes() == stacked[1].tobytes()
+        assert jensen_mi_via_gramian(summary, ht2, noise2, rho2).tobytes() == stacked[2].tobytes()
 
 
 def test_rho_must_be_positive():
-    heff = EffectiveChannel(np.eye(2))
-    with pytest.raises(InvalidParameterError):
-        mutual_information(heff, 0.0)
-    with pytest.raises(InvalidParameterError):
-        jensen_mi(heff, -1.0)
+    heff = np.eye(2)
+    scheme = cyclic_delay_scheme(2, 2)
+    ht, noise = two_hop(np.ones((3, 2)), np.ones((3, 2)))
+    for bad in (0.0, -1.0, np.nan, np.array([1.0, np.nan, 2.0])):
+        with pytest.raises(InvalidParameterError):
+            mutual_information(heff, bad)
+        with pytest.raises(InvalidParameterError):
+            jensen_mi(heff, bad)
+        with pytest.raises(InvalidParameterError):
+            jensen_mi_via_gramian(gramian(scheme), ht, noise, bad)
+        with pytest.raises(InvalidParameterError):
+            mutual_information_spectral(common_spectra(scheme), ht, noise, bad)
+        with pytest.raises(InvalidParameterError):
+            mutual_information_products(pair_products(scheme), ht, noise, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +207,32 @@ def test_exact_mi_kernels_match_eigenvalue_oracle(kind, k, extra_n, rho, seed):
         scheme = _haar_scheme(k, n, rng)
     f = complex_gaussian(rng, (64, k))
     h = complex_gaussian(rng, (64, k))
-    heffs = effective_channels(f, h, scheme.stacked())
+    ht, noise = two_hop(f, h)
+    heffs = effective_channel(ht, noise, scheme.stacked())
     want = _eigvalsh_oracle(heffs, rho)
-    _assert_matches_oracle(mutual_information_batch(heffs, rho), want)
-    _assert_matches_oracle(mutual_information_products(pair_products(scheme), f, h, rho), want)
+    exact = mutual_information(heffs, rho)
+    _assert_matches_oracle(exact, want)
+    products = pair_products(scheme)
+    _assert_matches_oracle(mutual_information_products(products, ht, noise, rho), want)
     spectra = common_spectra(scheme)
     if kind != "haar":
         assert spectra is not None
     if spectra is not None:
-        _assert_matches_oracle(mutual_information_spectral(spectra, f, h, rho), want)
+        _assert_matches_oracle(mutual_information_spectral(spectra, ht, noise, rho), want)
+    # shape contract: one realization gives element t of the stack bit for
+    # bit, a (2, 32) leading shape gives the flattened stack's bits, and a
+    # per-trial rho gives the scalar call's bits
+    for t in rng.integers(0, 64, size=2):
+        one = effective_channel(ht[t], noise[t], scheme.stacked())
+        assert one.tobytes() == heffs[t].tobytes()
+        assert mutual_information(one, rho).tobytes() == exact[t].tobytes()
+    grid = (2, 32)
+    heffs2 = effective_channel(ht.reshape(grid + (k,)), noise.reshape(grid), scheme.stacked())
+    assert heffs2.tobytes() == heffs.tobytes()
+    assert mutual_information(heffs2, rho).tobytes() == exact.tobytes()
+    by_trial = mutual_information_products(products, ht, noise, np.full(64, rho))
+    assert by_trial.tobytes() == mutual_information_products(products, ht, noise, rho).tobytes()
+    assert mutual_information(heffs, np.full(64, rho)).tobytes() == exact.tobytes()
 
 
 def test_products_kernel_sub_blocks_match_trials_one_by_one():
@@ -198,10 +244,10 @@ def test_products_kernel_sub_blocks_match_trials_one_by_one():
     trials = 2 * PRODUCTS_SUB_BLOCK + 3
     f = complex_gaussian(rng, (trials, 3))
     h = complex_gaussian(rng, (trials, 3))
-    got = mutual_information_products(products, f, h, 300.0)
+    ht, noise = two_hop(f, h)
+    got = mutual_information_products(products, ht, noise, 300.0)
     one_by_one = np.array([
-        mutual_information_products(products, f[t : t + 1], h[t : t + 1], 300.0)[0]
-        for t in range(trials)
+        mutual_information_products(products, ht[t], noise[t], 300.0) for t in range(trials)
     ])
     np.testing.assert_allclose(got, one_by_one, rtol=1e-14, atol=0.0)
 
@@ -237,9 +283,9 @@ def test_common_spectra_is_none_without_a_shared_basis():
     assert common_spectra(near) is None
     f = complex_gaussian(rng, (256, 2))
     h = complex_gaussian(rng, (256, 2))
-    heffs = effective_channels(f, h, near.stacked())
+    heffs = effective_channel(*two_hop(f, h), near.stacked())
     for rho in (1.0, 100.0, 1e5):
-        _assert_matches_oracle(mutual_information_batch(heffs, rho), _eigvalsh_oracle(heffs, rho))
+        _assert_matches_oracle(mutual_information(heffs, rho), _eigvalsh_oracle(heffs, rho))
 
 
 def _packed_lower(grams):
@@ -275,7 +321,7 @@ def test_ldl_log_det_matches_eigenvalue_oracle(n, rank, rho, real, seed):
 def test_real_channels_match_eigenvalue_oracle():
     # H = [[1, 1], [0, 1]]: H H^T = [[2, 1], [1, 1]] has det(I + H H^T) = 5
     h = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert mutual_information(EffectiveChannel(h), 1.0) == pytest.approx(
+    assert mutual_information(h, 1.0) == pytest.approx(
         np.log2(5.0) / 4, rel=1e-15
     )
     # rho stops at 1e3 as in the LDL^H property test: at 1e5 a 3x3 draw with
@@ -286,10 +332,8 @@ def test_real_channels_match_eigenvalue_oracle():
         heffs = rng.standard_normal((64, n, n)) / np.sqrt(n)
         for rho in (1.0, 100.0, 1e3):
             want = _eigvalsh_oracle(heffs, rho)
-            _assert_matches_oracle(mutual_information_batch(heffs, rho), want)
-            _assert_matches_oracle(
-                np.array([mutual_information(EffectiveChannel(m), rho) for m in heffs]), want
-            )
+            _assert_matches_oracle(mutual_information(heffs, rho), want)
+            _assert_matches_oracle(np.array([mutual_information(m, rho) for m in heffs]), want)
 
 
 def test_fault_names_its_trial_past_the_first_sub_block():
@@ -298,7 +342,7 @@ def test_fault_names_its_trial_past_the_first_sub_block():
     f[trials - 2] = np.nan
     with pytest.raises(InternalConsistencyError, match=f"pivot 0 of trial {trials - 2} is nan"):
         mutual_information_products(
-            np.eye(3, dtype=complex).reshape(1, 9), f, np.ones((trials, 1)), 2.0
+            np.eye(3, dtype=complex).reshape(1, 9), *two_hop(f, np.ones((trials, 1))), 2.0
         )
 
 
@@ -314,11 +358,11 @@ def test_non_positive_definite_input_is_an_internal_consistency_error():
         # plus the table's one row
         with pytest.raises(InternalConsistencyError):
             mutual_information_products(
-                grams[1].reshape(1, 9), np.ones((1, 1)), np.ones((1, 1)), 2.0
+                grams[1].reshape(1, 9), *two_hop(np.ones((1, 1)), np.ones((1, 1))), 2.0
             )
         # H H^H is PSD for every finite H, so only a non-finite H reaches the
         # check through the H-stack kernel
         heffs = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
         heffs[1][entry] = np.nan
         with pytest.raises(InternalConsistencyError):
-            mutual_information_batch(heffs, 10.0)
+            mutual_information(heffs, 10.0)

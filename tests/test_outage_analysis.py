@@ -21,7 +21,6 @@ from relaydiv import (
     bessel_k1,
     custom_scheme,
     cyclic_delay_scheme,
-    difference_matrix,
     fit_diversity_slope,
     gaussian_codebook,
     gramian,
@@ -29,13 +28,13 @@ from relaydiv import (
     mc_jensen_outage,
     mc_ml_error,
     min_gram_eigenvalue,
-    pep_upper_bound,
     phase_rolling_scheme,
     product_rayleigh_cdf,
-    sample_channel,
+    simulate_normalized,
+    simulate_two_hop,
     union_bound,
 )
-from relaydiv.channel_model import complex_gaussian, effective_channel
+from relaydiv.channel_model import ChannelRealization, complex_gaussian
 from relaydiv.outage_analysis import wilson_interval
 from relaydiv.relay_schemes import RelayScheme
 
@@ -270,6 +269,29 @@ def test_outage_argument_validation():
         mc_jensen_outage(scheme, 0.1, 0.5, 1000, seed=0)
     with pytest.raises(InvalidParameterError):
         mc_jensen_outage(scheme, 0.1, 100.0, 0, seed=0)
+    # a NaN rho (or rate) compares false to every bound, so each check must
+    # be written to fail on it
+    nan = math.nan
+    book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
+    rng = np.random.default_rng(0)
+    ch = ChannelRealization(*complex_gaussian(rng, (2, 1)))
+    x = np.ones(2, dtype=complex)
+    for call in (
+        lambda: mc_jensen_outage(scheme, 0.1, nan, 1000, seed=0),
+        lambda: mc_exact_outage(scheme, 0.1, nan, 1000, seed=0),
+        lambda: mc_jensen_outage(scheme, 0.1, 100.0, 1000, seed=0, rate_bits=nan),
+        lambda: mc_ml_error(cyclic_delay_scheme(2, 2), book, nan, 1000, seed=1),
+        lambda: analytic_jensen_bracket(1, gramian(scheme), 0.1, nan),
+        lambda: union_bound(cyclic_delay_scheme(2, 2), book, nan, 0.1),
+        lambda: gaussian_codebook(2, 0.25, nan, rng),
+        lambda: simulate_two_hop(scheme, ch, x, nan, rng),
+        lambda: simulate_two_hop(scheme, ch, x, 10.0, rng, relay_power_scale=nan),
+        lambda: simulate_normalized(scheme, ch, x, nan, rng),
+        lambda: bessel_k1(nan),
+        lambda: product_rayleigh_cdf(nan),
+    ):
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 def test_adaptive_trials_policy():
@@ -401,54 +423,8 @@ def test_fit_end_to_end_on_jensen_outage():
 
 
 # ---------------------------------------------------------------------------
-# Pairwise error and union bounds
+# Union bound
 # ---------------------------------------------------------------------------
-
-def q_function(x):
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def test_pep_zero_difference_is_vacuous():
-    scheme = cyclic_delay_scheme(2, 4)
-    ch = sample_channel(2, np.random.default_rng(0))
-    bound = pep_upper_bound(scheme, np.zeros(4), ch, 100.0)
-    assert bound.chernoff == 1.0
-    assert bound.rayleigh_ritz == 1.0
-
-
-def test_pep_chernoff_dominates_exact_q_value():
-    rng = np.random.default_rng(1)
-    scheme = cyclic_delay_scheme(2, 4)
-    for _ in range(2000):
-        ch = sample_channel(2, rng)
-        dx = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rho = float(10 ** rng.uniform(0, 3))
-        heff = effective_channel(scheme, ch)
-        exact = q_function(math.sqrt(rho / 2.0) * np.linalg.norm(heff.matrix @ dx))
-        bound = pep_upper_bound(scheme, dx, ch, rho)
-        assert exact <= bound.chernoff + 1e-15
-
-
-def test_pep_rayleigh_ritz_relaxation_is_looser():
-    # the Rayleigh-Ritz step lower-bounds ||Phi h~||^2 by mu ||h~||^2, so
-    # under the same (1+K) normalization the relaxed exponent is smaller
-    rng = np.random.default_rng(2)
-    scheme = cyclic_delay_scheme(2, 4)
-    k = 2
-    for _ in range(2000):
-        ch = sample_channel(2, rng)
-        dx = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rho = float(10 ** rng.uniform(0, 3))
-        bound = pep_upper_bound(scheme, dx, ch, rho)
-        phi = difference_matrix(scheme, dx).phi
-        mid = min(
-            1.0,
-            math.exp(
-                -rho * float(np.linalg.norm(phi @ ch.h_tilde) ** 2) / (4.0 * (1 + k))
-            ),
-        )
-        assert bound.rayleigh_ritz >= mid - 1e-15
-
 
 def test_union_bound_vacuous_for_duplicate_codewords():
     scheme = cyclic_delay_scheme(2, 2)
