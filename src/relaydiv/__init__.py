@@ -10,7 +10,6 @@ diversity slopes from SNR sweeps.
 __version__ = "0.1.0"
 
 from .channel_model import (
-    ChannelRealization,
     effective_channel,
     simulate_normalized,
     simulate_two_hop,

@@ -7,7 +7,8 @@ h~ = h o f and the aggregate noise power 1 + ||h||^2.  Every channel
 quantity (``effective_channel`` here, the MI kernels in ``information``)
 takes that pair and a stack of any leading shape.
 
-Two simulators are exposed.  ``simulate_two_hop`` implements the exact
+Two simulators are exposed; each takes one fading draw as the (K,) arrays
+f and h, as ``two_hop`` does.  ``simulate_two_hop`` implements the exact
 relay chain: first-hop reception, linear relay processing with the
 power-preserving scale sqrt(rho/(1+rho)), destination summation, and the
 final normalization by sqrt(N0') that whitens the aggregate noise.
@@ -19,36 +20,13 @@ the two chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .relay_schemes import RelayScheme, _as_readonly
+from .relay_schemes import RelayScheme
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the source->relay (f) and relay->destination (h) fading."""
-
-    f: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        f = _as_readonly(np.atleast_1d(self.f))
-        h = _as_readonly(np.atleast_1d(self.h))
-        if f.shape != h.shape or f.ndim != 1 or f.size < 1:
-            raise InvalidParameterError(
-                f"f and h must be equal-length vectors, got {f.shape} and {h.shape}"
-            )
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "h", h)
-
-    @property
-    def num_relays(self) -> int:
-        return self.f.size
 
 
 def two_hop(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +65,8 @@ def effective_channel(ht: np.ndarray, noise: np.ndarray, g: np.ndarray) -> np.nd
 
 def simulate_two_hop(
     scheme: RelayScheme,
-    ch: ChannelRealization,
+    f: np.ndarray,
+    h: np.ndarray,
     x: np.ndarray,
     rho: float,
     rng: np.random.Generator,
@@ -96,7 +75,8 @@ def simulate_two_hop(
     dest_noise: bool = True,
     relay_power_scale: float = 1.0,
 ) -> np.ndarray:
-    """Exact chain: relay i receives sqrt(rho) f_i x + w_i, forwards the
+    """Exact chain for one fading draw, the (K,) first-hop gains f and
+    second-hop gains h: relay i receives sqrt(rho) f_i x + w_i, forwards the
     scaled linear transform, destination adds unit noise, and the output is
     divided by sqrt(N0') so the aggregate noise is white with unit variance.
 
@@ -105,7 +85,7 @@ def simulate_two_hop(
     the total-power variant); the first-hop SNR is untouched and the
     normalization tracks the scale, so the output noise stays white.
     """
-    x = _check_signal(scheme, ch, x)
+    f, h, x = _check_signal(scheme, f, h, x)
     rho = float(rho)
     scale = float(relay_power_scale)
     if not rho > 0:
@@ -117,49 +97,53 @@ def simulate_two_hop(
 
     y = np.zeros(n, dtype=complex)
     for i, g in enumerate(scheme.matrices):
-        signal_in = np.sqrt(rho) * ch.f[i] * x
-        y += ch.h[i] * relay_gain * (g @ signal_in)
+        signal_in = np.sqrt(rho) * f[i] * x
+        y += h[i] * relay_gain * (g @ signal_in)
         if relay_noise:
             # Forward the relay noise through the unitary factor sqrt(N) G_i,
             # which keeps its per-component variance at one; this is the
             # normalization under which N0' = 1 + rho/(1+rho) ||h||^2 holds
             # and the post-division noise is exactly white.
             w = complex_gaussian(rng, n)
-            y += ch.h[i] * relay_gain * (np.sqrt(n) * (g @ w))
+            y += h[i] * relay_gain * (np.sqrt(n) * (g @ w))
     if dest_noise:
         y += complex_gaussian(rng, n)
-    n0_prime = 1.0 + scale * (rho / (1.0 + rho)) * np.linalg.norm(ch.h) ** 2
+    n0_prime = 1.0 + scale * (rho / (1.0 + rho)) * np.linalg.norm(h) ** 2
     return y / np.sqrt(n0_prime)
 
 
 def simulate_normalized(
     scheme: RelayScheme,
-    ch: ChannelRealization,
+    f: np.ndarray,
+    h: np.ndarray,
     x: np.ndarray,
     rho: float,
     rng: np.random.Generator,
     *,
     dest_noise: bool = True,
 ) -> np.ndarray:
-    """High-SNR model: y = sqrt(rho) H_eff x + z with z white unit-variance."""
-    x = _check_signal(scheme, ch, x)
+    """High-SNR model for one fading draw (f, h): y = sqrt(rho) H_eff x + z
+    with z white unit-variance."""
+    f, h, x = _check_signal(scheme, f, h, x)
     if not rho > 0:
         raise InvalidParameterError("rho must be positive")
-    heff = effective_channel(*two_hop(ch.f, ch.h), scheme.stacked())
+    heff = effective_channel(*two_hop(f, h), scheme.stacked())
     y = np.sqrt(float(rho)) * (heff @ x)
     if dest_noise:
         y = y + complex_gaussian(rng, scheme.block_length)
     return y
 
 
-def _check_signal(scheme: RelayScheme, ch: ChannelRealization, x) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
+def _check_signal(scheme: RelayScheme, f, h, x):
+    """f, h and x as complex arrays, once their shapes are (K,), (K,) and (N,)."""
+    f, h, x = (np.asarray(v, dtype=complex) for v in (f, h, x))
+    k = scheme.num_relays
+    if f.shape != (k,) or h.shape != (k,):
+        raise InvalidParameterError(
+            f"f and h must have shape ({k},) for a K={k} scheme, got {f.shape} and {h.shape}"
+        )
     if x.shape != (scheme.block_length,):
         raise InvalidParameterError(
             f"x must have shape ({scheme.block_length},), got {x.shape}"
         )
-    if scheme.num_relays != ch.num_relays:
-        raise InvalidParameterError(
-            f"scheme has K={scheme.num_relays} relays, realization has {ch.num_relays}"
-        )
-    return x
+    return f, h, x

@@ -61,6 +61,7 @@ from .relay_schemes import (
     dft_matrix,
     gramian,
     phase_rolling_scheme,
+    unitary_scaling_deviations,
 )
 
 EXIT_OK = 0
@@ -130,6 +131,14 @@ class ExperimentConfig:
             raise ConfigError("snr_db grid must be strictly increasing")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        if self.min_trials < 1:
+            raise ConfigError(f"min_trials must be >= 1, got {self.min_trials}")
+        if self.max_trials < self.min_trials:
+            raise ConfigError(
+                f"max_trials = {self.max_trials} is below min_trials = {self.min_trials}"
+            )
+        if self.min_events < 0:
+            raise ConfigError(f"min_events must be >= 0, got {self.min_events}")
         if self.trials != "adaptive":
             try:
                 if int(self.trials) < 1:
@@ -418,29 +427,40 @@ class Output:
     code: int = EXIT_OK
 
 
-def _point_trials(cfg: ExperimentConfig, scheme: RelayScheme, rho: float) -> int:
+def _rho(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def _grid_brackets(cfg: ExperimentConfig, scheme: RelayScheme, *, required: bool) -> list:
+    """The analytic Jensen-outage bracket (lower, upper) at each grid point,
+    from one Gramian, before any Monte Carlo.  The bracket needs a full-rank
+    Gramian: when ``required``, a singular one is a config error (raised by
+    the first bracket); otherwise every point's bracket is None."""
+    gram = gramian(scheme)
+    if gram.lambda_min <= 0 and not required:
+        return [None] * len(cfg.snr_db)
+    return [analytic_jensen_bracket(gram, cfg.r, _rho(db)) for db in cfg.snr_db]
+
+
+def _point_trials(cfg: ExperimentConfig, bracket: tuple[float, float] | None) -> int:
+    """Fixed trials, or adaptive ones aimed at the bracket's estimate of the
+    point's outage probability (max_trials without a bracket)."""
     if cfg.trials != "adaptive":
         return int(cfg.trials)
-    gram = gramian(scheme)
-    if gram.lambda_min > 0:
-        lower, upper = analytic_jensen_bracket(cfg.k, gram, cfg.r, rho)
-        guess = lower if lower > 0 else upper
-    else:
-        guess = 0.0
-    return adaptive_trials(guess, floor=cfg.min_trials, cap=cfg.max_trials)
+    lower, upper = bracket or (0.0, 0.0)
+    return adaptive_trials(lower if lower > 0 else upper, floor=cfg.min_trials, cap=cfg.max_trials)
 
 
-def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, *, rate_bits: float | None) -> OutageCurve:
+def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
+                 rate_bits: float | None) -> OutageCurve:
     if cfg.outage == "jensen":
         estimator, kernel = mc_jensen_outage, "jensen"
     else:
         estimator, kernel = mc_exact_outage, exact_mi_kernel(scheme)[0]
     points = []
-    for index, db in enumerate(cfg.snr_db):
-        rho = 10.0 ** (db / 10.0)
-        trials = _point_trials(cfg, scheme, rho)
+    for index, (db, bracket) in enumerate(zip(cfg.snr_db, brackets)):
         est = estimator(
-            scheme, cfg.r, rho, trials, cfg.seed + index,
+            scheme, cfg.r, _rho(db), _point_trials(cfg, bracket), cfg.seed + index,
             rate_bits=rate_bits, threads=cfg.threads,
         )
         points.append(dataclasses.replace(est, snr_db=float(db)))
@@ -449,9 +469,12 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, *, rate_bits: float
 
 def run_outage_sweep(cfg: ExperimentConfig) -> OutageCurve:
     """One outage estimate per grid point; threshold is r log2(rho) per the
-    outage definition, so an r = 0 sweep reports exact zeros."""
+    outage definition, so an r = 0 sweep reports exact zeros.  Only adaptive
+    trials need the bracket."""
     scheme = build_scheme(cfg)
-    return _sweep_curve(cfg, scheme, rate_bits=None)
+    adaptive = cfg.trials == "adaptive"
+    brackets = _grid_brackets(cfg, scheme, required=False) if adaptive else [None] * len(cfg.snr_db)
+    return _sweep_curve(cfg, scheme, brackets, rate_bits=None)
 
 
 @dataclass
@@ -478,8 +501,9 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
     if len(cfg.snr_db) < 3:
         raise ConfigError("a slope fit needs a grid of at least 3 points")
     scheme = build_scheme(cfg)
+    brackets = _grid_brackets(cfg, scheme, required=True)
     rate_bits = cfg.rate_bits if cfg.r == 0 else None
-    curve = _sweep_curve(cfg, scheme, rate_bits=rate_bits)
+    curve = _sweep_curve(cfg, scheme, brackets, rate_bits=rate_bits)
     report = SlopeReport(d_theory=cfg.k * (1.0 - 2.0 * cfg.r))
     try:
         fit = fit_diversity_slope(curve, min_events=cfg.min_events)
@@ -488,18 +512,14 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
         return curve, report
     report.d_hat_raw = fit.d_hat
     report.stderr = fit.stderr
-    report.points_used = fit.points_used
-    usable = [p for p in curve.points if p.events >= cfg.min_events and p.probability > 0]
-    x, _, w = fit_points(usable)
-    gram = gramian(scheme)
-    upper = np.array(
-        [analytic_jensen_bracket(cfg.k, gram, cfg.r, 10.0 ** (p.snr_db / 10.0))[1] for p in usable]
-    )
+    report.points_used = len(fit.used)
+    x, _, w = fit_points([curve.points[i] for i in fit.used])
+    upper = np.array([brackets[i][1] for i in fit.used])
     _, slope_u, _ = weighted_line_fit(x, np.log2(upper), w)
     report.d_hat = fit.d_hat + report.d_theory - (-slope_u)
-    if len(usable) < len(curve.points):
+    if report.points_used < len(curve.points):
         report.status = (
-            f"warning: {len(curve.points) - len(usable)} grid points below "
+            f"warning: {len(curve.points) - report.points_used} grid points below "
             f"min_events={cfg.min_events} were excluded from the fit"
         )
     return curve, report
@@ -507,13 +527,9 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
 
 def _analytic_curve(cfg: ExperimentConfig) -> Output:
     """Analytic Jensen-outage bracket over the SNR grid."""
-    scheme = build_scheme(cfg)
-    gram = gramian(scheme)
+    brackets = _grid_brackets(cfg, build_scheme(cfg), required=True)
     theory = cfg.k * (1.0 - 2.0 * cfg.r)
-    rows = []
-    for db in cfg.snr_db:
-        lower, upper = analytic_jensen_bracket(cfg.k, gram, cfg.r, 10.0 ** (db / 10.0))
-        rows.append((float(db), lower, upper, theory))
+    rows = [(float(db), lower, upper, theory) for db, (lower, upper) in zip(cfg.snr_db, brackets)]
     return Output(f"wrote {cfg.out} ({len(rows)} points)\n", rows)
 
 
@@ -540,7 +556,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
     if not cfg.codebook:
         raise ConfigError("certification needs a codebook path")
     scheme = build_scheme(cfg)
-    book = load_codebook_file(cfg.codebook, r=cfg.r, rho=10.0 ** (cfg.snr_db[0] / 10.0))
+    book = load_codebook_file(cfg.codebook, r=cfg.r, rho=_rho(cfg.snr_db[0]))
     if book.size > CERTIFY_BOOK_CAP:
         raise ResourceLimitError("codebook too large to certify", book.size, CERTIFY_BOOK_CAP)
     if book.block_length != scheme.block_length:
@@ -596,7 +612,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
     lines.append(f"mu_min: {mu!r}")
     verdicts = []
     for db in cfg.snr_db:
-        rho = 10.0 ** (db / 10.0)
+        rho = _rho(db)
         threshold = rho ** (-2.0 * cfg.r)
         verdicts.append((float(db), mu > threshold, threshold))
         lines.append(
@@ -695,11 +711,7 @@ def run_self_check() -> tuple[list[CheckResult], str]:
     sizes = [(1, 1), (1, 4), (2, 2), (2, 8), (3, 8), (4, 16), (8, 8)]
     schemes = [make(k, n) for k, n in sizes for make in (cyclic_delay_scheme, phase_rolling_scheme)]
 
-    unitary = 0.0
-    for scheme in schemes:
-        eye = np.eye(scheme.block_length) / scheme.block_length
-        for g in scheme.matrices:
-            unitary = max(unitary, float(np.abs(g @ g.conj().T - eye).max()))
+    unitary = max(float(unitary_scaling_deviations(s.stacked()).max()) for s in schemes)
 
     dft = 0.0
     for n in (1, 2, 3, 4, 8, 16, 64):

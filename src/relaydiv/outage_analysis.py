@@ -159,11 +159,12 @@ class OutageCurve:
 
 @dataclass(frozen=True)
 class SlopeEstimate:
-    """Fitted diversity exponent from a log-log weighted least squares."""
+    """Fitted diversity exponent from a log-log weighted least squares;
+    ``used`` holds the indices of the curve points the fit took."""
 
     d_hat: float
     stderr: float
-    points_used: int
+    used: tuple[int, ...]
 
 
 def wilson_interval(events: int, trials: int) -> tuple[float, float]:
@@ -403,10 +404,9 @@ def adaptive_trials(
 # Analytic Jensen-outage bracket
 # ---------------------------------------------------------------------------
 
-def analytic_jensen_bracket(
-    num_relays: int, gram: GramianSummary, r: float, rho: float
-) -> tuple[float, float]:
-    """Closed-form lower/upper envelopes of the Jensen-outage probability.
+def analytic_jensen_bracket(gram: GramianSummary, r: float, rho: float) -> tuple[float, float]:
+    """Closed-form lower/upper envelopes of the Jensen-outage probability of
+    the K-relay scheme whose K x K Gramian is ``gram``.
 
     With F(x) the product-Rayleigh CDF and s = rho^-((1-2r)/2):
       upper = F(s sqrt((1+K) N / lambda_min))^K
@@ -418,9 +418,7 @@ def analytic_jensen_bracket(
     can go negative at small rho (the bracket is an asymptotic statement);
     the clamp records that explicitly.
     """
-    k = num_relays
-    if gram.gram.shape != (k, k):
-        raise InvalidParameterError("Gramian size does not match relay count")
+    k = gram.gram.shape[0]
     if gram.lambda_min <= 0:
         raise InvalidParameterError("bracket needs a full-rank Gramian (lambda_min > 0)")
     _check_outage_args(r, rho)
@@ -434,7 +432,7 @@ def analytic_jensen_bracket(
     return max(0.0, lower), min(1.0, upper)
 
 
-def bracket_log_correction(num_relays: int, gram: GramianSummary, r: float, rho) -> np.ndarray:
+def bracket_log_correction(gram: GramianSummary, r: float, rho) -> np.ndarray:
     """The slowly varying factor of the bracket's upper envelope, in log2.
 
     The product-Rayleigh law expands as
@@ -445,13 +443,14 @@ def bracket_log_correction(num_relays: int, gram: GramianSummary, r: float, rho)
     SNR exponent, which slope tests can then measure without the
     finite-SNR bias of a raw log-log fit.
     """
+    k = gram.gram.shape[0]
     rho = np.asarray(rho, dtype=float)
-    scale = (1.0 + num_relays) * gram.block_length / gram.lambda_min
+    scale = (1.0 + k) * gram.block_length / gram.lambda_min
     u = rho ** (-(1.0 - 2.0 * r) / 2.0) * math.sqrt(scale)
     log_u_inv = np.log(1.0 / u)
     ell = 2.0 * log_u_inv + 1.0 - 2.0 * EULER_GAMMA
     ell = ell + u * u * (log_u_inv + 1.25 - EULER_GAMMA)
-    return num_relays * np.log2(ell * scale)
+    return k * np.log2(ell * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +486,16 @@ def fit_diversity_slope(curve: OutageCurve, min_events: int = 20) -> SlopeEstima
     """Weighted least-squares slope of log2(probability) vs log2(rho);
     d_hat is the negated slope.  Points with fewer than ``min_events``
     events are excluded; at least two usable points are required."""
-    pts = [p for p in curve.points if p.events >= min_events and p.probability > 0]
-    if len(pts) < 2:
+    used = tuple(
+        i for i, p in enumerate(curve.points) if p.events >= min_events and p.probability > 0
+    )
+    if len(used) < 2:
         raise InsufficientDataError(
-            f"need >= 2 points with >= {min_events} events, have {len(pts)}"
+            f"need >= 2 points with >= {min_events} events, have {len(used)}"
         )
-    x, y, w = fit_points(pts)
+    x, y, w = fit_points([curve.points[i] for i in used])
     _, slope, stderr = weighted_line_fit(x, y, w)
-    return SlopeEstimate(d_hat=-slope, stderr=stderr, points_used=len(pts))
+    return SlopeEstimate(d_hat=-slope, stderr=stderr, used=used)
 
 
 # ---------------------------------------------------------------------------

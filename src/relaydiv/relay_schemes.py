@@ -8,6 +8,7 @@ delay diversity (scaled cyclic-shift permutations) and phase rolling
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +30,25 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelayScheme:
-    """K linear transformation matrices, immutable after construction."""
+    """K linear transformation matrices, immutable after construction.
+
+    The only scheme validator: at least one matrix, all of shape (N, N),
+    K <= N, and G_i G_i^H = I/N to UNITARY_SCALING_TOL for every i.  A
+    unitarity failure raises SchemeInvalidError naming the first offending
+    matrix and its deviation.
+    """
 
     matrices: tuple[np.ndarray, ...]
     name: str = "custom"
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.matrices) == 0:
-            raise InvalidParameterError("scheme needs at least one matrix")
         mats = [np.asarray(g, dtype=complex) for g in self.matrices]
-        n = mats[0].shape[0]
+        if not mats:
+            raise InvalidParameterError("scheme needs at least one matrix")
+        n = mats[0].shape[-1] if mats[0].ndim else 0
         for i, g in enumerate(mats):
-            if g.ndim != 2 or g.shape != (n, n):
+            if g.shape != (n, n):
                 raise InvalidParameterError(
                     f"matrix {i} has shape {g.shape}, expected ({n}, {n})"
                 )
@@ -50,6 +57,10 @@ class RelayScheme:
                 f"relay count K={len(mats)} exceeds block length N={n}"
             )
         stack = _as_readonly(np.stack(mats))
+        dev = unitary_scaling_deviations(stack)
+        bad = np.flatnonzero(~(dev <= UNITARY_SCALING_TOL))  # a NaN deviation fails too
+        if bad.size:
+            raise SchemeInvalidError(int(bad[0]), float(dev[bad[0]]))
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "matrices", tuple(stack))
 
@@ -82,13 +93,11 @@ class GramianSummary:
     lambda_min: float
     lambda_max: float
     block_length: int
-    eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
 def cyclic_delay_scheme(num_relays: int, block_length: int) -> RelayScheme:
     """G_i = P_i / sqrt(N) where P_i cyclically shifts a vector up by i-1."""
-    _check_kn(num_relays, block_length)
-    n = block_length
+    n = max(block_length, 0)  # RelayScheme rejects the 0 x 0 matrices of N < 1
     eye = np.eye(n)
     mats = [np.roll(eye, i, axis=1).astype(complex) / np.sqrt(n) for i in range(num_relays)]
     return RelayScheme(tuple(mats), name="cdd")
@@ -96,8 +105,7 @@ def cyclic_delay_scheme(num_relays: int, block_length: int) -> RelayScheme:
 
 def phase_rolling_scheme(num_relays: int, block_length: int) -> RelayScheme:
     """G_i = diag(exp(j 2 pi n (i-1) / N)) / sqrt(N) for n = 0..N-1."""
-    _check_kn(num_relays, block_length)
-    n = block_length
+    n = max(block_length, 0)  # RelayScheme rejects the 0 x 0 matrices of N < 1
     grid = np.arange(n)
     mats = []
     for i in range(num_relays):
@@ -106,35 +114,31 @@ def phase_rolling_scheme(num_relays: int, block_length: int) -> RelayScheme:
     return RelayScheme(tuple(mats), name="phase-rolling")
 
 
+@functools.lru_cache(maxsize=None)
 def dft_matrix(block_length: int) -> np.ndarray:
-    """Unitary DFT matrix, [F]_{ln} = exp(-j 2 pi (l-1)(n-1) / N) / sqrt(N)."""
+    """Unitary DFT matrix, [F]_{ln} = exp(-j 2 pi (l-1)(n-1) / N) / sqrt(N),
+    built once per size (read-only)."""
     if block_length < 1:
         raise InvalidParameterError("block length must be >= 1")
     n = block_length
     grid = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
+    out = np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
+    out.setflags(write=False)
+    return out
+
+
+def unitary_scaling_deviations(stack: np.ndarray) -> np.ndarray:
+    """max |G G^H - I/N| of each matrix of a (K, N, N) stack, shape (K,);
+    NaN for a matrix with a non-finite entry."""
+    n = stack.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        gg = np.einsum("kab,kcb->kac", stack, stack.conj())
+        return np.abs(gg - np.eye(n) / n).max(axis=(1, 2))
 
 
 def custom_scheme(matrices, name: str = "custom") -> RelayScheme:
-    """Build a scheme from user matrices, enforcing G_i G_i^H = I/N.
-
-    Raises SchemeInvalidError naming the first offending matrix and its
-    maximum elementwise deviation from I/N.
-    """
-    mats = [np.asarray(g, dtype=complex) for g in matrices]
-    if not mats:
-        raise InvalidParameterError("scheme needs at least one matrix")
-    n = mats[0].shape[0] if mats[0].ndim == 2 else 0
-    for i, g in enumerate(mats):
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] != n:
-            raise InvalidParameterError(
-                f"matrix {i} has shape {g.shape}, expected square ({n}, {n})"
-            )
-        with np.errstate(invalid="ignore", over="ignore"):
-            dev = np.abs(g @ g.conj().T - np.eye(n) / n).max()
-        if not dev <= UNITARY_SCALING_TOL:  # a NaN deviation fails too
-            raise SchemeInvalidError(i, float(dev))
-    return RelayScheme(tuple(mats), name=name)
+    """A scheme from user matrices, validated by RelayScheme."""
+    return RelayScheme(tuple(matrices), name=name)
 
 
 def gramian(scheme: RelayScheme) -> GramianSummary:
@@ -154,7 +158,6 @@ def gramian(scheme: RelayScheme) -> GramianSummary:
         lambda_min=float(eig[0]),
         lambda_max=float(eig[-1]),
         block_length=scheme.block_length,
-        eigenvalues=eig,
     )
 
 
@@ -190,11 +193,3 @@ def common_spectra(scheme: RelayScheme) -> np.ndarray | None:
         return first @ dft_matrix(n).T * np.sqrt(n)
     return None
 
-
-def _check_kn(num_relays: int, block_length: int) -> None:
-    if num_relays < 1:
-        raise InvalidParameterError("relay count must be >= 1")
-    if block_length < num_relays:
-        raise InvalidParameterError(
-            f"block length N={block_length} must be >= relay count K={num_relays}"
-        )

@@ -89,14 +89,14 @@ def test_criterion_2_bracket_exponent(k, r):
     # not depend on N
     summary = gramian(cyclic_delay_scheme(k, k))
     rhos = np.logspace(3, 6, 13)
-    upper = np.array([analytic_jensen_bracket(k, summary, r, rho)[1] for rho in rhos])
+    upper = np.array([analytic_jensen_bracket(summary, r, rho)[1] for rho in rhos])
     x = np.log2(rhos)
     raw_slope = float(np.polyfit(x, np.log2(upper), 1)[0])
     if r == 0.5:
         ok = abs(raw_slope) < 0.05
         _report(f"criterion 2 (K={k}, r={r})", ok, f"|slope|={abs(raw_slope):.4f} < 0.05")
         return
-    corrected = np.log2(upper) - bracket_log_correction(k, summary, r, rhos)
+    corrected = np.log2(upper) - bracket_log_correction(summary, r, rhos)
     slope = float(np.polyfit(x, corrected, 1)[0])
     theory = -k * (1.0 - 2.0 * r)
     ok = abs(slope - theory) <= 0.05 * abs(theory)

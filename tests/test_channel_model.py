@@ -12,13 +12,14 @@ from relaydiv import (
     simulate_two_hop,
     two_hop,
 )
-from relaydiv.channel_model import ChannelRealization, complex_gaussian
+from relaydiv.channel_model import complex_gaussian
 from relaydiv.outage_analysis import _sample_fading
 
 
 def _draw(k, rng):
-    """One realization: f then h, each CN(0, 1) per relay."""
-    return ChannelRealization(*complex_gaussian(rng, (2, k)))
+    """One realization (f, h): f then h, each CN(0, 1) per relay."""
+    f, h = complex_gaussian(rng, (2, k))
+    return f, h
 
 
 def test_fading_draw_deterministic_under_fixed_seed():
@@ -41,15 +42,21 @@ def test_complex_gaussian_keeps_the_bits_of_the_quotient_form(shape):
         assert got.tobytes() == np.asarray(want).tobytes()
 
 
-def test_channel_realization_rejects_zero_relays():
-    with pytest.raises(InvalidParameterError):
-        ChannelRealization(f=np.zeros(0), h=np.zeros(0))
+@pytest.mark.parametrize(
+    "simulate", [simulate_two_hop, simulate_normalized], ids=["two-hop", "normalized"]
+)
+def test_simulators_reject_fading_of_the_wrong_shape(simulate):
+    scheme = cyclic_delay_scheme(2, 4)
+    x, rng = np.ones(4), np.random.default_rng(0)
+    for f, h in [(np.zeros(0), np.zeros(0)), (np.ones(3), np.ones(3)),
+                 (np.ones(2), np.ones(3)), (np.ones((1, 2)), np.ones((1, 2)))]:
+        with pytest.raises(InvalidParameterError, match="f and h must have shape"):
+            simulate(scheme, f, h, x, 10.0, rng)
 
 
 def test_fading_entry_statistics():
     # one big draw gives 10^6 i.i.d. entries across f and h
-    ch = _draw(500_000, np.random.default_rng(77))
-    entries = np.concatenate([ch.f, ch.h])
+    entries = np.concatenate(_draw(500_000, np.random.default_rng(77)))
     assert abs(entries.mean()) < 2e-3
     var = np.mean(np.abs(entries) ** 2)
     assert 0.99 < var < 1.01
@@ -61,8 +68,7 @@ def test_fading_entry_statistics():
 
 
 def test_two_hop_product_second_moment():
-    ch = _draw(1_000_000, np.random.default_rng(78))
-    second = np.mean(np.abs(two_hop(ch.f, ch.h)[0]) ** 2)
+    second = np.mean(np.abs(two_hop(*_draw(1_000_000, np.random.default_rng(78)))[0]) ** 2)
     assert 0.99 < second < 1.01
 
 
@@ -112,10 +118,10 @@ def test_effective_channel_superposition_in_first_hop():
 def test_two_hop_high_snr_approaches_normalized_model():
     rng = np.random.default_rng(44)
     scheme = cyclic_delay_scheme(2, 4)
-    ch = _draw(2, rng)
+    f, h = _draw(2, rng)
     x = complex_gaussian(rng, 4)
-    got = simulate_two_hop(scheme, ch, x, 1e6, rng, relay_noise=False, dest_noise=False)
-    want = simulate_normalized(scheme, ch, x, 1e6, rng, dest_noise=False)
+    got = simulate_two_hop(scheme, f, h, x, 1e6, rng, relay_noise=False, dest_noise=False)
+    want = simulate_normalized(scheme, f, h, x, 1e6, rng, dest_noise=False)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-3
 
 
@@ -133,12 +139,12 @@ def test_two_hop_single_relay_closed_form():
     rng = np.random.default_rng(46)
     n = 4
     scheme = cyclic_delay_scheme(1, n)
-    ch = _draw(1, rng)
+    f, h = _draw(1, rng)
     x = complex_gaussian(rng, n)
-    got = simulate_two_hop(scheme, ch, x, 7.5, rng, relay_noise=False, dest_noise=False)
+    got = simulate_two_hop(scheme, f, h, x, 7.5, rng, relay_noise=False, dest_noise=False)
     rho = 7.5
-    coeff = rho / np.sqrt(1 + rho * (1 + abs(ch.h[0]) ** 2))
-    want = coeff * ch.f[0] * ch.h[0] * x / np.sqrt(n)
+    coeff = rho / np.sqrt(1 + rho * (1 + abs(h[0]) ** 2))
+    want = coeff * f[0] * h[0] * x / np.sqrt(n)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -147,11 +153,11 @@ def test_two_hop_noise_is_white_after_normalization():
     rng = np.random.default_rng(47)
     n, k, trials = 4, 2, 100_000
     scheme = cyclic_delay_scheme(k, n)
-    ch = _draw(k, rng)
+    f, h = _draw(k, rng)
     x = np.zeros(n, dtype=complex)
     samples = np.empty((trials, n), dtype=complex)
     for t in range(trials):
-        samples[t] = simulate_two_hop(scheme, ch, x, 50.0, rng)
+        samples[t] = simulate_two_hop(scheme, f, h, x, 50.0, rng)
     cov = samples.conj().T @ samples / trials
     diag = np.abs(np.diag(cov))
     off = np.abs(cov - np.diag(np.diag(cov))).max()
@@ -162,13 +168,13 @@ def test_two_hop_noise_is_white_after_normalization():
 def test_normalized_model_definition_and_reproducibility():
     rng = np.random.default_rng(48)
     scheme = phase_rolling_scheme(2, 4)
-    ch = _draw(2, rng)
+    f, h = _draw(2, rng)
     x = complex_gaussian(rng, 4)
-    noiseless = simulate_normalized(scheme, ch, x, 30.0, rng, dest_noise=False)
-    heff = effective_channel(*two_hop(ch.f, ch.h), scheme.stacked())
+    noiseless = simulate_normalized(scheme, f, h, x, 30.0, rng, dest_noise=False)
+    heff = effective_channel(*two_hop(f, h), scheme.stacked())
     np.testing.assert_array_equal(noiseless, np.sqrt(30.0) * (heff @ x))
-    a = simulate_normalized(scheme, ch, x, 30.0, np.random.default_rng(9))
-    b = simulate_normalized(scheme, ch, x, 30.0, np.random.default_rng(9))
+    a = simulate_normalized(scheme, f, h, x, 30.0, np.random.default_rng(9))
+    b = simulate_normalized(scheme, f, h, x, 30.0, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
@@ -176,10 +182,10 @@ def test_signal_parts_of_both_chains_agree_at_high_snr():
     rng = np.random.default_rng(49)
     scheme = cyclic_delay_scheme(3, 6)
     for _ in range(20):
-        ch = _draw(3, rng)
+        f, h = _draw(3, rng)
         x = complex_gaussian(rng, 6)
-        exact = simulate_two_hop(scheme, ch, x, 1e6, rng, relay_noise=False, dest_noise=False)
-        model = simulate_normalized(scheme, ch, x, 1e6, rng, dest_noise=False)
+        exact = simulate_two_hop(scheme, f, h, x, 1e6, rng, relay_noise=False, dest_noise=False)
+        model = simulate_normalized(scheme, f, h, x, 1e6, rng, dest_noise=False)
         diff = np.abs(exact - model)
         scale = np.abs(model) + np.linalg.norm(model) / len(model)
         assert np.all(diff / scale < 1e-3)
@@ -189,18 +195,18 @@ def test_power_scale_variant_closed_form_and_whiteness():
     rng = np.random.default_rng(51)
     n, scale, rho = 4, 0.5, 10.0
     scheme = cyclic_delay_scheme(1, n)
-    ch = _draw(1, rng)
+    f, h = _draw(1, rng)
     x = complex_gaussian(rng, n)
     got = simulate_two_hop(
-        scheme, ch, x, rho, rng, relay_noise=False, dest_noise=False, relay_power_scale=scale
+        scheme, f, h, x, rho, rng, relay_noise=False, dest_noise=False, relay_power_scale=scale
     )
-    coeff = np.sqrt(scale) * rho / np.sqrt(1 + rho * (1 + scale * abs(ch.h[0]) ** 2))
-    np.testing.assert_allclose(got, coeff * ch.f[0] * ch.h[0] * x / np.sqrt(n), rtol=1e-12)
+    coeff = np.sqrt(scale) * rho / np.sqrt(1 + rho * (1 + scale * abs(h[0]) ** 2))
+    np.testing.assert_allclose(got, coeff * f[0] * h[0] * x / np.sqrt(n), rtol=1e-12)
     # the normalization tracks the scale, so the noise stays unit variance
     zeros = np.zeros(n, dtype=complex)
     samples = np.stack(
         [
-            simulate_two_hop(scheme, ch, zeros, rho, rng, relay_power_scale=scale)
+            simulate_two_hop(scheme, f, h, zeros, rho, rng, relay_power_scale=scale)
             for _ in range(20_000)
         ]
     )

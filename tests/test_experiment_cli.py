@@ -25,6 +25,7 @@ from relaydiv.channel_model import complex_gaussian
 from relaydiv.experiment_cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXPERIMENTS,
     ExperimentConfig,
@@ -148,7 +149,14 @@ _KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
         lambda v: tuple(sorted(v))
     ),
     trials=st.one_of(st.just("adaptive"), st.integers(1, 2**63).map(str), _CONFIG_TEXT),
-    counts=st.tuples(_BIG_INT, _BIG_INT, _BIG_INT),
+    # (min_trials, max_trials, min_events): valid ones (1 <= min_trials <=
+    # max_trials, min_events >= 0) as often as arbitrary ones
+    counts=st.one_of(
+        st.tuples(st.integers(1, 2**70), st.integers(0, 2**70), st.integers(0, 2**70)).map(
+            lambda c: (c[0], c[0] + c[1], c[2])
+        ),
+        st.tuples(_BIG_INT, _BIG_INT, _BIG_INT),
+    ),
     rate_bits=st.one_of(st.floats(0.0, 1e300), _FLOAT),
     outage=st.one_of(st.sampled_from(["jensen", "exact"]), _CONFIG_TEXT),
     seed=st.integers(0, 2**64 - 1),
@@ -539,12 +547,24 @@ def test_cli_override_wins_over_config(tmp_path):
     assert any(float(row.split(",")[1]) > 0 for row in rows)  # r was overridden
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = main(["outage-sweep", "--scheme", "cdd", "--k", "5", "--n", "2",
                "--snr-db", "20", "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
     rc = main(["outage-sweep", "--config", str(tmp_path / "missing.cfg")])
     assert rc == EXIT_CONFIG
+    # contradictory Monte Carlo settings name their key before any compute
+    for experiment, flags, key in [
+        ("outage-sweep", ["--min-trials", "100000", "--max-trials", "5000"], "max_trials"),
+        ("outage-sweep", ["--min-trials", "0", "--max-trials", "0"], "min_trials"),
+        ("dm-slope", ["--min-events", "-3"], "min_events"),
+    ]:
+        capsys.readouterr()
+        rc = main([experiment, "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0.25",
+                   "--snr-db", "20,30,40", *flags, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_invalid_scheme_file_exit_code(tmp_path):
@@ -553,6 +573,84 @@ def test_cli_invalid_scheme_file_exit_code(tmp_path):
                "--snr-db", "20", "--trials", "1000", "--seed", "1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+
+
+def _exit_path_args(tmp_path, case):
+    """CLI arguments of one documented failure, with its input files."""
+    book2 = str(tmp_path / "book2.txt")
+    save_codebook_file(book2, Codebook(np.array([[0, 0], [1, 0]]), 0.25, 100.0))
+    grid = ["--r", "0.25", "--snr-db", "20,30,40", "--trials", "1000"]
+    if case == "scheme-file-k-n-mismatch":
+        scheme = str(tmp_path / "cdd24.txt")
+        save_scheme_file(scheme, cyclic_delay_scheme(2, 4))
+        return ["outage-sweep", "--scheme", scheme, "--k", "1", "--n", "4", *grid,
+                "--out", str(tmp_path / "o.csv")]
+    if case == "csv-without-out":
+        return ["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", *grid]
+    if case == "dm-slope-two-point-grid":
+        return ["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+                "--snr-db", "20,30", "--out", str(tmp_path / "o.csv")]
+    certify = ["certify-code", "--k", "2", "--r", "0.25", "--snr-db", "20",
+               "--out", str(tmp_path / "report.txt")]
+    if case == "certify-without-codebook":
+        return certify + ["--scheme", "cdd", "--n", "2"]
+    if case == "certify-codebook-n-mismatch":
+        return certify + ["--scheme", "phase-rolling", "--n", "4", "--codebook", book2]
+    assert case == "internal-consistency"
+    return certify + ["--scheme", "cdd", "--n", "2", "--codebook", book2]
+
+
+@pytest.mark.parametrize(
+    "case,code",
+    [("scheme-file-k-n-mismatch", EXIT_CONFIG), ("csv-without-out", EXIT_CONFIG),
+     ("dm-slope-two-point-grid", EXIT_CONFIG), ("certify-without-codebook", EXIT_CONFIG),
+     ("certify-codebook-n-mismatch", EXIT_CONFIG), ("internal-consistency", EXIT_INTERNAL)],
+)
+def test_cli_documented_exit_paths_write_nothing(tmp_path, monkeypatch, case, code):
+    from relaydiv import experiment_cli
+
+    if case == "internal-consistency":
+        # the SVD oracle calls every pair rank deficient, so the exact CDD
+        # condition (no zero DFT bin) disagrees with it on the first pair
+        monkeypatch.setattr(experiment_cli, "rank_full", lambda phi: False)
+    args = _exit_path_args(tmp_path, case)
+    monkeypatch.chdir(tmp_path)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert main(args) == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("experiment", ["dm-slope", "analytic-curve", "outage-sweep"])
+def test_cli_singular_gramian_is_decided_before_monte_carlo(tmp_path, monkeypatch, capsys,
+                                                            experiment):
+    # two identical relays: Gramian [[1, 1], [1, 1]], lambda_min = 0, no bracket
+    from relaydiv import outage_analysis
+
+    scheme = str(tmp_path / "twin.txt")
+    g = np.eye(2) / np.sqrt(2)
+    save_scheme_file(scheme, custom_scheme([g, g]))
+    counted = []
+    count = outage_analysis._mc_event_count
+
+    def counting(trials, seed, threads, block_events):
+        counted.append(trials)
+        return count(trials, seed, threads, block_events)
+
+    monkeypatch.setattr(outage_analysis, "_mc_event_count", counting)
+    out = tmp_path / "o.csv"
+    rc = main([experiment, "--scheme", scheme, "--k", "2", "--n", "2", "--r", "0.25",
+               "--snr-db", "10,15,20,25", "--min-trials", "1000", "--max-trials", "3000",
+               "--out", str(out)])
+    if experiment == "outage-sweep":
+        # adaptive trials have no bracket to aim at and run max_trials
+        assert rc == EXIT_OK
+        assert [int(row.split(",")[4]) for row in out.read_text().splitlines()[1:]] == [3000] * 4
+        assert counted == [3000] * 4
+    else:
+        assert rc == EXIT_CONFIG
+        assert "full-rank Gramian" in capsys.readouterr().err
+        assert counted == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["twin.txt"]
 
 
 def test_cli_unwritable_output_is_config_error(tmp_path):

@@ -34,7 +34,7 @@ from relaydiv import (
     simulate_two_hop,
     union_bound,
 )
-from relaydiv.channel_model import ChannelRealization, complex_gaussian
+from relaydiv.channel_model import complex_gaussian
 from relaydiv.outage_analysis import wilson_interval
 from relaydiv.relay_schemes import RelayScheme
 
@@ -274,19 +274,19 @@ def test_outage_argument_validation():
     nan = math.nan
     book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
     rng = np.random.default_rng(0)
-    ch = ChannelRealization(*complex_gaussian(rng, (2, 1)))
+    f, h = complex_gaussian(rng, (2, 1))
     x = np.ones(2, dtype=complex)
     for call in (
         lambda: mc_jensen_outage(scheme, 0.1, nan, 1000, seed=0),
         lambda: mc_exact_outage(scheme, 0.1, nan, 1000, seed=0),
         lambda: mc_jensen_outage(scheme, 0.1, 100.0, 1000, seed=0, rate_bits=nan),
         lambda: mc_ml_error(cyclic_delay_scheme(2, 2), book, nan, 1000, seed=1),
-        lambda: analytic_jensen_bracket(1, gramian(scheme), 0.1, nan),
+        lambda: analytic_jensen_bracket(gramian(scheme), 0.1, nan),
         lambda: union_bound(cyclic_delay_scheme(2, 2), book, nan, 0.1),
         lambda: gaussian_codebook(2, 0.25, nan, rng),
-        lambda: simulate_two_hop(scheme, ch, x, nan, rng),
-        lambda: simulate_two_hop(scheme, ch, x, 10.0, rng, relay_power_scale=nan),
-        lambda: simulate_normalized(scheme, ch, x, nan, rng),
+        lambda: simulate_two_hop(scheme, f, h, x, nan, rng),
+        lambda: simulate_two_hop(scheme, f, h, x, 10.0, rng, relay_power_scale=nan),
+        lambda: simulate_normalized(scheme, f, h, x, nan, rng),
         lambda: bessel_k1(nan),
         lambda: product_rayleigh_cdf(nan),
     ):
@@ -309,7 +309,7 @@ def test_bracket_values_in_unit_interval_and_ordered():
     scheme = cyclic_delay_scheme(2, 4)
     summary = gramian(scheme)
     for db in (10, 20, 30, 40, 60):
-        lower, upper = analytic_jensen_bracket(2, summary, 0.25, 10 ** (db / 10))
+        lower, upper = analytic_jensen_bracket(summary, 0.25, 10 ** (db / 10))
         assert 0.0 <= lower <= 1.0
         assert 0.0 <= upper <= 1.0
         assert lower <= upper
@@ -321,7 +321,7 @@ def test_bracket_upper_single_relay_matches_quadrature():
     n = 4
     summary = gramian(cyclic_delay_scheme(1, n))
     for rho in (1e2, 1e4, 1e6):
-        _, upper = analytic_jensen_bracket(1, summary, 0.0, rho)
+        _, upper = analytic_jensen_bracket(summary, 0.0, rho)
         want = product_cdf_quadrature(2.0 * n / rho)
         assert upper == pytest.approx(want, rel=1e-7)
 
@@ -330,7 +330,7 @@ def test_bracket_requires_full_rank_gramian():
     g = np.eye(4) / 2.0
     summary = gramian(RelayScheme((g, g)))
     with pytest.raises(InvalidParameterError):
-        analytic_jensen_bracket(2, summary, 0.1, 100.0)
+        analytic_jensen_bracket(summary, 0.1, 100.0)
 
 
 def test_bracket_contains_monte_carlo_estimate_at_high_snr():
@@ -340,7 +340,7 @@ def test_bracket_contains_monte_carlo_estimate_at_high_snr():
     for db in (30, 35, 40):
         rho = 10 ** (db / 10)
         est = mc_jensen_outage(scheme, 0.25, rho, 400_000, seed=31)
-        lower, upper = analytic_jensen_bracket(2, summary, 0.25, rho)
+        lower, upper = analytic_jensen_bracket(summary, 0.25, rho)
         assert lower / 10 <= est.probability <= upper * 10
 
 
@@ -354,7 +354,7 @@ def test_bracket_and_mc_slopes_consistent():
     for i, db in enumerate(dbs):
         rho = 10 ** (db / 10)
         points.append(mc_jensen_outage(scheme, 0.0, rho, 400_000, seed=60 + i, rate_bits=1.0))
-        lo, up = analytic_jensen_bracket(2, summary, 0.0, rho)
+        lo, up = analytic_jensen_bracket(summary, 0.0, rho)
         lowers.append(lo)
         uppers.append(up)
     x = np.array(dbs) / 10 * np.log2(10)
@@ -392,7 +392,7 @@ def test_fit_recovers_exact_power_law():
     curve = _synthetic_curve(dbs, [rho**-2.0 for rho in rhos], trials=10**12)
     fit = fit_diversity_slope(curve)
     assert fit.d_hat == pytest.approx(2.0, abs=1e-9)
-    assert fit.points_used == 5
+    assert fit.used == (0, 1, 2, 3, 4)
 
 
 def test_fit_absorbs_constant_prefactor():
@@ -407,7 +407,7 @@ def test_fit_excludes_starved_points_and_requires_two():
     dbs = [10, 20, 30]
     curve = _synthetic_curve(dbs, [1e-2, 1e-4, 1e-9], trials=10**6)
     fit = fit_diversity_slope(curve, min_events=20)
-    assert fit.points_used == 2  # the 1e-9 point has ~0 events
+    assert fit.used == (0, 1)  # the 1e-9 point has ~0 events
     with pytest.raises(InsufficientDataError):
         fit_diversity_slope(curve, min_events=10**9)
 

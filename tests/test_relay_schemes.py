@@ -15,7 +15,7 @@ from relaydiv import (
     phase_rolling_scheme,
 )
 from relaydiv.channel_model import complex_gaussian
-from relaydiv.relay_schemes import pair_products
+from relaydiv.relay_schemes import pair_products, unitary_scaling_deviations
 
 
 def test_cdd_single_relay_is_scaled_identity():
@@ -98,6 +98,54 @@ def test_relay_count_cannot_exceed_block_length():
         phase_rolling_scheme(5, 4)
     with pytest.raises(InvalidParameterError):
         cyclic_delay_scheme(0, 2)
+    for make in (cyclic_delay_scheme, phase_rolling_scheme):
+        for n in (0, -1):
+            with pytest.raises(InvalidParameterError):
+                make(1, n)
+
+
+@pytest.mark.parametrize(
+    "matrices,message",
+    [
+        ((), "scheme needs at least one matrix"),
+        ((np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3)),
+         "matrix 1 has shape (3, 3), expected (2, 2)"),
+        ((np.ones(2) / np.sqrt(2),), "matrix 0 has shape (2,), expected (2, 2)"),
+        ((np.ones((2, 3)),), "matrix 0 has shape (2, 3), expected (3, 3)"),
+        ((np.array(1.0),), "matrix 0 has shape (), expected (0, 0)"),
+        ((np.eye(1), np.eye(1)), "relay count K=2 exceeds block length N=1"),
+        ((np.zeros((0, 0)),), "relay count K=1 exceeds block length N=0"),
+    ],
+    ids=["empty", "mixed-sizes", "vector", "not-square", "scalar", "k-above-n", "n-zero"],
+)
+def test_relay_scheme_rejects_bad_shapes_before_unitarity(matrices, message):
+    # every matrix here also fails G G^H = I/N or cannot be tested for it;
+    # the shape error comes first, from RelayScheme, for every entry point
+    for build in (RelayScheme, custom_scheme):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            build(tuple(matrices))
+        assert not isinstance(excinfo.value, SchemeInvalidError)
+        assert str(excinfo.value) == message
+
+
+def test_relay_scheme_validates_every_matrix_at_once():
+    # RelayScheme itself checks G G^H = I/N and names the first failing
+    # index with the deviation unitary_scaling_deviations reports
+    good = np.eye(4) / 2
+    stack = np.stack([good, 2 * good, np.full((4, 4), np.nan), good])
+    dev = unitary_scaling_deviations(stack)
+    assert dev[0] == dev[3] == 0.0 and dev[1] == 0.75 and np.isnan(dev[2])
+    for build in (RelayScheme, custom_scheme):
+        with pytest.raises(SchemeInvalidError) as excinfo:
+            build(tuple(stack))
+        assert (excinfo.value.index, excinfo.value.deviation) == (1, dev[1])
+        with pytest.raises(SchemeInvalidError) as excinfo:
+            build((good, stack[2]))
+        assert excinfo.value.index == 1 and np.isnan(excinfo.value.deviation)
+    # deviations of ~5e-14 pass and ~5e-12 fail the 1e-12 tolerance
+    assert RelayScheme((good * (1 + 1e-13),)).num_relays == 1
+    with pytest.raises(SchemeInvalidError):
+        RelayScheme((good * (1 + 1e-11),))
 
 
 def test_custom_scheme_accepts_scaled_identity():
@@ -164,7 +212,8 @@ def test_gramian_trace_equals_relay_count():
         scheme = phase_rolling_scheme(k, n)
         summary = gramian(scheme)
         assert abs(np.trace(summary.gram).real - k) <= 1e-10
-        assert abs(summary.eigenvalues.sum() - k) <= 1e-10
+        # the eigenvalues sum to the trace, so their extremes straddle 1
+        assert k * summary.lambda_min <= k + 1e-10 and k * summary.lambda_max >= k - 1e-10
 
 
 def test_gramian_invariant_under_common_left_unitary():
@@ -181,7 +230,6 @@ def test_gramian_eigenvalues_clamped_at_zero():
     g = np.eye(4) / 2.0
     summary = gramian(RelayScheme((g, g, g)))
     assert summary.lambda_min == 0.0
-    assert summary.eigenvalues.min() == 0.0
 
 
 def test_scheme_matrices_are_immutable():
