@@ -3,8 +3,9 @@
 The full-rank condition on Phi(dx) = [G_1 dx ... G_K dx] over all codeword
 pairs drives diversity optimality.  For the cyclic-delay and phase-rolling
 families the condition reduces to "no zero DFT bin" and "no zero entry"
-respectively; both simplified tests are provided alongside the SVD-based
-general test.
+respectively.  Both simplified tests, like ``difference_matrix``, take a
+(..., N) stack of differences and answer per difference; the SVD-based
+general test takes one Phi.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ RANK_REL_TOL = 1e-12
 
 DEFAULT_SIZE_CAP = 65536
 
-# Codeword pairs per block of min_gram_eigenvalue.
-MIN_GRAM_PAIR_BLOCK = 1 << 14
+# Codeword pairs per block of a pass over a book's pairs.
+PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -95,26 +96,27 @@ def difference_matrix(scheme: RelayScheme, dx: np.ndarray) -> np.ndarray:
     return np.einsum("kab,...b->...ak", scheme.stacked(), dx)
 
 
-def rank_full(phi: np.ndarray, tol: float = RANK_REL_TOL) -> bool:
+def rank_full(phi: np.ndarray) -> bool:
     """True iff the smallest singular value of the N x K matrix Phi clears
-    K * sigma_max * tol."""
+    K * sigma_max * RANK_REL_TOL."""
     s = np.linalg.svd(phi, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return False
-    return bool(s[-1] > phi.shape[-1] * s[0] * tol)
+    return bool(s[-1] > phi.shape[-1] * s[0] * RANK_REL_TOL)
 
 
-def cdd_condition(dx: np.ndarray) -> bool:
-    """All DFT bins of dx nonzero: the cyclic-delay full-rank shortcut."""
+def cdd_condition(dx: np.ndarray) -> np.ndarray:
+    """All DFT bins nonzero, per difference of a (..., N) stack: the
+    cyclic-delay full-rank shortcut, the phase-rolling one in frequency."""
     dx = np.asarray(dx, dtype=complex)
-    spectrum = dft_matrix(dx.size) @ dx
-    return bool(np.all(np.abs(spectrum) > ZERO_TOL * np.linalg.norm(dx)))
+    return phase_rolling_condition(dx @ dft_matrix(dx.shape[-1]).T)
 
 
-def phase_rolling_condition(dx: np.ndarray) -> bool:
-    """All time-domain entries of dx nonzero: the phase-rolling shortcut."""
+def phase_rolling_condition(dx: np.ndarray) -> np.ndarray:
+    """All entries nonzero, per difference of a (..., N) stack: the
+    phase-rolling full-rank shortcut."""
     dx = np.asarray(dx, dtype=complex)
-    return bool(np.all(np.abs(dx) > ZERO_TOL * np.linalg.norm(dx)))
+    return np.all(np.abs(dx) > ZERO_TOL * np.linalg.norm(dx, axis=-1, keepdims=True), axis=-1)
 
 
 def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
@@ -122,9 +124,9 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
 
     Returns +inf for single-codeword books (vacuous minimum).  Swapping a
     pair negates dx and leaves the Gramian unchanged, so unordered pairs
-    suffice.  Pairs are taken MIN_GRAM_PAIR_BLOCK at a time, so memory
-    stays bounded at any book size; every step is per pair, so the block
-    size cannot change the result.
+    suffice.  Pairs are taken PAIR_BLOCK at a time, so memory stays
+    bounded at any book size; every step is per pair, so the block size
+    cannot change the result.
     """
     if book.size < 2:
         return math.inf
@@ -132,12 +134,15 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
         raise InvalidParameterError("codebook and scheme block lengths differ")
     words = book.codewords
     best = math.inf
-    for idx_a, idx_b in _pair_blocks(book.size, MIN_GRAM_PAIR_BLOCK):
-        cols = difference_matrix(scheme, words[idx_a] - words[idx_b])  # (P, N, K)
-        grams = np.einsum("pak,pal->pkl", cols.conj(), cols)  # (P, K, K)
-        eigs = np.linalg.eigvalsh(grams)
-        best = min(best, float(np.clip(eigs[:, 0], 0.0, None).min()))
+    for idx_a, idx_b in _pair_blocks(book.size, PAIR_BLOCK):
+        best = min(best, _min_gram(difference_matrix(scheme, words[idx_a] - words[idx_b])))
     return best
+
+
+def _min_gram(phi: np.ndarray) -> float:
+    """min over a nonempty (P, N, K) stack of lambda_min(Phi^H Phi), clipped at 0."""
+    eigs = np.linalg.eigvalsh(np.einsum("pak,pal->pkl", phi.conj(), phi))
+    return float(np.clip(eigs[:, 0], 0.0, None).min())
 
 
 def _pair_blocks(size: int, block: int):

@@ -22,13 +22,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, codebook
 from .channel_model import complex_gaussian, effective_channel, two_hop
 from .codebook import (
     Codebook,
     cdd_condition,
     difference_matrix,
-    min_gram_eigenvalue,
     phase_rolling_condition,
     rank_full,
 )
@@ -125,8 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"r must lie in [0, 1/2], got {self.r}")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be nonempty")
-        if not all(math.isfinite(v) for v in self.snr_db):
-            raise ConfigError(f"snr_db entries must be finite numbers, got {self.snr_db}")
+        if not all(0.0 < _rho(v) < math.inf for v in self.snr_db):
+            raise ConfigError(f"snr_db entries must give a positive finite rho, got {self.snr_db}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db grid must be strictly increasing")
         if not 0 <= self.seed < 2**64:
@@ -428,7 +427,11 @@ class Output:
 
 
 def _rho(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10), inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _grid_brackets(cfg: ExperimentConfig, scheme: RelayScheme, *, required: bool) -> list:
@@ -572,34 +575,30 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
         if np.array_equal(scheme.stacked(), make(k, n).stacked()):
             family, simplified = name, condition
             break
-    certified = True
     first_violation = ""
+    mu = math.inf
     words = book.codewords
-    # One pair at a time: no array grows with the pair count.
-    for a in range(book.size):
-        for b in range(a + 1, book.size):
-            dx = words[a] - words[b]
-            phi = difference_matrix(scheme, dx)
-            full = rank_full(phi)
-            if not full and certified:
-                certified = False
-                sv = np.linalg.svd(phi, compute_uv=False)
-                first_violation = (
-                    f"pair ({a}, {b}): rank deficient, "
-                    f"singular values {[float(f'{v:.3e}') for v in sv]}"
+    # One pass over the pairs, in blocks: no array grows with the pair count.
+    for idx_a, idx_b in codebook._pair_blocks(book.size, codebook.PAIR_BLOCK):
+        dx = words[idx_a] - words[idx_b]
+        phi = difference_matrix(scheme, dx)
+        full = np.array([rank_full(p) for p in phi])
+        if simplified is not None:
+            verdict = simplified(dx)
+            # with K < N the simplified condition is only sufficient
+            wrong = verdict != full if k == n else verdict & ~full
+            if wrong.any():
+                i = np.argmax(wrong)
+                raise InternalConsistencyError(
+                    f"simplified condition disagrees with SVD rank on pair ({idx_a[i]}, {idx_b[i]})"
                 )
-            if simplified is not None:
-                verdict = simplified(dx)
-                if k == n:
-                    ok = verdict == full
-                else:
-                    ok = (not verdict) or full  # sufficiency direction only
-                if not ok:
-                    raise InternalConsistencyError(
-                        f"simplified condition disagrees with SVD rank on pair ({a}, {b})"
-                    )
+        if not first_violation and not full.all():
+            i = np.argmin(full)
+            sv = [float(f"{v:.3e}") for v in np.linalg.svd(phi[i], compute_uv=False)]
+            first_violation = f"pair ({idx_a[i]}, {idx_b[i]}): rank deficient, singular values {sv}"
+        mu = min(mu, codebook._min_gram(phi))
+    certified = not first_violation
     pairs = book.size * (book.size - 1) // 2
-    mu = min_gram_eigenvalue(scheme, book)
     lines = [
         "codebook certification report",
         f"scheme: {scheme.name} K={k} N={n}",
@@ -612,8 +611,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
     lines.append(f"mu_min: {mu!r}")
     verdicts = []
     for db in cfg.snr_db:
-        rho = _rho(db)
-        threshold = rho ** (-2.0 * cfg.r)
+        threshold = _rho(db) ** (-2.0 * cfg.r)
         verdicts.append((float(db), mu > threshold, threshold))
         lines.append(
             f"approximately-universal @ snr_db={_fmt_number(db)} r={_fmt_number(cfg.r)}: "
@@ -624,12 +622,8 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
         agreement = f"{pairs}/{pairs}"  # a disagreement raised above
         lines.append(f"simplified-condition agreement ({family}): {agreement} pairs consistent")
     return CertificationReport(
-        certified=certified,
-        pairs_checked=pairs,
-        mu_min=mu,
-        first_violation=first_violation,
-        universal_verdicts=tuple(verdicts),
-        simplified_agreement=agreement,
+        certified=certified, pairs_checked=pairs, mu_min=mu, first_violation=first_violation,
+        universal_verdicts=tuple(verdicts), simplified_agreement=agreement,
         text="\n".join(lines) + "\n",
     )
 

@@ -125,21 +125,34 @@ def test_simplified_conditions_agree_with_rank_oracle():
     n = 8
     cdd = cyclic_delay_scheme(n, n)
     pr = phase_rolling_scheme(n, n)
-    for _ in range(500):
-        dx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert cdd_condition(dx) == rank_full(difference_matrix(cdd, dx))
-        assert phase_rolling_condition(dx) == rank_full(difference_matrix(pr, dx))
+    stack = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(500)])
+    for condition, scheme in ((cdd_condition, cdd), (phase_rolling_condition, pr)):
+        rows = [condition(dx) for dx in stack]
+        assert rows == [rank_full(difference_matrix(scheme, dx)) for dx in stack]
+        # one stacked call answers per difference, as the per-row calls do
+        np.testing.assert_array_equal(condition(stack), rows)
 
 
 def test_condition_duality_through_dft():
     rng = np.random.default_rng(5)
     n = 8
     f = dft_matrix(n)
+    stack = []
     for _ in range(1000):
         dx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if rng.random() < 0.3:
             dx[rng.integers(0, n)] = 0.0
         assert cdd_condition(dx) == phase_rolling_condition(f @ dx)
+        stack.append(dx)
+    # 300 more rows with a zeroed DFT bin, so both conditions fail somewhere
+    spectra = complex_gaussian(rng, (300, n))
+    spectra[np.arange(300), rng.integers(0, n, 300)] = 0.0
+    stack = np.concatenate([stack, spectra @ f.conj()])
+    for condition in (cdd_condition, phase_rolling_condition):
+        rows = [condition(dx) for dx in stack]
+        assert not all(rows) and any(rows)
+        # one stacked call answers per difference, as the per-row calls do
+        np.testing.assert_array_equal(condition(stack), rows)
 
 
 def test_sufficiency_direction_for_wide_schemes():
@@ -223,7 +236,7 @@ def test_min_gram_eigenvalue_is_independent_of_the_pair_block(monkeypatch):
         [np.linalg.qr(complex_gaussian(rng, (4, 4)))[0] / 2.0 for _ in range(3)]
     )
     whole = min_gram_eigenvalue(scheme, book)
-    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 7)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 7)
     assert min_gram_eigenvalue(scheme, book) == whole
 
 
@@ -255,9 +268,9 @@ def test_min_gram_eigenvalue_memory_is_bounded_by_the_block(monkeypatch):
     rng = np.random.default_rng(32)
     book = Codebook(complex_gaussian(rng, (300, 4)), 0.1, 10.0)
     scheme = cyclic_delay_scheme(4, 4)
-    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 1 << 20)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 1 << 20)
     unblocked = _min_gram_peak_bytes(scheme, book)
-    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 256)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 256)
     blocked = _min_gram_peak_bytes(scheme, book)
     assert unblocked > 30e6
     assert blocked < 2e6

@@ -116,15 +116,15 @@ def test_canonical_text_of_every_key_is_pinned():
     # manifests echo this text, so its bytes may not move
     cfg = ExperimentConfig(
         experiment="certify-code", scheme="phase-rolling", k=3, n=8, r=0.125,
-        snr_db=(20.0, 22.5, 1e20), trials="12345", min_trials=1000, max_trials=2**40,
-        min_events=7, rate_bits=1.5, outage="exact", seed=2**64 - 1, out="dir/o.txt",
+        snr_db=(20.0, 22.5, 3000.0), trials="12345", min_trials=1000, max_trials=2**40,
+        min_events=7, rate_bits=1e20, outage="exact", seed=2**64 - 1, out="dir/o.txt",
         codebook="dir/book.txt", threads=2,
     )
     cfg.validate()
     assert cfg.canonical_text() == (
         "experiment = certify-code\nscheme = phase-rolling\nk = 3\nn = 8\nr = 0.125\n"
-        "snr_db = [20, 22.5, 1e+20]\ntrials = 12345\nmin_trials = 1000\n"
-        "max_trials = 1099511627776\nmin_events = 7\nrate_bits = 1.5\noutage = exact\n"
+        "snr_db = [20, 22.5, 3000]\ntrials = 12345\nmin_trials = 1000\n"
+        "max_trials = 1099511627776\nmin_events = 7\nrate_bits = 1e+20\noutage = exact\n"
         "seed = 18446744073709551615\ncodebook = dir/book.txt\nout = dir/o.txt\n"
     )
 
@@ -469,19 +469,84 @@ def _certify_peak_bytes(tmp_path, words):
 
 
 def test_certify_memory_does_not_grow_with_the_pair_count(tmp_path, monkeypatch):
-    # 64 and 96 words, 2016 and 4560 pairs at N = K = 4, with
-    # min_gram_eigenvalue in blocks of 64 pairs.  Building all (P, N)
+    # 64 and 96 words, 2016 and 4560 pairs at N = K = 4, with the pair
+    # pass in blocks of 64 pairs.  Building all (P, N)
     # differences up front peaks near 150 B/pair; whole-book pair index
     # arrays add 16 B for every pair.
     from relaydiv import codebook
 
-    monkeypatch.setattr(codebook, "MIN_GRAM_PAIR_BLOCK", 64)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 64)
     words = complex_gaussian(np.random.default_rng(5), (96, 4))
     small_pairs, small_peak = _certify_peak_bytes(tmp_path, words[:64])
     pairs, peak = _certify_peak_bytes(tmp_path, words)
     assert (small_pairs, pairs) == (2016, 4560)
     assert peak < 64 * pairs
     assert (peak - small_peak) / (pairs - small_pairs) < 4
+
+
+def test_certify_differences_each_pair_once(tmp_path, monkeypatch):
+    # 40 words, 780 pairs: Phi is built once per pair, wherever
+    # difference_matrix is looked up, and mu_min comes from the same pass
+    from relaydiv import codebook, experiment_cli
+
+    received, second_pass = [], []
+    build, min_gram = codebook.difference_matrix, codebook.min_gram_eigenvalue
+
+    def counting(scheme, dx):
+        received.append(int(np.prod(np.shape(dx)[:-1])))
+        return build(scheme, dx)
+
+    def recording(scheme, book):
+        second_pass.append(book.size)
+        return min_gram(scheme, book)
+
+    for module in (codebook, experiment_cli):
+        monkeypatch.setattr(module, "difference_matrix", counting)
+        monkeypatch.setattr(module, "min_gram_eigenvalue", recording, raising=False)
+    path = str(tmp_path / "book.txt")
+    save_codebook_file(path, Codebook(complex_gaussian(np.random.default_rng(40), (40, 4)),
+                                      0.25, 100.0))
+    report = run_certify(_sweep_config(experiment="certify-code", k=4, n=4, codebook=path))
+    assert report.pairs_checked == sum(received) == 780
+    assert second_pass == []
+
+
+def test_certify_report_does_not_depend_on_the_pair_block(tmp_path, monkeypatch):
+    # 12 words, 66 pairs: in blocks of 7 the only duplicate pair, (4, 9), is
+    # pair 42 in triu order, in the seventh block
+    from relaydiv import codebook
+
+    words = complex_gaussian(np.random.default_rng(41), (12, 4))
+    words[9] = words[4]
+    path = str(tmp_path / "book.txt")
+    save_codebook_file(path, Codebook(words, 0.25, 100.0))
+    cfg = _sweep_config(experiment="certify-code", k=4, n=4, codebook=path)
+    whole = run_certify(cfg).text
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 7)
+    assert run_certify(cfg).text == whole
+    assert "first violation: pair (4, 9): rank deficient" in whole
+    assert "simplified-condition agreement (cdd): 66/66 pairs consistent" in whole
+
+
+def test_certify_names_a_disagreeing_pair_in_a_later_block(tmp_path, monkeypatch, capsys):
+    # the SVD oracle fails only pair (5, 8), pair 47 in triu order, in the
+    # seventh block of 7; the CDD condition passes it, so the run exits 4
+    from relaydiv import codebook, experiment_cli
+
+    words = complex_gaussian(np.random.default_rng(42), (12, 4))
+    path = str(tmp_path / "book.txt")
+    save_codebook_file(path, Codebook(words, 0.25, 100.0))
+    target = codebook.difference_matrix(cyclic_delay_scheme(4, 4), words[5] - words[8])
+    oracle = experiment_cli.rank_full
+    monkeypatch.setattr(experiment_cli, "rank_full",
+                        lambda phi: oracle(phi) and not np.allclose(phi, target))
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 7)
+    out = tmp_path / "report.txt"
+    rc = main(["certify-code", "--scheme", "cdd", "--k", "4", "--n", "4", "--r", "0.25",
+               "--snr-db", "20", "--codebook", path, "--out", str(out)])
+    assert rc == EXIT_INTERNAL
+    assert "disagrees with SVD rank on pair (5, 8)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_oversized_codebook_is_resource_error(tmp_path):
@@ -596,6 +661,12 @@ def _exit_path_args(tmp_path, case):
         return certify + ["--scheme", "cdd", "--n", "2"]
     if case == "certify-codebook-n-mismatch":
         return certify + ["--scheme", "phase-rolling", "--n", "4", "--codebook", book2]
+    if case == "certify-overflowing-snr":  # rho = 10^400 is no float
+        return certify + ["--scheme", "cdd", "--n", "2", "--codebook", book2,
+                          "--snr-db", "20,4000"]
+    if case == "certify-underflowing-snr":  # rho = 10^-400 rounds to 0
+        return certify + ["--scheme", "cdd", "--n", "2", "--codebook", book2,
+                          "--snr-db=-4000,20"]
     assert case == "internal-consistency"
     return certify + ["--scheme", "cdd", "--n", "2", "--codebook", book2]
 
@@ -604,7 +675,8 @@ def _exit_path_args(tmp_path, case):
     "case,code",
     [("scheme-file-k-n-mismatch", EXIT_CONFIG), ("csv-without-out", EXIT_CONFIG),
      ("dm-slope-two-point-grid", EXIT_CONFIG), ("certify-without-codebook", EXIT_CONFIG),
-     ("certify-codebook-n-mismatch", EXIT_CONFIG), ("internal-consistency", EXIT_INTERNAL)],
+     ("certify-codebook-n-mismatch", EXIT_CONFIG), ("certify-overflowing-snr", EXIT_CONFIG),
+     ("certify-underflowing-snr", EXIT_CONFIG), ("internal-consistency", EXIT_INTERNAL)],
 )
 def test_cli_documented_exit_paths_write_nothing(tmp_path, monkeypatch, case, code):
     from relaydiv import experiment_cli
@@ -760,13 +832,20 @@ def test_cli_bad_env_threads_is_config_error(tmp_path, monkeypatch, capsys, valu
 @pytest.mark.parametrize(
     "experiment,snr_db,rate_bits",
     [("outage-sweep", "nan", "1"), ("outage-sweep", "10,inf", "1"),
-     ("dm-slope", "10,20,30", "nan")],
+     ("outage-sweep", "20,4000", "1"), ("dm-slope", "10,20,30", "nan")],
 )
-def test_cli_non_finite_numbers_are_config_errors(tmp_path, experiment, snr_db, rate_bits):
+def test_cli_non_finite_numbers_are_config_errors(tmp_path, monkeypatch, experiment, snr_db,
+                                                  rate_bits):
+    # 4000 dB is finite, but its rho = 10^400 is not a float
+    from relaydiv import outage_analysis
+
+    blocks = []
+    monkeypatch.setattr(outage_analysis, "_mc_event_count", lambda *args: blocks.append(args))
     rc = main([experiment, "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0",
                "--snr-db", snr_db, "--rate-bits", rate_bits, "--trials", "1000",
                "--seed", "5", "--out", str(tmp_path / "s.csv")])
     assert rc == EXIT_CONFIG
+    assert blocks == []
     assert list(tmp_path.iterdir()) == []
 
 
