@@ -5,7 +5,9 @@ two receive chains.
 draw (f, h) of any leading shape (..., K) becomes the per-relay products
 h~ = h o f and the aggregate noise power 1 + ||h||^2.  Every channel
 quantity (``effective_channel`` here, the MI kernels in ``information``)
-takes that pair and a stack of any leading shape.
+takes that pair and a stack of any leading shape.  The Monte Carlo
+estimators sample the pair from this law without drawing f and h
+(``outage_analysis._sample_fading``).
 
 Two simulators are exposed; each takes one fading draw as the (K,) arrays
 f and h, as ``two_hop`` does.  ``simulate_two_hop`` implements the exact
@@ -32,7 +34,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def two_hop(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two-hop law of (..., K) fading draws f and h: the per-relay
     products h~ = h o f, shape (..., K), and the aggregate noise power
-    1 + ||h||^2 of the high-SNR model, shape (...)."""
+    1 + ||h||^2 of the high-SNR model, shape (...).
+
+    For f, h iid CN(0, 1), |h~_k|^2 = |f_k|^2 |h_k|^2 is a product of two
+    iid Exp(1), arg h~_k is uniform and independent of both magnitudes, and
+    the noise term is 1 + sum_k |h_k|^2.
+    """
     return h * f, 1.0 + np.sum(np.abs(h) ** 2, axis=-1)
 
 

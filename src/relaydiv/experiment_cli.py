@@ -41,6 +41,7 @@ from .errors import (
 )
 from .information import jensen_mi, jensen_mi_via_gramian, mutual_information
 from .outage_analysis import (
+    FADING_STREAM,
     OutageCurve,
     adaptive_trials,
     analytic_jensen_bracket,
@@ -741,7 +742,7 @@ def run_self_check() -> tuple[list[CheckResult], str]:
 def _outage_sweep(cfg: ExperimentConfig) -> Output:
     curve = run_outage_sweep(cfg)
     return Output(f"wrote {cfg.out} ({len(curve.points)} points)\n", _curve_rows(curve),
-                  [p.events for p in curve.points], extra={"mi_kernel": curve.mi_kernel})
+                  [p.events for p in curve.points], extra=_monte_carlo_fields(curve))
 
 
 def _dm_slope(cfg: ExperimentConfig) -> Output:
@@ -752,9 +753,15 @@ def _dm_slope(cfg: ExperimentConfig) -> Output:
         f"theory {report.d_theory!r})\n",
         _curve_rows(curve, extra), [p.events for p in curve.points], status=report.status,
         extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
-               "d_theory": report.d_theory, "mi_kernel": curve.mi_kernel,
-               "points_used": report.points_used},
+               "d_theory": report.d_theory, "points_used": report.points_used,
+               **_monte_carlo_fields(curve)},
     )
+
+
+def _monte_carlo_fields(curve: OutageCurve) -> dict:
+    """Manifest fields that name what produced a Monte Carlo curve's bits:
+    the MI kernel and the version of the fading stream."""
+    return {"mi_kernel": curve.mi_kernel, "stream": FADING_STREAM}
 
 
 def _certify_code(cfg: ExperimentConfig) -> Output:

@@ -54,7 +54,10 @@ def mutual_information_products(
 
     rho H H^H = sum_ij w_ij G_i G_j^H with w_ij = rho h~_i conj(h~_j) /
     (1 + ||h||^2), so the lower triangles of a sub-block of t trials are one
-    (N(N+1)/2, K*K) x (K*K, t) product; H_eff is never formed.
+    (N(N+1)/2, K*K) x (K*K, t) product; H_eff is never formed.  That GEMM's
+    blocking depends on t, so a trial's bits depend on the width of the
+    sub-block it falls in (PRODUCTS_SUB_BLOCK, or less at a stack's end),
+    not only on the trial.
     """
     _check_rho(rho)
     lead, k = ht.shape[:-1], ht.shape[-1]
@@ -131,12 +134,22 @@ def mutual_information_spectral(
     With spectra[i] the eigenvalues of G_i (relay_schemes.common_spectra),
     H_eff has eigenvalues s = h~ @ spectra / sqrt(1 + ||h||^2) and is
     normal, so the MI is (1/2N) sum_m log2(1 + rho |s_m|^2); shape (...).
+
+    A single trial runs as two equal rows: OpenBLAS takes a one-row product
+    down its GEMV path, and the trial's bits would depend on the stack
+    around it.
     """
     _check_rho(rho)
+    lead, k = ht.shape[:-1], ht.shape[-1]
+    ht = ht.reshape(-1, k)
+    scale = np.broadcast_to(rho / noise, lead).reshape(-1)
+    if ht.shape[0] == 1:
+        ht, scale = np.repeat(ht, 2, axis=0), np.repeat(scale, 2)
     s = ht @ spectra
     power = s.real**2 + s.imag**2
-    power *= (rho / noise)[..., None]
-    return np.sum(np.log2(1.0 + power), axis=-1) / (2.0 * spectra.shape[1])
+    power *= scale[:, None]
+    mi = np.sum(np.log2(1.0 + power), axis=-1) / (2.0 * spectra.shape[1])
+    return mi[: math.prod(lead)].reshape(lead)
 
 
 def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:

@@ -4,7 +4,10 @@ Monte Carlo estimators are deterministic for a given (seed, config): trials
 are processed in fixed-size blocks, each block drawing from its own
 counter-based substream keyed by (seed, block index).  Event counts reduce
 by integer summation, so results are invariant to how blocks are
-partitioned across worker threads.
+partitioned across worker threads.  Each block samples the two-hop pairs
+(h~, 1 + ||h||^2) from the law channel_model.two_hop states, in one shared
+draw (_sample_fading, FADING_STREAM), so every estimator sees the same
+pairs for the same (seed, block).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel_model import complex_gaussian, effective_channel, two_hop
+from .channel_model import complex_gaussian, effective_channel
 from .codebook import Codebook, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
 from .information import (
@@ -38,6 +41,9 @@ EULER_GAMMA = 0.5772156649015328606
 # Trials per Monte Carlo block; fixed so that results depend only on
 # (seed, block index), never on the worker count.
 BLOCK_TRIALS = 1 << 14
+
+# Version of _sample_fading's draw; CLI manifests record it as "stream".
+FADING_STREAM = 2
 
 # 95% normal quantile used by the Wilson interval.
 Z_95 = 1.959963984540054
@@ -227,10 +233,19 @@ def _mc_event_count(
 
 
 def _sample_fading(rng: np.random.Generator, n: int, k: int):
-    """Shared draw order for all outage estimators: f first, then h; returns
-    the draw's two-hop pair (h~, 1 + ||h||^2), shapes (n, k) and (n,)."""
-    fh = complex_gaussian(rng, (2, n, k))
-    return two_hop(fh[0], fh[1])
+    """n trials of the two-hop pair (h~, 1 + ||h||^2) of channel_model.two_hop,
+    shapes (n, k) and (n,), drawn from its law rather than through (f, h).
+
+    Stream 2 (FADING_STREAM): u ~ CN(0, 1) first, then b ~ Exp(1), both
+    (n, k), and h~ = u sqrt(b), 1 + ||h||^2 = 1 + sum_k b.  With b = |h|^2
+    and a = |u|^2 = |f|^2 this is two_hop's law: |h~|^2 = ab with a, b iid
+    Exp(1), and a uniform phase independent of both.
+    """
+    ht = complex_gaussian(rng, (n, k))
+    b = rng.standard_exponential((n, k))
+    noise = 1.0 + b.sum(axis=-1)
+    ht *= np.sqrt(b, out=b)
+    return ht, noise
 
 
 def _rate_threshold(r: float, rho: float, rate_bits: float | None) -> float:

@@ -1,5 +1,7 @@
 """Fading sampling, the effective channel, and the two receive chains."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from relaydiv import (
     two_hop,
 )
 from relaydiv.channel_model import complex_gaussian
-from relaydiv.outage_analysis import _sample_fading
+from relaydiv.outage_analysis import _sample_fading, product_rayleigh_cdf
+
+# Kolmogorov-Smirnov critical value at level 1e-3, sqrt(-ln(alpha/2)/2): a
+# sample of n rejects its law when sqrt(n) D exceeds it (two samples of n
+# and m: when sqrt(nm/(n+m)) D does).  The seeds are fixed, so each test
+# either always passes or always fails.
+KS_CRITICAL = math.sqrt(-math.log(0.5e-3) / 2.0)
 
 
 def _draw(k, rng):
@@ -28,6 +36,55 @@ def test_fading_draw_deterministic_under_fixed_seed():
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     assert a[0].shape == (5, 2) and a[1].shape == (5,)
+
+
+def _ks_two_sample(x, y):
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    gap = np.searchsorted(x, both, "right") / x.size - np.searchsorted(y, both, "right") / y.size
+    return np.abs(gap).max() * math.sqrt(x.size * y.size / (x.size + y.size))
+
+
+def _ks_one_sample(x, cdf):
+    x = np.sort(x)
+    f = cdf(x)
+    i = np.arange(1, x.size + 1) / x.size
+    return max((i - f).max(), (f - i + 1.0 / x.size).max()) * math.sqrt(x.size)
+
+
+def test_sampled_two_hop_pairs_follow_the_law_of_two_hop():
+    # the draw takes the pair from its law, not through (f, h); both must
+    # give the same |h~_k|^2 per relay, the same noise term, and the same
+    # ||h~||^2 / (1 + ||h||^2), which couples the two
+    n, k = 100_000, 3
+    ht, noise = _sample_fading(np.random.default_rng(101), n, k)
+    ref_ht, ref_noise = two_hop(*complex_gaussian(np.random.default_rng(102), (2, n, k)))
+    for i in range(k):
+        assert _ks_two_sample(np.abs(ht[:, i]) ** 2, np.abs(ref_ht[:, i]) ** 2) < KS_CRITICAL
+    assert _ks_two_sample(noise, ref_noise) < KS_CRITICAL
+    ratio = np.sum(np.abs(ht) ** 2, axis=-1) / noise
+    ref_ratio = np.sum(np.abs(ref_ht) ** 2, axis=-1) / ref_noise
+    assert _ks_two_sample(ratio, ref_ratio) < KS_CRITICAL
+
+
+def test_sampled_products_are_product_rayleigh():
+    ht, _ = _sample_fading(np.random.default_rng(103), 7000, 3)
+    cdf = np.vectorize(product_rayleigh_cdf)
+    assert _ks_one_sample(np.abs(ht).ravel(), cdf) < KS_CRITICAL
+
+
+def test_sampled_phases_are_uniform_and_independent_of_the_magnitudes():
+    n, k = 100_000, 2
+    ht, noise = _sample_fading(np.random.default_rng(104), n, k)
+    phase = np.angle(ht)
+    magnitude = np.abs(ht)
+    assert _ks_one_sample(phase.ravel(), lambda x: (x + np.pi) / (2 * np.pi)) < KS_CRITICAL
+    # a sample correlation of independent variables is ~ N(0, 1/n)
+    bound = 4.0 / math.sqrt(n)
+    for i in range(k):
+        for wave in (np.cos(phase[:, i]), np.sin(phase[:, i])):
+            assert abs(np.corrcoef(wave, magnitude[:, i])[0, 1]) < bound
+            assert abs(np.corrcoef(wave, noise)[0, 1]) < bound
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 5, 3), (0, 4), (), (2, 16384, 2)])

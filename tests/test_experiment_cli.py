@@ -41,6 +41,7 @@ from relaydiv.experiment_cli import (
     save_codebook_file,
     save_scheme_file,
 )
+from relaydiv.outage_analysis import FADING_STREAM
 
 
 def _write(path, text):
@@ -798,7 +799,9 @@ def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage
                "--snr-db", "10,15,20", "--trials", "2000", "--seed", "3",
                "--outage", outage, "--out", out])
     assert rc == EXIT_OK
-    assert json.loads(Path(out + ".manifest.json").read_text())["mi_kernel"] == kernel
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["mi_kernel"] == kernel
+    assert manifest["stream"] == FADING_STREAM == 2
 
 
 def test_cli_self_check_exit_zero(capsys):

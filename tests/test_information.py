@@ -252,6 +252,23 @@ def test_products_kernel_sub_blocks_match_trials_one_by_one():
     np.testing.assert_allclose(got, one_by_one, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 8), (4, 4), (3, 16)])
+def test_spectral_kernel_gives_each_trial_its_in_stack_bits(k, n):
+    # a one-trial stack once took OpenBLAS's GEMV path and moved the last
+    # bits of ~1 in 6 trials at (3, 8)
+    spectra = common_spectra(cyclic_delay_scheme(k, n))
+    rng = np.random.default_rng(31 * k + n)
+    ht, noise = two_hop(*complex_gaussian(rng, (2, 500, k)))
+    full = mutual_information_spectral(spectra, ht, noise, 300.0)
+    for size in (1, 2, 3, 500):
+        for lo in range(0, 500 - size + 1, size):
+            part = mutual_information_spectral(spectra, ht[lo:lo + size], noise[lo:lo + size], 300.0)
+            assert part.tobytes() == full[lo:lo + size].tobytes(), (size, lo)
+    for t in range(0, 500, 7):
+        one = mutual_information_spectral(spectra, ht[t], noise[t], 300.0)
+        assert one.shape == () and one.tobytes() == full[t].tobytes()
+
+
 def test_common_spectra_diagonalise_builtin_schemes_in_one_basis():
     # CDD in the DFT basis, G_i = F^H diag(l_i) F; phase rolling in the
     # standard basis, G_i = diag(l_i)
