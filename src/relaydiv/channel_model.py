@@ -92,11 +92,9 @@ def simulate_two_hop(
     the total-power variant); the first-hop SNR is untouched and the
     normalization tracks the scale, so the output noise stays white.
     """
-    f, h, x = _check_signal(scheme, f, h, x)
+    f, h, x = _check_signal(scheme, f, h, x, rho)
     rho = float(rho)
     scale = float(relay_power_scale)
-    if not rho > 0:
-        raise InvalidParameterError("rho must be positive")
     if not scale > 0:
         raise InvalidParameterError("relay_power_scale must be positive")
     n = scheme.block_length
@@ -131,9 +129,7 @@ def simulate_normalized(
 ) -> np.ndarray:
     """High-SNR model for one fading draw (f, h): y = sqrt(rho) H_eff x + z
     with z white unit-variance."""
-    f, h, x = _check_signal(scheme, f, h, x)
-    if not rho > 0:
-        raise InvalidParameterError("rho must be positive")
+    f, h, x = _check_signal(scheme, f, h, x, rho)
     heff = effective_channel(*two_hop(f, h), scheme.stacked())
     y = np.sqrt(float(rho)) * (heff @ x)
     if dest_noise:
@@ -141,8 +137,9 @@ def simulate_normalized(
     return y
 
 
-def _check_signal(scheme: RelayScheme, f, h, x):
-    """f, h and x as complex arrays, once their shapes are (K,), (K,) and (N,)."""
+def _check_signal(scheme: RelayScheme, f, h, x, rho):
+    """f, h and x as complex arrays, once their shapes are (K,), (K,) and
+    (N,) and rho is positive."""
     f, h, x = (np.asarray(v, dtype=complex) for v in (f, h, x))
     k = scheme.num_relays
     if f.shape != (k,) or h.shape != (k,):
@@ -153,4 +150,6 @@ def _check_signal(scheme: RelayScheme, f, h, x):
         raise InvalidParameterError(
             f"x must have shape ({scheme.block_length},), got {x.shape}"
         )
+    if not rho > 0:
+        raise InvalidParameterError("rho must be positive")
     return f, h, x

@@ -128,14 +128,11 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
     bounded at any book size; every step is per pair, so the block size
     cannot change the result.
     """
-    if book.size < 2:
-        return math.inf
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
-    words = book.codewords
     best = math.inf
-    for idx_a, idx_b in _pair_blocks(book.size, PAIR_BLOCK):
-        best = min(best, _min_gram(difference_matrix(scheme, words[idx_a] - words[idx_b])))
+    for _, _, dx in pair_blocks(book):
+        best = min(best, _min_gram(difference_matrix(scheme, dx)))
     return best
 
 
@@ -145,10 +142,11 @@ def _min_gram(phi: np.ndarray) -> float:
     return float(np.clip(eigs[:, 0], 0.0, None).min())
 
 
-def _pair_blocks(size: int, block: int):
-    """Index arrays (a, b) of the pairs a < b of ``size`` items, in
-    np.triu_indices order, ``block`` pairs at a time.  Each block is cut
-    from a row cursor (a, b), so no array grows with ``size``."""
+def pair_blocks(book: Codebook):
+    """(a, b, words[a] - words[b]) over the codeword pairs a < b of a book,
+    index arrays in np.triu_indices order, PAIR_BLOCK pairs at a time.  Each
+    block is cut from a row cursor (a, b), so no array grows with the book."""
+    words, size, block = book.codewords, book.size, PAIR_BLOCK
     a, b = 0, 1
     while a < size - 1:
         rows_a, rows_b = [], []
@@ -161,5 +159,5 @@ def _pair_blocks(size: int, block: int):
             b += take
             if b == size:
                 a, b = a + 1, a + 2
-        yield np.concatenate(rows_a), np.concatenate(rows_b)
-
+        idx_a, idx_b = np.concatenate(rows_a), np.concatenate(rows_b)
+        yield idx_a, idx_b, words[idx_a] - words[idx_b]

@@ -28,6 +28,7 @@ from .codebook import (
     Codebook,
     cdd_condition,
     difference_matrix,
+    pair_blocks,
     phase_rolling_condition,
     rank_full,
 )
@@ -45,7 +46,6 @@ from .outage_analysis import (
     OutageCurve,
     adaptive_trials,
     analytic_jensen_bracket,
-    exact_mi_kernel,
     fit_diversity_slope,
     fit_points,
     mc_exact_outage,
@@ -71,6 +71,9 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 _SELF_CHECK_SEED = 20240
+
+# Highest snr_db entry: rho = 1e300 leaves the MI kernels ~1e8 of float headroom.
+SNR_DB_MAX = 3000.0
 
 OUTAGE_CSV_COLUMNS = ("snr_db", "probability", "ci_low", "ci_high", "trials", "events")
 DM_SLOPE_EXTRA_COLUMNS = ("d_hat", "d_hat_raw", "d_hat_stderr", "d_theory")
@@ -125,8 +128,8 @@ class ExperimentConfig:
             raise ConfigError(f"r must lie in [0, 1/2], got {self.r}")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be nonempty")
-        if not all(0.0 < _rho(v) < math.inf for v in self.snr_db):
-            raise ConfigError(f"snr_db entries must give a positive finite rho, got {self.snr_db}")
+        if not all(v <= SNR_DB_MAX and _rho(v) > 0.0 for v in self.snr_db):
+            raise ConfigError(f"snr_db entries must be at most {SNR_DB_MAX:g} dB with rho > 0, got {self.snr_db}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db grid must be strictly increasing")
         if not 0 <= self.seed < 2**64:
@@ -428,11 +431,7 @@ class Output:
 
 
 def _rho(db: float) -> float:
-    """10^(db/10), inf where that overflows a float."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
+    return 10.0 ** (db / 10.0)
 
 
 def _grid_brackets(cfg: ExperimentConfig, scheme: RelayScheme, *, required: bool) -> list:
@@ -457,10 +456,7 @@ def _point_trials(cfg: ExperimentConfig, bracket: tuple[float, float] | None) ->
 
 def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
                  rate_bits: float | None) -> OutageCurve:
-    if cfg.outage == "jensen":
-        estimator, kernel = mc_jensen_outage, "jensen"
-    else:
-        estimator, kernel = mc_exact_outage, exact_mi_kernel(scheme)[0]
+    estimator = mc_jensen_outage if cfg.outage == "jensen" else mc_exact_outage
     points = []
     for index, (db, bracket) in enumerate(zip(cfg.snr_db, brackets)):
         est = estimator(
@@ -468,7 +464,7 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
             rate_bits=rate_bits, threads=cfg.threads,
         )
         points.append(dataclasses.replace(est, snr_db=float(db)))
-    return OutageCurve(tuple(points), mi_kernel=kernel)
+    return OutageCurve(tuple(points))
 
 
 def run_outage_sweep(cfg: ExperimentConfig) -> OutageCurve:
@@ -578,10 +574,8 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
             break
     first_violation = ""
     mu = math.inf
-    words = book.codewords
     # One pass over the pairs, in blocks: no array grows with the pair count.
-    for idx_a, idx_b in codebook._pair_blocks(book.size, codebook.PAIR_BLOCK):
-        dx = words[idx_a] - words[idx_b]
+    for idx_a, idx_b, dx in pair_blocks(book):
         phi = difference_matrix(scheme, dx)
         full = np.array([rank_full(p) for p in phi])
         if simplified is not None:
@@ -760,8 +754,8 @@ def _dm_slope(cfg: ExperimentConfig) -> Output:
 
 def _monte_carlo_fields(curve: OutageCurve) -> dict:
     """Manifest fields that name what produced a Monte Carlo curve's bits:
-    the MI kernel and the version of the fading stream."""
-    return {"mi_kernel": curve.mi_kernel, "stream": FADING_STREAM}
+    the MI kernel its estimates report and the version of the fading stream."""
+    return {"mi_kernel": curve.points[0].mi_kernel, "stream": FADING_STREAM}
 
 
 def _certify_code(cfg: ExperimentConfig) -> Output:

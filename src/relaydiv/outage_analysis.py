@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -52,6 +53,9 @@ Z_95 = 1.959963984540054
 _K1_CROSSOVER = 9.0
 
 ENV_THREADS = "RELAYDIV_THREADS"
+
+# Most worker threads one Monte Carlo pool may start.
+MAX_THREADS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,8 @@ def product_rayleigh_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """One Monte Carlo probability estimate with its Wilson 95% interval."""
+    """One Monte Carlo probability estimate with its Wilson 95% interval and
+    the name of the MI kernel that produced it (empty for ML error)."""
 
     snr_db: float
     probability: float
@@ -137,6 +142,7 @@ class ProbEstimate:
     ci_high: float
     trials: int
     events: int
+    mi_kernel: str = ""
 
     def __post_init__(self):
         if self.trials < 1 or not 0 <= self.events <= self.trials:
@@ -149,11 +155,9 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class OutageCurve:
-    """Estimates ordered by strictly increasing SNR and the name of the MI
-    kernel that produced them."""
+    """Estimates ordered by strictly increasing SNR."""
 
     points: tuple[ProbEstimate, ...]
-    mi_kernel: str = ""
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -186,8 +190,8 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit argument, else RELAYDIV_THREADS, else 1; anything but a
-    positive integer raises InvalidParameterError naming its source."""
+    """Explicit argument, else RELAYDIV_THREADS, else 1; anything but an
+    integer in [1, MAX_THREADS] raises InvalidParameterError naming its source."""
     name, raw = "threads", threads
     if threads is None:
         name, raw = ENV_THREADS, os.environ.get(ENV_THREADS, "1")
@@ -195,8 +199,8 @@ def resolve_threads(threads: int | None) -> int:
         value = int(raw)
     except ValueError:
         value = 0
-    if value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {raw!r}")
+    if not 1 <= value <= MAX_THREADS:
+        raise InvalidParameterError(f"{name} must be an integer in [1, {MAX_THREADS}], got {raw!r}")
     return value
 
 
@@ -248,14 +252,6 @@ def _sample_fading(rng: np.random.Generator, n: int, k: int):
     return ht, noise
 
 
-def _rate_threshold(r: float, rho: float, rate_bits: float | None) -> float:
-    if rate_bits is not None:
-        if not rate_bits >= 0:
-            raise InvalidParameterError("rate_bits must be >= 0")
-        return float(rate_bits)
-    return r * math.log2(rho)
-
-
 def mc_jensen_outage(
     scheme: RelayScheme,
     r: float,
@@ -269,12 +265,7 @@ def mc_jensen_outage(
     """Fraction of fading draws whose Jensen mutual information falls below
     the rate target r log2(rho) (or the fixed ``rate_bits`` override used by
     fixed-rate diversity experiments)."""
-    _check_outage_args(r, rho)
-    gram = gramian(scheme)
-    return _mc_outage(
-        scheme, r, rho, trials, seed, rate_bits, threads,
-        lambda ht, noise: jensen_mi_via_gramian(gram, ht, noise, rho),
-    )
+    return _mc_outage(scheme, "jensen", r, rho, trials, seed, rate_bits, threads)
 
 
 def mc_exact_outage(
@@ -289,54 +280,50 @@ def mc_exact_outage(
 ) -> ProbEstimate:
     """As mc_jensen_outage but with the exact mutual information; shares
     the fading draw order with the Jensen estimator so both can be compared
-    on identical realization streams.  The kernel is exact_mi_kernel's."""
-    _check_outage_args(r, rho)
-    _, mi = exact_mi_kernel(scheme)
-    return _mc_outage(
-        scheme, r, rho, trials, seed, rate_bits, threads,
-        lambda ht, noise: mi(ht, noise, rho),
-    )
+    on identical realization streams."""
+    return _mc_outage(scheme, "exact", r, rho, trials, seed, rate_bits, threads)
 
 
-def exact_mi_kernel(scheme: RelayScheme) -> tuple[str, Callable[..., np.ndarray]]:
-    """Name and batched ``mi(ht, noise, rho)`` of the exact-MI kernel for a
-    scheme, taking the two-hop pair of a fading draw.
-
-    "exact-spectral" when the matrices share an eigenbasis by exact equality
-    (all diagonal or all circulant, whatever the scheme's name or source),
-    else "exact-products-ldl", an LDL^H log-det of I + rho H H^H built from
-    the G_i G_j^H table.  Neither forms H_eff.
-    """
+def _outage_kernel(scheme: RelayScheme, outage: str) -> tuple[str, Callable[..., np.ndarray]]:
+    """Name and batched ``mi(ht, noise, rho)``, taking the two-hop pair of a
+    fading draw, of the MI kernel the ``outage`` estimator runs on a scheme:
+    "jensen" through the Gramian; for "exact", "exact-spectral" when the
+    matrices share an eigenbasis by exact equality (all diagonal or all
+    circulant, whatever the scheme's name or source), else
+    "exact-products-ldl", an LDL^H log-det of I + rho H H^H built from the
+    G_i G_j^H table.  Neither exact kernel forms H_eff."""
+    if outage == "jensen":
+        return "jensen", partial(jensen_mi_via_gramian, gramian(scheme))
     spectra = common_spectra(scheme)
     if spectra is not None:
-        return "exact-spectral", lambda ht, noise, rho: mutual_information_spectral(
-            spectra, ht, noise, rho
-        )
-    products = pair_products(scheme)
-    return "exact-products-ldl", lambda ht, noise, rho: mutual_information_products(
-        products, ht, noise, rho
-    )
+        return "exact-spectral", partial(mutual_information_spectral, spectra)
+    return "exact-products-ldl", partial(mutual_information_products, pair_products(scheme))
 
 
 def _mc_outage(
     scheme: RelayScheme,
+    outage: str,
     r: float,
     rho: float,
     trials: int,
     seed: int,
     rate_bits: float | None,
     threads: int | None,
-    mi: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ProbEstimate:
-    """Count draws whose per-trial MI ``mi(ht, noise)`` falls below the target."""
-    thresh = _rate_threshold(r, rho, rate_bits)
+    """Count draws whose MI under the ``outage`` kernel falls below
+    r log2(rho), or below ``rate_bits`` when given."""
+    _check_outage_args(r, rho)
+    if rate_bits is not None and not rate_bits >= 0:
+        raise InvalidParameterError("rate_bits must be >= 0")
+    thresh = r * math.log2(rho) if rate_bits is None else float(rate_bits)
+    name, mi = _outage_kernel(scheme, outage)
     k = scheme.num_relays
 
     def block(rng: np.random.Generator, n: int) -> int:
-        return int(np.count_nonzero(mi(*_sample_fading(rng, n, k)) < thresh))
+        return int(np.count_nonzero(mi(*_sample_fading(rng, n, k), rho) < thresh))
 
     events = _mc_event_count(trials, seed, threads, block)
-    return _estimate(rho, events, trials)
+    return _estimate(rho, events, trials, name)
 
 
 def mc_ml_error(
@@ -385,7 +372,7 @@ def mc_ml_error(
     return _estimate(rho, events, trials)
 
 
-def _estimate(rho: float, events: int, trials: int) -> ProbEstimate:
+def _estimate(rho: float, events: int, trials: int, mi_kernel: str = "") -> ProbEstimate:
     lo, hi = wilson_interval(events, trials)
     return ProbEstimate(
         snr_db=10.0 * math.log10(rho),
@@ -394,6 +381,7 @@ def _estimate(rho: float, events: int, trials: int) -> ProbEstimate:
         ci_high=hi,
         trials=trials,
         events=events,
+        mi_kernel=mi_kernel,
     )
 
 
@@ -479,13 +467,12 @@ def fit_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     var = (1-p)/(events ln^2 2).
     """
     x = np.array([p.snr_db / 10.0 * math.log2(10.0) for p in points])
-    y = np.log2(np.array([p.probability for p in points]))
     prob = np.array([p.probability for p in points])
     events = np.array([p.events for p in points], dtype=float)
     trials = np.array([p.trials for p in points], dtype=float)
     surv = np.maximum(1.0 - prob, 0.5 / trials)
     var = surv / (events * math.log(2.0) ** 2)
-    return x, y, 1.0 / var
+    return x, np.log2(prob), 1.0 / var
 
 
 def weighted_line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -522,10 +509,7 @@ def union_bound(scheme: RelayScheme, book: Codebook, rho: float, r: float) -> fl
 
     Vacuous (>1) values are reported as-is; a zero mu_min yields exactly
     rho^(2Nr)."""
-    if not rho > 1:
-        raise InvalidParameterError("rho must exceed 1")
-    if not 0.0 <= r <= 0.5:
-        raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
+    _check_outage_args(r, rho)
     mu = min_gram_eigenvalue(scheme, book)
     n = book.block_length
     k = scheme.num_relays

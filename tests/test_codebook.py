@@ -1,6 +1,7 @@
 """Codebooks, difference matrices, and the rank/eigenvalue conditions."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,15 +242,23 @@ def test_min_gram_eigenvalue_is_independent_of_the_pair_block(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 1 << 14])
-def test_pair_blocks_cut_triu_indices_into_blocks(block):
-    assert list(codebook._pair_blocks(0, block)) == []
-    assert list(codebook._pair_blocks(1, block)) == []
+def test_pair_blocks_cut_triu_indices_into_blocks(monkeypatch, block):
+    # PAIR_BLOCK is read when the walk starts, so the patch takes effect
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(33)
+    # no Codebook is empty, but the walk reads only its codewords and size
+    empty = SimpleNamespace(codewords=np.zeros((0, 3), dtype=complex), size=0)
+    assert list(codebook.pair_blocks(empty)) == []
+    assert list(codebook.pair_blocks(Codebook(np.ones((1, 3)), 0.1, 10.0))) == []
     for size in range(2, 30):
-        blocks = list(codebook._pair_blocks(size, block))
-        assert all(a.size == b.size == block for a, b in blocks[:-1])
+        words = complex_gaussian(rng, (size, 3))
+        blocks = list(codebook.pair_blocks(Codebook(words, 0.1, 10.0)))
+        assert all(a.size == b.size == block for a, b, _ in blocks[:-1])
         want_a, want_b = np.triu_indices(size, k=1)
-        np.testing.assert_array_equal(np.concatenate([a for a, _ in blocks]), want_a)
-        np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), want_b)
+        np.testing.assert_array_equal(np.concatenate([a for a, _, _ in blocks]), want_a)
+        np.testing.assert_array_equal(np.concatenate([b for _, b, _ in blocks]), want_b)
+        for a, b, dx in blocks:
+            assert dx.tobytes() == (words[a] - words[b]).tobytes()
 
 
 def _min_gram_peak_bytes(scheme, book):

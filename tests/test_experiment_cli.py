@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from relaydiv import (
     Codebook,
     ConfigError,
     FileFormatError,
+    InvalidParameterError,
     SchemeInvalidError,
     custom_scheme,
     cyclic_delay_scheme,
@@ -41,7 +44,7 @@ from relaydiv.experiment_cli import (
     save_codebook_file,
     save_scheme_file,
 )
-from relaydiv.outage_analysis import FADING_STREAM
+from relaydiv.outage_analysis import FADING_STREAM, MAX_THREADS, resolve_threads
 
 
 def _write(path, text):
@@ -804,6 +807,21 @@ def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage
     assert manifest["stream"] == FADING_STREAM == 2
 
 
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency: in a fresh interpreter, importing
+    # the package and its CLI adds no other top-level module
+    code = ("import json, sys; before = set(sys.modules); "
+            "import relaydiv, relaydiv.experiment_cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    added = json.loads(run.stdout)
+    assert "relaydiv" in added
+    assert [m for m in added
+            if m not in sys.stdlib_module_names and m not in ("numpy", "relaydiv")] == []
+
+
 def test_cli_self_check_exit_zero(capsys):
     assert main(["self-check"]) == EXIT_OK
     assert "self-check report" in capsys.readouterr().out
@@ -821,7 +839,51 @@ def test_cli_env_threads_default(tmp_path, monkeypatch):
     assert Path(out1).read_bytes() == Path(out8).read_bytes()
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("snr_db,code", [("20,3080", EXIT_CONFIG), ("20,3000", EXIT_OK)])
+def test_cli_snr_ceiling_is_decided_before_monte_carlo(tmp_path, monkeypatch, snr_db, code):
+    # rho = 10^308 at 3080 dB is a finite float, but the exact kernel's
+    # pivots overflow to NaN there (exit 4 after the Monte Carlo, with
+    # overflow warnings, were it not rejected first); at the 3000 dB ceiling
+    # the run is clean, and tier-1 turns any RuntimeWarning into an error
+    from relaydiv import outage_analysis
+
+    rng = np.random.default_rng(6)
+    scheme = str(tmp_path / "haar.txt")
+    save_scheme_file(scheme, custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (8, 8)))[0] / np.sqrt(8) for _ in range(3)]))
+    blocks = []
+    count = outage_analysis._mc_event_count
+    monkeypatch.setattr(outage_analysis, "_mc_event_count",
+                        lambda *args: blocks.append(args) or count(*args))
+    out = tmp_path / "o.csv"
+    rc = main(["outage-sweep", "--outage", "exact", "--scheme", scheme, "--k", "3", "--n", "8",
+               "--r", "0.25", "--snr-db", snr_db, "--trials", "20000", "--seed", "1",
+               "--out", str(out)])
+    assert rc == code
+    assert len(blocks) == (2 if code == EXIT_OK else 0)
+    assert out.exists() == (code == EXIT_OK)
+
+
+def test_thread_count_is_capped_before_any_compute(tmp_path, monkeypatch, capsys):
+    # resolving a count starts no thread, so the cap itself is checked
+    # without starting a pool near it
+    from relaydiv import outage_analysis
+
+    assert resolve_threads(MAX_THREADS) == MAX_THREADS == 256
+    with pytest.raises(InvalidParameterError, match="threads"):
+        resolve_threads(257)
+    blocks = []
+    monkeypatch.setattr(outage_analysis, "_mc_event_count", lambda *args: blocks.append(args))
+    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+               "--snr-db", "20", "--trials", "1000", "--seed", "5", "--threads", "257",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == EXIT_CONFIG
+    assert "threads" in capsys.readouterr().err
+    assert blocks == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "257"])
 def test_cli_bad_env_threads_is_config_error(tmp_path, monkeypatch, capsys, value):
     out = tmp_path / "t.csv"
     monkeypatch.setenv("RELAYDIV_THREADS", value)
@@ -835,11 +897,13 @@ def test_cli_bad_env_threads_is_config_error(tmp_path, monkeypatch, capsys, valu
 @pytest.mark.parametrize(
     "experiment,snr_db,rate_bits",
     [("outage-sweep", "nan", "1"), ("outage-sweep", "10,inf", "1"),
-     ("outage-sweep", "20,4000", "1"), ("dm-slope", "10,20,30", "nan")],
+     ("outage-sweep", "20,4000", "1"), ("outage-sweep", "20,3001", "1"),
+     ("dm-slope", "10,20,30", "nan")],
 )
 def test_cli_non_finite_numbers_are_config_errors(tmp_path, monkeypatch, experiment, snr_db,
                                                   rate_bits):
-    # 4000 dB is finite, but its rho = 10^400 is not a float
+    # 4000 dB is finite, but its rho = 10^400 is not a float; 3001 dB is
+    # above the SNR_DB_MAX ceiling
     from relaydiv import outage_analysis
 
     blocks = []

@@ -180,11 +180,13 @@ def test_jensen_outage_rate_zero_is_exactly_zero():
 
 
 def test_jensen_outage_matches_quadrature_oracle_single_relay():
+    # At K = 1 every eigenvalue of H H^H is equal, so exact MI equals Jensen
+    # MI and all three kernels share one closed form.  Each scheme runs the
+    # Jensen and the exact estimator; CDD's exact kernel is spectral, the
+    # Haar scheme's the LDL^H one.
     n = 4
-    scheme = cyclic_delay_scheme(1, n)
     rho = 1000.0
     r = 0.25
-    est = mc_jensen_outage(scheme, r, rho, 1_000_000, seed=2024)
     c = n * (rho ** (2 * r) - 1.0) / rho
     # the outage event is X E < c (1 + X) with X, E unit-mean exponentials
     want, _ = quad(
@@ -193,8 +195,23 @@ def test_jensen_outage_matches_quadrature_oracle_single_relay():
         np.inf,
         limit=400,
     )
-    half_width = (est.ci_high - est.ci_low) / 2
-    assert abs(est.probability - want) <= 1.5 * half_width
+    closed = 1.0 - math.exp(-c) * 2.0 * math.sqrt(c) * bessel_k1(2.0 * math.sqrt(c))
+    assert closed == pytest.approx(want, rel=1e-12)
+    haar = np.linalg.qr(complex_gaussian(np.random.default_rng(2025), (n, n)))[0]
+    runs = [
+        (cyclic_delay_scheme(1, n), mc_jensen_outage, "jensen"),
+        (cyclic_delay_scheme(1, n), mc_exact_outage, "exact-spectral"),
+        (custom_scheme([haar / 2.0]), mc_jensen_outage, "jensen"),
+        (custom_scheme([haar / 2.0]), mc_exact_outage, "exact-products-ldl"),
+    ]
+    events = set()
+    for scheme, estimator, kernel in runs:
+        est = estimator(scheme, r, rho, 1_000_000, seed=2024)
+        assert est.mi_kernel == kernel
+        half_width = (est.ci_high - est.ci_low) / 2
+        assert abs(est.probability - closed) <= 1.5 * half_width
+        events.add(est.events)
+    assert len(events) == 1
 
 
 def test_outage_estimators_deterministic_and_thread_invariant():
