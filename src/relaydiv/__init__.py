@@ -35,6 +35,7 @@ from .errors import (
     SchemeInvalidError,
 )
 from .information import (
+    jensen_form,
     jensen_mi,
     jensen_mi_via_gramian,
     mutual_information,

@@ -72,7 +72,7 @@ EXIT_INTERNAL = 4
 
 _SELF_CHECK_SEED = 20240
 
-# Highest snr_db entry: rho = 1e300 leaves the MI kernels ~1e8 of float headroom.
+# Highest snr_db entry; its rho, 1e300, is the outage functions' RHO_MAX.
 SNR_DB_MAX = 3000.0
 
 OUTAGE_CSV_COLUMNS = ("snr_db", "probability", "ci_low", "ci_high", "trials", "events")

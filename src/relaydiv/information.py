@@ -160,6 +160,45 @@ def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:
     return 0.5 * np.log2(1.0 + rho / heff.shape[-1] * fro2)
 
 
+def jensen_form(gram: GramianSummary, ht: np.ndarray) -> np.ndarray:
+    """The Gramian quadratic form h~^H gram h~ of a (..., K) stack of
+    two-hop products h~, shape (...), clipped at 0.
+
+    It adds gram_kk |h~_k|^2 in relay order, then 2 Re(conj(h~_k) gram_kl
+    h~_l) for k < l, skipping entries that are exactly 0, so an identity
+    Gramian costs K squared magnitudes.  Every term is formed in real
+    arithmetic from elementwise numpy operations, so a trial's bits do not
+    depend on the stack around it.
+    """
+    k = ht.shape[-1]
+    flat = ht.reshape(-1, k)
+    re, im = flat.real, flat.imag
+    g = gram.gram
+    form = np.zeros(flat.shape[0])
+    for i in range(k):
+        term = re[:, i] * re[:, i]
+        term += im[:, i] * im[:, i]
+        if g[i, i].real != 1.0:
+            term *= g[i, i].real
+        form += term
+    for i in range(k):
+        for l in range(i + 1, k):
+            if g[i, l] == 0:
+                continue
+            # Re(conj(a) g b) = Re g (a_r b_r + a_i b_i) + Im g (a_i b_r - a_r b_i)
+            term = re[:, i] * re[:, l]
+            term += im[:, i] * im[:, l]
+            term *= g[i, l].real
+            cross = im[:, i] * re[:, l]
+            cross -= re[:, i] * im[:, l]
+            cross *= g[i, l].imag
+            term += cross
+            term *= 2.0
+            form += term
+    np.clip(form, 0.0, None, out=form)
+    return form.reshape(ht.shape[:-1])
+
+
 def jensen_mi_via_gramian(
     gram: GramianSummary, ht: np.ndarray, noise: np.ndarray, rho
 ) -> np.ndarray:
@@ -167,32 +206,11 @@ def jensen_mi_via_gramian(
     through the Gramian quadratic form, shape (...).
 
     ||H_eff||_F^2 = h~^H gram h~ / (1 + ||h||^2), so the bound equals
-    (1/2) log2(1 + (rho/N) h~^H gram h~ / (1 + ||h||^2)); it must agree
-    with the H_eff path to 1e-10 relative.  The form adds the real parts of
-    conj(h~_k) gram_kl h~_l in (k, l) order, in real arithmetic with each
-    numpy operation spanning all trials, so a trial's bits do not depend on
-    the stack around it; numpy's einsum("...k,kl,...l->...") gives the same
-    bits on stacks of three or more, but at K = 2 sums a stack of one or
-    two in another order.
+    (1/2) log2(1 + (rho/N) jensen_form / (1 + ||h||^2)); it must agree with
+    the H_eff path to 1e-10 relative.
     """
     _check_rho(rho)
-    k = ht.shape[-1]
-    flat = ht.reshape(-1, k)
-    ar, ai = flat.real.T.copy(), flat.imag.T.copy()
-    gr, gi = gram.gram.real[:, :, None], gram.gram.imag[:, :, None]
-    quad = np.zeros(flat.shape[0])
-    for i in range(k):
-        # real and imaginary parts of conj(h~_i) gram_il, shape (K, trials)
-        re = ar[i] * gr[i] + ai[i] * gi[i]
-        im = ar[i] * gi[i] - ai[i] * gr[i]
-        re *= ar
-        im *= ai
-        re -= im
-        for term in re:
-            quad += term
-    np.clip(quad, 0.0, None, out=quad)
-    quad = quad.reshape(ht.shape[:-1])
-    return 0.5 * np.log2(1.0 + (rho / gram.block_length) * quad / noise)
+    return 0.5 * np.log2(1.0 + (rho / gram.block_length) * jensen_form(gram, ht) / noise)
 
 
 def _check_rho(rho) -> None:

@@ -25,7 +25,7 @@ from .channel_model import complex_gaussian, effective_channel
 from .codebook import Codebook, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
 from .information import (
-    jensen_mi_via_gramian,
+    jensen_form,
     mutual_information_products,
     mutual_information_spectral,
 )
@@ -45,6 +45,10 @@ BLOCK_TRIALS = 1 << 14
 
 # Version of _sample_fading's draw; CLI manifests record it as "stream".
 FADING_STREAM = 2
+
+# Highest SNR the outage functions take: rho = 1e300 leaves the MI kernels
+# ~1e8 of float headroom; above it their products overflow.
+RHO_MAX = 1e300
 
 # 95% normal quantile used by the Wilson interval.
 Z_95 = 1.959963984540054
@@ -244,10 +248,20 @@ def _sample_fading(rng: np.random.Generator, n: int, k: int):
     (n, k), and h~ = u sqrt(b), 1 + ||h||^2 = 1 + sum_k b.  With b = |h|^2
     and a = |u|^2 = |f|^2 this is two_hop's law: |h~|^2 = ab with a, b iid
     Exp(1), and a uniform phase independent of both.
+
+    numpy sums fewer than 8 terms in order, so below K = 8 adding b's
+    columns in relay order gives b.sum(axis=-1)'s bits at a fraction of its
+    cost; from K = 8 numpy's pairwise order differs, and the sum stays.
     """
     ht = complex_gaussian(rng, (n, k))
     b = rng.standard_exponential((n, k))
-    noise = 1.0 + b.sum(axis=-1)
+    if k < 8:
+        noise = b[:, 0].copy()
+        for j in range(1, k):
+            noise += b[:, j]
+    else:
+        noise = b.sum(axis=-1)
+    noise += 1.0
     ht *= np.sqrt(b, out=b)
     return ht, noise
 
@@ -284,20 +298,34 @@ def mc_exact_outage(
     return _mc_outage(scheme, "exact", r, rho, trials, seed, rate_bits, threads)
 
 
-def _outage_kernel(scheme: RelayScheme, outage: str) -> tuple[str, Callable[..., np.ndarray]]:
-    """Name and batched ``mi(ht, noise, rho)``, taking the two-hop pair of a
-    fading draw, of the MI kernel the ``outage`` estimator runs on a scheme:
-    "jensen" through the Gramian; for "exact", "exact-spectral" when the
-    matrices share an eigenbasis by exact equality (all diagonal or all
-    circulant, whatever the scheme's name or source), else
+def _outage_kernel(
+    scheme: RelayScheme, outage: str, rho: float, thresh: float
+) -> tuple[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """Name and batched ``in_outage(ht, noise)``, taking the two-hop pair of
+    a fading draw, of the test the ``outage`` estimator runs on a scheme:
+    whether the MI falls below ``thresh`` at SNR ``rho``.
+
+    "jensen" decides on the Gramian form without a logarithm: the bound
+    (1/2) log2(1 + (rho/N) x), x = jensen_form / (1 + ||h||^2), is below
+    thresh iff x < c = N (2^(2 thresh) - 1) / rho, and c = inf when
+    2^(2 thresh) overflows.  For "exact" the kernel is "exact-spectral"
+    when the matrices share an eigenbasis by exact equality (all diagonal
+    or all circulant, whatever the scheme's name or source), else
     "exact-products-ldl", an LDL^H log-det of I + rho H H^H built from the
     G_i G_j^H table.  Neither exact kernel forms H_eff."""
     if outage == "jensen":
-        return "jensen", partial(jensen_mi_via_gramian, gramian(scheme))
+        gram = gramian(scheme)
+        try:
+            c = gram.block_length * math.expm1(2.0 * thresh * math.log(2.0)) / rho
+        except OverflowError:
+            c = math.inf
+        return "jensen", lambda ht, noise: jensen_form(gram, ht) / noise < c
     spectra = common_spectra(scheme)
     if spectra is not None:
-        return "exact-spectral", partial(mutual_information_spectral, spectra)
-    return "exact-products-ldl", partial(mutual_information_products, pair_products(scheme))
+        name, mi = "exact-spectral", partial(mutual_information_spectral, spectra)
+    else:
+        name, mi = "exact-products-ldl", partial(mutual_information_products, pair_products(scheme))
+    return name, lambda ht, noise: mi(ht, noise, rho) < thresh
 
 
 def _mc_outage(
@@ -316,11 +344,11 @@ def _mc_outage(
     if rate_bits is not None and not rate_bits >= 0:
         raise InvalidParameterError("rate_bits must be >= 0")
     thresh = r * math.log2(rho) if rate_bits is None else float(rate_bits)
-    name, mi = _outage_kernel(scheme, outage)
+    name, in_outage = _outage_kernel(scheme, outage, rho, thresh)
     k = scheme.num_relays
 
     def block(rng: np.random.Generator, n: int) -> int:
-        return int(np.count_nonzero(mi(*_sample_fading(rng, n, k), rho) < thresh))
+        return int(np.count_nonzero(in_outage(*_sample_fading(rng, n, k))))
 
     events = _mc_event_count(trials, seed, threads, block)
     return _estimate(rho, events, trials, name)
@@ -388,8 +416,8 @@ def _estimate(rho: float, events: int, trials: int, mi_kernel: str = "") -> Prob
 def _check_outage_args(r: float, rho: float) -> None:
     if not 0.0 <= r <= 0.5:
         raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
-    if not rho > 1:
-        raise InvalidParameterError("rho must exceed 1")
+    if not 1 < rho <= RHO_MAX:
+        raise InvalidParameterError(f"rho must lie in (1, {RHO_MAX:g}]")
 
 
 def adaptive_trials(

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,11 @@ from relaydiv.experiment_cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXPERIMENTS,
+    SNR_DB_MAX,
     ExperimentConfig,
+    _rho,
     config_from_mapping,
     load_codebook_file,
     load_scheme_file,
@@ -44,7 +49,7 @@ from relaydiv.experiment_cli import (
     save_codebook_file,
     save_scheme_file,
 )
-from relaydiv.outage_analysis import FADING_STREAM, MAX_THREADS, resolve_threads
+from relaydiv.outage_analysis import FADING_STREAM, MAX_THREADS, RHO_MAX, resolve_threads
 
 
 def _write(path, text):
@@ -554,8 +559,6 @@ def test_certify_names_a_disagreeing_pair_in_a_later_block(tmp_path, monkeypatch
 
 
 def test_cli_oversized_codebook_is_resource_error(tmp_path):
-    from relaydiv.experiment_cli import EXIT_RESOURCE
-
     rng = np.random.default_rng(0)
     words = rng.standard_normal((5000, 2)) + 1j * rng.standard_normal((5000, 2))
     path = str(tmp_path / "big.txt")
@@ -862,6 +865,69 @@ def test_cli_snr_ceiling_is_decided_before_monte_carlo(tmp_path, monkeypatch, sn
     assert rc == code
     assert len(blocks) == (2 if code == EXIT_OK else 0)
     assert out.exists() == (code == EXIT_OK)
+
+
+def test_snr_ceiling_is_the_library_rho_ceiling():
+    assert _rho(SNR_DB_MAX) == RHO_MAX
+
+
+def test_dm_slope_above_the_largest_float_rate_puts_every_trial_in_outage(tmp_path):
+    # 2^(2 * 600) overflows a float, so the Jensen threshold is infinite
+    out = tmp_path / "s.csv"
+    rc = main(["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
+               "--snr-db", "20,30,40", "--trials", "20000", "--rate-bits", "600",
+               "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.split(",")[4] == row.split(",")[5] == "20000" for row in rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    experiment=st.sampled_from(["outage-sweep", "dm-slope"]),
+    scheme=st.sampled_from(["cdd", "phase-rolling"]),
+    k=st.integers(1, 3),
+    extra_n=st.integers(0, 3),
+    r=st.floats(0.0, 0.5),
+    # a grid of desk and far SNRs, topped at times by the ceiling or just above it
+    snr_db=st.tuples(
+        st.lists(st.one_of(st.floats(1.0, 60.0), st.floats(-10.0, SNR_DB_MAX)),
+                 min_size=2, max_size=4),
+        st.sampled_from([(), (SNR_DB_MAX,), (math.nextafter(SNR_DB_MAX, math.inf),), (3000.5,)]),
+    ).map(lambda grid: tuple(sorted(set(grid[0]) | set(grid[1])))),
+    trials=st.one_of(st.just("adaptive"), st.integers(1, 3000).map(str)),
+    max_trials=st.integers(1, 3000),
+    rate_bits=st.floats(0.0, 1e4),
+    outage=st.sampled_from(["jensen", "exact"]),
+)
+def test_every_small_config_runs_or_fails_before_monte_carlo(
+    tmp_path_factory, experiment, scheme, k, extra_n, r, snr_db, trials, max_trials, rate_bits,
+    outage,
+):
+    from relaydiv import outage_analysis
+
+    work = tmp_path_factory.mktemp("fuzz")
+    out = work / "o.csv"
+    blocks = []
+    count = outage_analysis._mc_event_count
+    # "--key=value", since a negative value would read as a flag
+    args = [experiment] + [f"--{key}={value}" for key, value in (
+        ("scheme", scheme), ("k", k), ("n", k + extra_n), ("r", r),
+        ("snr-db", ",".join(map(repr, snr_db))), ("trials", trials), ("min-trials", 1),
+        ("max-trials", max_trials), ("rate-bits", rate_bits), ("outage", outage),
+        ("seed", 3), ("threads", 1), ("out", out))]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(outage_analysis, "_mc_event_count",
+                   lambda *a: blocks.append(a) or count(*a))
+        rc = main(args)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE)
+    if rc == EXIT_CONFIG:
+        assert blocks == []
+        assert list(work.iterdir()) == []
+    elif rc == EXIT_OK:
+        assert out.exists()
 
 
 def test_thread_count_is_capped_before_any_compute(tmp_path, monkeypatch, capsys):

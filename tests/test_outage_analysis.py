@@ -1,6 +1,8 @@
 """Bessel/CDF machinery, Monte Carlo estimators, bounds, and slope fits."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from relaydiv import (
     fit_diversity_slope,
     gaussian_codebook,
     gramian,
+    information,
+    jensen_form,
+    jensen_mi_via_gramian,
     mc_exact_outage,
     mc_jensen_outage,
     mc_ml_error,
@@ -234,31 +239,42 @@ def test_exact_outage_dominates_jensen_outage_on_shared_stream():
 
 def test_estimators_draw_once_per_block_and_share_the_pairs(monkeypatch):
     # one complex_gaussian call per block (the benchmark tracer counts draws
-    # that way), and the Jensen and exact kernels see the same (h~, noise)
+    # that way), and the Jensen and exact kernels see the same (h~, noise):
+    # jensen_form takes h~ alone, so each block's noise is taken from the
+    # draw it came out of
     monkeypatch.setattr(outage_analysis, "BLOCK_TRIALS", 64)
     calls = []
     draw = outage_analysis.complex_gaussian
     monkeypatch.setattr(outage_analysis, "complex_gaussian",
                         lambda rng, shape: calls.append(shape) or draw(rng, shape))
-    seen = {"jensen": [], "exact": []}
+    drawn, seen = [], {"jensen": [], "exact": []}
+    sample = outage_analysis._sample_fading
 
-    def recording(name, kernel):
-        def wrapped(table, ht, noise, rho):
-            seen[name].append((ht.copy(), noise.copy()))
-            return kernel(table, ht, noise, rho)
-        return wrapped
+    def sampling(rng, n, k):
+        ht, noise = sample(rng, n, k)
+        drawn.append((ht.copy(), noise.copy()))
+        return ht, noise
 
-    monkeypatch.setattr(outage_analysis, "jensen_mi_via_gramian",
-                        recording("jensen", outage_analysis.jensen_mi_via_gramian))
-    monkeypatch.setattr(outage_analysis, "mutual_information_spectral",
-                        recording("exact", outage_analysis.mutual_information_spectral))
+    def jensen_form(gram, ht):
+        seen["jensen"].append((ht.copy(), drawn[-1][1]))
+        return information.jensen_form(gram, ht)
+
+    def spectral(spectra, ht, noise, rho):
+        seen["exact"].append((ht.copy(), noise.copy()))
+        return information.mutual_information_spectral(spectra, ht, noise, rho)
+
+    monkeypatch.setattr(outage_analysis, "_sample_fading", sampling)
+    monkeypatch.setattr(outage_analysis, "jensen_form", jensen_form)
+    monkeypatch.setattr(outage_analysis, "mutual_information_spectral", spectral)
     scheme = cyclic_delay_scheme(2, 4)
     mc_jensen_outage(scheme, 0.25, 100.0, 200, seed=4, threads=1)
     assert calls == [(64, 2)] * 3 + [(8, 2)]
     mc_exact_outage(scheme, 0.25, 100.0, 200, seed=4, threads=1)
-    assert len(calls) == 8
+    assert len(calls) == len(drawn) == 8
     assert len(seen["jensen"]) == len(seen["exact"]) == 4
     for (ht, noise), (ht2, noise2) in zip(seen["jensen"], seen["exact"]):
+        assert ht.tobytes() == ht2.tobytes() and noise.tobytes() == noise2.tobytes()
+    for (ht, noise), (ht2, noise2) in zip(drawn, seen["jensen"] + seen["exact"]):
         assert ht.tobytes() == ht2.tobytes() and noise.tobytes() == noise2.tobytes()
 
 
@@ -301,6 +317,90 @@ def test_outage_event_counts_are_pinned_at_a_fixed_seed(
     jensen = mc_jensen_outage(scheme, 0.25, 100.0, 40_000, seed=11, threads=threads)
     exact = mc_exact_outage(scheme, 0.25, 100.0, 40_000, seed=11)
     assert (jensen.events, exact.events) == (jensen_events, exact_events)
+
+
+def _haar_scheme(k, n, seed):
+    rng = np.random.default_rng(seed)
+    return custom_scheme([np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n)
+                          for _ in range(k)])
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 4), _haar_scheme(3, 4, 23)],
+    ids=["cdd", "phase-rolling", "haar"],
+)
+def test_jensen_outage_test_agrees_with_the_logarithm(scheme):
+    # the estimator decides jensen_form / noise < N (2^(2 R) - 1) / rho; on
+    # every trial that must be the verdict of the Jensen MI itself, except
+    # where the MI lies within rounding of the threshold
+    gram = gramian(scheme)
+    if scheme.name == "custom":
+        assert np.all(np.abs(gram.gram.imag[~np.eye(3, dtype=bool)]) > 1e-3)
+    ht, noise = outage_analysis._sample_fading(np.random.default_rng(29), 100_000,
+                                               scheme.num_relays)
+    near = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form = jensen_form(gram, ht)
+        ref = np.einsum("...k,kl,...l->...", ht.conj(), gram.gram, ht).real
+        scale = np.sum(ht.real**2 + ht.imag**2, axis=-1) * gram.lambda_max
+        assert np.all(np.abs(form - ref) <= 1e-12 * scale)
+        for rho in (1.01, 10.0, 100.0, 1e3, 1e8, 1e300):
+            mi = jensen_mi_via_gramian(gram, ht, noise, rho)
+            for rate_bits in (0.0, 1.0, 509.9, 600.0):
+                name, in_outage = outage_analysis._outage_kernel(scheme, "jensen", rho, rate_bits)
+                got = in_outage(ht, noise)
+                band = np.abs(mi - rate_bits) <= 1e-12 * rate_bits
+                assert name == "jensen"
+                assert np.array_equal(got[~band], (mi < rate_bits)[~band])
+                near += int(np.count_nonzero(band))
+    assert near == 0
+
+
+@pytest.mark.parametrize(
+    "scheme", [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 8)], ids=["cdd", "phase-rolling"]
+)
+def test_one_jensen_block_stays_within_48k_bytes_per_trial(scheme):
+    # the draw's (trials, K) arrays and the form's per-relay terms, no more
+    def run():
+        mc_jensen_outage(scheme, 0.25, 100.0, outage_analysis.BLOCK_TRIALS, seed=1, threads=1)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / outage_analysis.BLOCK_TRIALS <= 48 * scheme.num_relays
+
+
+def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
+    # at rho = 1e308 the kernels' products overflow after drawing; the
+    # ceiling is decided first, and at it every function runs clean
+    cdd = cyclic_delay_scheme(2, 8)
+    haar = _haar_scheme(3, 8, 6)
+    book = gaussian_codebook(8, 0.1, 4.0, np.random.default_rng(3))
+    calls = (
+        lambda rho: mc_exact_outage(haar, 0.25, rho, 20_000, 1),
+        lambda rho: mc_jensen_outage(cdd, 0.25, rho, 20_000, 1),
+        lambda rho: analytic_jensen_bracket(gramian(cdd), 0.25, rho),
+        lambda rho: union_bound(cdd, book, rho, 0.25),
+    )
+    blocks = []
+    count = outage_analysis._mc_event_count
+    monkeypatch.setattr(outage_analysis, "_mc_event_count",
+                        lambda *args: blocks.append(args) or count(*args))
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="rho"):
+            call(1e301)
+    assert blocks == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            call(outage_analysis.RHO_MAX)
+    assert len(blocks) == 2
 
 
 def test_ml_error_event_count_is_pinned_at_a_fixed_seed():
