@@ -41,7 +41,6 @@ from .information import (
     mutual_information,
 )
 from .outage_analysis import (
-    OutageCurve,
     ProbEstimate,
     SlopeEstimate,
     adaptive_trials,

@@ -56,8 +56,12 @@ class Codebook:
         return self.codewords.shape[1]
 
 
-def nominal_size(block_length: int, r: float, rho: float) -> int:
-    """ceil(rho^(2 N r)) with a small relative guard against float slop."""
+def nominal_size(block_length: int, r: float, rho: float) -> int | float:
+    """ceil(rho^(2 N r)) with a small relative guard against float slop, or
+    inf when its log, 2 N r ln(rho), is past 709: the largest float is
+    e^709.78, so the power itself would overflow."""
+    if 2.0 * block_length * r * math.log(rho) > 709.0:
+        return math.inf
     v = float(rho) ** (2.0 * block_length * r)
     return max(1, math.ceil(v * (1.0 - 1e-12) - 1e-9))
 
@@ -144,20 +148,17 @@ def _min_gram(phi: np.ndarray) -> float:
 
 def pair_blocks(book: Codebook):
     """(a, b, words[a] - words[b]) over the codeword pairs a < b of a book,
-    index arrays in np.triu_indices order, PAIR_BLOCK pairs at a time.  Each
-    block is cut from a row cursor (a, b), so no array grows with the book."""
-    words, size, block = book.codewords, book.size, PAIR_BLOCK
-    a, b = 0, 1
-    while a < size - 1:
-        rows_a, rows_b = [], []
-        left = block
-        while left and a < size - 1:
-            take = min(left, size - b)
-            rows_a.append(np.full(take, a))
-            rows_b.append(np.arange(b, b + take))
-            left -= take
-            b += take
-            if b == size:
-                a, b = a + 1, a + 2
-        idx_a, idx_b = np.concatenate(rows_a), np.concatenate(rows_b)
-        yield idx_a, idx_b, words[idx_a] - words[idx_b]
+    index arrays in np.triu_indices order, PAIR_BLOCK pairs at a time.
+    Pair p lies in row a = max{a : starts[a] <= p}, where starts[a] counts
+    the pairs of the rows before a, and b = a + 1 + p - starts[a]: each
+    block follows from its pair numbers alone, and only starts grows with
+    the book, not with its pair count."""
+    words, size = book.codewords, book.size
+    rows = np.arange(size)
+    starts = rows * (2 * size - 1 - rows) // 2
+    pairs = size * (size - 1) // 2
+    for lo in range(0, pairs, PAIR_BLOCK):
+        p = np.arange(lo, min(lo + PAIR_BLOCK, pairs))
+        a = np.searchsorted(starts, p, "right") - 1
+        b = p - starts[a] + a + 1
+        yield a, b, words[a] - words[b]

@@ -43,7 +43,7 @@ from .errors import (
 from .information import jensen_mi, jensen_mi_via_gramian, mutual_information
 from .outage_analysis import (
     FADING_STREAM,
-    OutageCurve,
+    ProbEstimate,
     adaptive_trials,
     analytic_jensen_bracket,
     fit_diversity_slope,
@@ -73,6 +73,8 @@ EXIT_INTERNAL = 4
 _SELF_CHECK_SEED = 20240
 
 # Highest snr_db entry; its rho, 1e300, is the outage functions' RHO_MAX.
+# The lowest is its mirror, -3000 dB (rho = 1e-300), so that every rho^-2r
+# with r <= 1/2 stays a float.
 SNR_DB_MAX = 3000.0
 
 OUTAGE_CSV_COLUMNS = ("snr_db", "probability", "ci_low", "ci_high", "trials", "events")
@@ -128,8 +130,8 @@ class ExperimentConfig:
             raise ConfigError(f"r must lie in [0, 1/2], got {self.r}")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be nonempty")
-        if not all(v <= SNR_DB_MAX and _rho(v) > 0.0 for v in self.snr_db):
-            raise ConfigError(f"snr_db entries must be at most {SNR_DB_MAX:g} dB with rho > 0, got {self.snr_db}")
+        if not all(abs(v) <= SNR_DB_MAX for v in self.snr_db):
+            raise ConfigError(f"snr_db entries must lie in [-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}] dB, got {self.snr_db}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db grid must be strictly increasing")
         if not 0 <= self.seed < 2**64:
@@ -408,8 +410,8 @@ def write_manifest(csv_path: str, cfg: ExperimentConfig, wall_time: float,
     _write_atomic(csv_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _curve_rows(curve: OutageCurve, extra: tuple = ()):
-    for p in curve.points:
+def _curve_rows(curve: tuple[ProbEstimate, ...], extra: tuple = ()):
+    for p in curve:
         yield (p.snr_db, p.probability, p.ci_low, p.ci_high, p.trials, p.events) + extra
 
 
@@ -455,7 +457,7 @@ def _point_trials(cfg: ExperimentConfig, bracket: tuple[float, float] | None) ->
 
 
 def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
-                 rate_bits: float | None) -> OutageCurve:
+                 rate_bits: float | None) -> tuple[ProbEstimate, ...]:
     estimator = mc_jensen_outage if cfg.outage == "jensen" else mc_exact_outage
     points = []
     for index, (db, bracket) in enumerate(zip(cfg.snr_db, brackets)):
@@ -464,10 +466,10 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
             rate_bits=rate_bits, threads=cfg.threads,
         )
         points.append(dataclasses.replace(est, snr_db=float(db)))
-    return OutageCurve(tuple(points))
+    return tuple(points)
 
 
-def run_outage_sweep(cfg: ExperimentConfig) -> OutageCurve:
+def run_outage_sweep(cfg: ExperimentConfig) -> tuple[ProbEstimate, ...]:
     """One outage estimate per grid point; threshold is r log2(rho) per the
     outage definition, so an r = 0 sweep reports exact zeros.  Only adaptive
     trials need the bracket."""
@@ -487,7 +489,7 @@ class SlopeReport:
     status: str = "ok"
 
 
-def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
+def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], SlopeReport]:
     """Jensen-outage sweep plus diversity-slope extraction.
 
     At r = 0 the outage threshold is held at ``rate_bits`` (rate fixed in
@@ -513,13 +515,13 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[OutageCurve, SlopeReport]:
     report.d_hat_raw = fit.d_hat
     report.stderr = fit.stderr
     report.points_used = len(fit.used)
-    x, _, w = fit_points([curve.points[i] for i in fit.used])
+    x, _, w = fit_points([curve[i] for i in fit.used])
     upper = np.array([brackets[i][1] for i in fit.used])
     _, slope_u, _ = weighted_line_fit(x, np.log2(upper), w)
     report.d_hat = fit.d_hat + report.d_theory - (-slope_u)
-    if report.points_used < len(curve.points):
+    if report.points_used < len(curve):
         report.status = (
-            f"warning: {len(curve.points) - report.points_used} grid points below "
+            f"warning: {len(curve) - report.points_used} grid points below "
             f"min_events={cfg.min_events} were excluded from the fit"
         )
     return curve, report
@@ -735,8 +737,8 @@ def run_self_check() -> tuple[list[CheckResult], str]:
 
 def _outage_sweep(cfg: ExperimentConfig) -> Output:
     curve = run_outage_sweep(cfg)
-    return Output(f"wrote {cfg.out} ({len(curve.points)} points)\n", _curve_rows(curve),
-                  [p.events for p in curve.points], extra=_monte_carlo_fields(curve))
+    return Output(f"wrote {cfg.out} ({len(curve)} points)\n", _curve_rows(curve),
+                  [p.events for p in curve], extra=_monte_carlo_fields(curve))
 
 
 def _dm_slope(cfg: ExperimentConfig) -> Output:
@@ -745,17 +747,17 @@ def _dm_slope(cfg: ExperimentConfig) -> Output:
     return Output(
         f"wrote {cfg.out}: d_hat={report.d_hat!r} (raw {report.d_hat_raw!r}, "
         f"theory {report.d_theory!r})\n",
-        _curve_rows(curve, extra), [p.events for p in curve.points], status=report.status,
+        _curve_rows(curve, extra), [p.events for p in curve], status=report.status,
         extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
                "d_theory": report.d_theory, "points_used": report.points_used,
                **_monte_carlo_fields(curve)},
     )
 
 
-def _monte_carlo_fields(curve: OutageCurve) -> dict:
+def _monte_carlo_fields(curve: tuple[ProbEstimate, ...]) -> dict:
     """Manifest fields that name what produced a Monte Carlo curve's bits:
     the MI kernel its estimates report and the version of the fading stream."""
-    return {"mi_kernel": curve.points[0].mi_kernel, "stream": FADING_STREAM}
+    return {"mi_kernel": curve[0].mi_kernel, "stream": FADING_STREAM}
 
 
 def _certify_code(cfg: ExperimentConfig) -> Output:

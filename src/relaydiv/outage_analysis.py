@@ -46,8 +46,8 @@ BLOCK_TRIALS = 1 << 14
 # Version of _sample_fading's draw; CLI manifests record it as "stream".
 FADING_STREAM = 2
 
-# Highest SNR the outage functions take: rho = 1e300 leaves the MI kernels
-# ~1e8 of float headroom; above it their products overflow.
+# Highest SNR the outage and ML-error functions take: rho = 1e300 leaves the
+# MI kernels ~1e8 of float headroom; above it their products overflow.
 RHO_MAX = 1e300
 
 # 95% normal quantile used by the Wilson interval.
@@ -137,13 +137,11 @@ def product_rayleigh_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """One Monte Carlo probability estimate with its Wilson 95% interval and
-    the name of the MI kernel that produced it (empty for ML error)."""
+    """One Monte Carlo probability estimate, ``events`` out of ``trials``,
+    and the name of the MI kernel that produced it (empty for ML error).
+    The estimate and its Wilson 95% interval follow from the counts."""
 
     snr_db: float
-    probability: float
-    ci_low: float
-    ci_high: float
     trials: int
     events: int
     mi_kernel: str = ""
@@ -151,24 +149,18 @@ class ProbEstimate:
     def __post_init__(self):
         if self.trials < 1 or not 0 <= self.events <= self.trials:
             raise InvalidParameterError("events must lie in [0, trials]")
-        if not 0.0 <= self.probability <= 1.0:
-            raise InvalidParameterError("probability must lie in [0, 1]")
-        if not (self.ci_low - 1e-12 <= self.probability <= self.ci_high + 1e-12):
-            raise InvalidParameterError("interval must contain the estimate")
 
+    @property
+    def probability(self) -> float:
+        return self.events / self.trials
 
-@dataclass(frozen=True)
-class OutageCurve:
-    """Estimates ordered by strictly increasing SNR."""
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.events, self.trials)[0]
 
-    points: tuple[ProbEstimate, ...]
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        snrs = [p.snr_db for p in pts]
-        if any(b <= a for a, b in zip(snrs, snrs[1:])):
-            raise InvalidParameterError("snr_db values must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.events, self.trials)[1]
 
 
 @dataclass(frozen=True)
@@ -370,8 +362,8 @@ def mc_ml_error(
         raise InvalidParameterError("ML simulation needs at least 2 codewords")
     if book.size > size_cap:
         raise ResourceLimitError("codebook too large for ML decoding", book.size, size_cap)
-    if not rho > 0:
-        raise InvalidParameterError("rho must be positive")
+    if not 0 < rho <= RHO_MAX:
+        raise InvalidParameterError(f"rho must lie in (0, {RHO_MAX:g}]")
     g_stack = scheme.stacked()
     words = book.codewords
     m, n_block = words.shape
@@ -401,16 +393,7 @@ def mc_ml_error(
 
 
 def _estimate(rho: float, events: int, trials: int, mi_kernel: str = "") -> ProbEstimate:
-    lo, hi = wilson_interval(events, trials)
-    return ProbEstimate(
-        snr_db=10.0 * math.log10(rho),
-        probability=events / trials,
-        ci_low=lo,
-        ci_high=hi,
-        trials=trials,
-        events=events,
-        mi_kernel=mi_kernel,
-    )
+    return ProbEstimate(10.0 * math.log10(rho), trials, events, mi_kernel)
 
 
 def _check_outage_args(r: float, rho: float) -> None:
@@ -512,18 +495,17 @@ def weighted_line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return float(coef[0]), float(coef[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
 
 
-def fit_diversity_slope(curve: OutageCurve, min_events: int = 20) -> SlopeEstimate:
-    """Weighted least-squares slope of log2(probability) vs log2(rho);
-    d_hat is the negated slope.  Points with fewer than ``min_events``
-    events are excluded; at least two usable points are required."""
-    used = tuple(
-        i for i, p in enumerate(curve.points) if p.events >= min_events and p.probability > 0
-    )
+def fit_diversity_slope(points, min_events: int = 20) -> SlopeEstimate:
+    """Weighted least-squares slope of log2(probability) vs log2(rho) over a
+    sequence of estimates, in any order; d_hat is the negated slope.  Points
+    with fewer than ``min_events`` events are excluded; at least two usable
+    points are required."""
+    used = tuple(i for i, p in enumerate(points) if p.events >= min_events and p.probability > 0)
     if len(used) < 2:
         raise InsufficientDataError(
             f"need >= 2 points with >= {min_events} events, have {len(used)}"
         )
-    x, y, w = fit_points([curve.points[i] for i in used])
+    x, y, w = fit_points([points[i] for i in used])
     _, slope, stderr = weighted_line_fit(x, y, w)
     return SlopeEstimate(d_hat=-slope, stderr=stderr, used=used)
 

@@ -38,6 +38,18 @@ def test_fading_draw_deterministic_under_fixed_seed():
     assert a[0].shape == (5, 2) and a[1].shape == (5,)
 
 
+@pytest.mark.parametrize("k", [8, 9])
+def test_fading_draw_from_eight_relays_keeps_the_bits_of_its_law(k):
+    # from K = 8 the noise term is numpy's pairwise b.sum(axis=-1); u and b
+    # are drawn in that order from a twin generator
+    ht, noise = _sample_fading(np.random.default_rng(7), 1000, k)
+    twin = np.random.default_rng(7)
+    u = complex_gaussian(twin, (1000, k))
+    b = twin.standard_exponential((1000, k))
+    assert ht.tobytes() == (u * np.sqrt(b)).tobytes()
+    assert noise.tobytes() == (1.0 + b.sum(axis=-1)).tobytes()
+
+
 def _ks_two_sample(x, y):
     x, y = np.sort(x), np.sort(y)
     both = np.concatenate([x, y])

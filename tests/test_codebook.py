@@ -54,6 +54,15 @@ def test_codebook_size_cap():
     assert excinfo.value.allowed == 1000
 
 
+@pytest.mark.parametrize("rho", [1e300, 1e200, float("inf")])
+def test_codebook_size_past_any_float_is_over_the_cap(rho):
+    # 1e300^(2 * 4 * 0.25) = 1e600 is no float; the cap is decided on its log
+    with pytest.raises(ResourceLimitError) as excinfo:
+        gaussian_codebook(4, 0.25, rho, np.random.default_rng(0))
+    assert excinfo.value.required == float("inf")
+    assert excinfo.value.allowed == codebook.DEFAULT_SIZE_CAP
+
+
 def test_codebook_rejects_bad_rate():
     with pytest.raises(InvalidParameterError):
         gaussian_codebook(2, 0.75, 10.0, np.random.default_rng(0))

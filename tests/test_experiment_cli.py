@@ -371,26 +371,26 @@ def _sweep_config(**overrides):
 
 def test_outage_sweep_rate_zero_is_all_zero():
     curve = run_outage_sweep(_sweep_config(r=0.0))
-    assert all(p.probability == 0.0 for p in curve.points)
+    assert all(p.probability == 0.0 for p in curve)
 
 
 def test_outage_sweep_deterministic():
     a = run_outage_sweep(_sweep_config())
     b = run_outage_sweep(_sweep_config())
-    assert a.points == b.points
+    assert a == b
 
 
 def test_outage_sweep_probability_nonincreasing_within_ci():
     cfg = _sweep_config(snr_db=tuple(float(db) for db in range(20, 50, 5)), trials="100000")
     curve = run_outage_sweep(cfg)
-    for a, b in zip(curve.points, curve.points[1:]):
+    for a, b in zip(curve, curve[1:]):
         assert b.probability <= a.ci_high
 
 
 def test_outage_sweep_exact_kind_dominates_jensen():
     jensen = run_outage_sweep(_sweep_config())
     exact = run_outage_sweep(_sweep_config(outage="exact"))
-    for pj, pe in zip(jensen.points, exact.points):
+    for pj, pe in zip(jensen, exact):
         assert pe.events >= pj.events
 
 
@@ -406,7 +406,7 @@ def test_dm_slope_reports_raw_calibrated_and_theory():
     assert report.d_theory == 1.0
     assert 0.5 < report.d_hat_raw < 1.0  # raw slope biased low at desk SNR
     assert abs(report.d_hat - 1.0) < 0.2
-    assert report.points_used == len(curve.points)
+    assert report.points_used == len(curve)
     assert report.status == "ok"
 
 
@@ -414,7 +414,7 @@ def test_dm_slope_warns_on_insufficient_events():
     cfg = _sweep_config(experiment="dm-slope", min_events=10**9, trials="50000")
     curve, report = run_dm_slope(cfg)
     assert report.status.startswith("warning")
-    assert len(curve.points) == 3  # partial output still present
+    assert len(curve) == 3  # partial output still present
     assert np.isnan(report.d_hat)
 
 
@@ -775,6 +775,31 @@ def test_cli_report_outputs_check_the_directory_first(tmp_path, monkeypatch, exp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_out_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    rc = main(["analytic-curve", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+               "--snr-db", "20", "--out", str(tmp_path / "d")])
+    assert rc == EXIT_CONFIG
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    from relaydiv import experiment_cli
+
+    path = tmp_path / "report.txt"
+    path.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        experiment_cli._write_atomic(str(path), "new\n")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
 def test_cli_outputs_replace_old_files_and_leave_no_temp_files(tmp_path):
     out = tmp_path / "sweep.csv"
     out.write_text("stale\n", encoding="utf-8")
@@ -930,6 +955,51 @@ def test_every_small_config_runs_or_fails_before_monte_carlo(
         assert out.exists()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    experiment=st.sampled_from(["certify-code", "analytic-curve"]),
+    scheme=st.sampled_from(["cdd", "phase-rolling"]),
+    n_k=st.sampled_from([(n, k) for n in (1, 2, 4) for k in range(1, n + 1)]),
+    # small Gaussian-integer books, so that duplicate words and zero DFT bins occur
+    size=st.integers(1, 6),
+    book_seed=st.integers(0, 2**32 - 1),
+    # at r = 1/2 certify's threshold rho^-2r is 1/rho, the first to overflow
+    r=st.one_of(st.floats(0.0, 0.5), st.just(0.5)),
+    # desk SNRs and far ones, past both ends of the [-3000, 3000] dB range
+    snr_db=st.lists(st.one_of(st.floats(-60.0, 60.0), st.floats(-3100.0, 3100.0),
+                              st.sampled_from([-SNR_DB_MAX, SNR_DB_MAX, -3000.5, 3000.5,
+                                               -3100.0])),
+                    min_size=1, max_size=3).map(lambda grid: tuple(sorted(set(grid)))),
+)
+def test_every_small_certify_or_curve_config_runs_or_fails_before_any_pair(
+    tmp_path_factory, experiment, scheme, n_k, size, book_seed, r, snr_db,
+):
+    from relaydiv import experiment_cli
+
+    work = tmp_path_factory.mktemp("fuzz")
+    n, k = n_k
+    rng = np.random.default_rng(book_seed)
+    book = work / "book.txt"
+    save_codebook_file(str(book), Codebook(
+        rng.integers(-1, 2, (size, n)) + 1j * rng.integers(-1, 2, (size, n)), r, 1.0))
+    out = work / "o.txt"
+    pairs = []
+    oracle = experiment_cli.rank_full
+    args = [experiment] + [f"--{key}={value}" for key, value in (
+        ("scheme", scheme), ("k", k), ("n", n), ("r", r), ("snr-db", ",".join(map(repr, snr_db))),
+        ("codebook", book), ("out", out))]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(experiment_cli, "rank_full", lambda phi: pairs.append(1) or oracle(phi))
+        rc = main(args)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE)
+    if rc == EXIT_CONFIG:
+        assert pairs == []
+        assert [p.name for p in work.iterdir()] == ["book.txt"]
+    elif rc == EXIT_OK:
+        assert out.exists()
+
+
 def test_thread_count_is_capped_before_any_compute(tmp_path, monkeypatch, capsys):
     # resolving a count starts no thread, so the cap itself is checked
     # without starting a pool near it
@@ -1026,6 +1096,55 @@ def test_cli_non_positive_codebook_header_sizes_are_config_errors(tmp_path, caps
     assert rc == EXIT_CONFIG
     assert f"{book}:1:1: header sizes must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,text,message",
+    [("codebook", "", "empty file"), ("codebook", "# a comment only\n", "empty file"),
+     ("codebook", "N 2 K 2\n1 0 0 1\n", "header must read 'N <int> COUNT <int>'"),
+     ("codebook", "N 2.5 COUNT 1\n1 0 0 1\n", "header sizes must be integers"),
+     ("scheme", "N 2 COUNT 1\n", "header must read 'N <int> K <int>'"),
+     ("scheme", "N 2 K one\n", "header sizes must be integers")],
+)
+def test_cli_file_header_errors_name_line_1(tmp_path, capsys, kind, text, message):
+    path = _write(tmp_path / "in.txt", text)
+    out = tmp_path / "o.txt"
+    if kind == "codebook":
+        args = ["certify-code", "--scheme", "cdd", "--codebook", path]
+    else:
+        args = ["analytic-curve", "--scheme", path]
+    rc = main(args + ["--k", "1", "--n", "2", "--r", "0.25", "--snr-db", "20", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{path}:1:1: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
+
+
+@pytest.mark.parametrize("k,snr_db", [(1, "-3100,-10,0"), (4, "-3233,20"), (1, "-3000.5,0")])
+def test_certify_below_the_snr_floor_checks_no_pair(tmp_path, monkeypatch, capsys, k, snr_db):
+    # rho = 1e-310 is a float, but rho^-2r at r = 1/2 is not; -3000 dB is the
+    # floor, the mirror of the ceiling
+    from relaydiv import experiment_cli
+
+    calls = []
+    oracle = experiment_cli.rank_full
+    monkeypatch.setattr(experiment_cli, "rank_full", lambda phi: calls.append(1) or oracle(phi))
+    book = str(tmp_path / "book.txt")
+    save_codebook_file(book, Codebook(complex_gaussian(np.random.default_rng(9), (3, k)), 0.5, 1.0))
+    rc = main(["certify-code", "--scheme", "cdd", "--k", str(k), "--n", str(k), "--r", "0.5",
+               f"--snr-db={snr_db}", "--codebook", book, "--out", str(tmp_path / "r.txt")])
+    assert rc == EXIT_CONFIG
+    assert "[-3000, 3000] dB" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["book.txt"]
+
+
+def test_certify_at_the_snr_floor_reports_the_largest_threshold(tmp_path, capsys):
+    book = str(tmp_path / "book.txt")
+    save_codebook_file(book, Codebook(np.array([[1.0], [-1.0]]), 0.5, 1.0))
+    rc = main(["certify-code", "--scheme", "cdd", "--k", "1", "--n", "1", "--r", "0.5",
+               "--snr-db=-3000,0", "--codebook", book])
+    assert rc == EXIT_OK
+    assert "approximately-universal @ snr_db=-3000 r=0.5: FAIL" in capsys.readouterr().out
 
 
 def test_cli_analytic_curve(tmp_path):

@@ -1,5 +1,6 @@
 """Bessel/CDF machinery, Monte Carlo estimators, bounds, and slope fits."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -15,7 +16,6 @@ from relaydiv import (
     Codebook,
     InsufficientDataError,
     InvalidParameterError,
-    OutageCurve,
     ProbEstimate,
     ResourceLimitError,
     adaptive_trials,
@@ -177,6 +177,19 @@ def test_wilson_interval_invariants(data, trials):
         assert hi == 1.0
 
 
+@pytest.mark.parametrize("trials,events", [(0, 0), (10, 11), (10, -1)])
+def test_estimate_refuses_counts_outside_zero_to_trials(trials, events):
+    with pytest.raises(InvalidParameterError, match="events must lie in"):
+        ProbEstimate(snr_db=20.0, trials=trials, events=events)
+
+
+def test_estimate_derives_probability_and_interval_from_its_counts():
+    est = ProbEstimate(snr_db=20.0, trials=1000, events=7, mi_kernel="jensen")
+    assert est.probability == 7 / 1000
+    assert (est.ci_low, est.ci_high) == wilson_interval(7, 1000)
+    assert [f.name for f in dataclasses.fields(est)] == ["snr_db", "trials", "events", "mi_kernel"]
+
+
 def test_jensen_outage_rate_zero_is_exactly_zero():
     scheme = cyclic_delay_scheme(2, 4)
     est = mc_jensen_outage(scheme, 0.0, 100.0, 50_000, seed=1)
@@ -325,6 +338,18 @@ def _haar_scheme(k, n, seed):
                           for _ in range(k)])
 
 
+def test_outage_estimators_run_on_eight_relays():
+    # K = 8 takes the draw's pairwise noise sum; the exact outage set holds
+    # the Jensen one on the same draws (Jensen dominance)
+    scheme = cyclic_delay_scheme(8, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jensen = mc_jensen_outage(scheme, 0.0, 100.0, 20_000, seed=3, rate_bits=1.0)
+        exact = mc_exact_outage(scheme, 0.0, 100.0, 20_000, seed=3, rate_bits=1.0)
+    assert (jensen.mi_kernel, exact.mi_kernel) == ("jensen", "exact-spectral")
+    assert 0 < jensen.events <= exact.events < 20_000
+
+
 @pytest.mark.parametrize(
     "scheme",
     [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 4), _haar_scheme(3, 4, 23)],
@@ -387,6 +412,7 @@ def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
         lambda rho: mc_jensen_outage(cdd, 0.25, rho, 20_000, 1),
         lambda rho: analytic_jensen_bracket(gramian(cdd), 0.25, rho),
         lambda rho: union_bound(cdd, book, rho, 0.25),
+        lambda rho: mc_ml_error(cdd, book, rho, 2000, 1),
     )
     blocks = []
     count = outage_analysis._mc_event_count
@@ -400,7 +426,7 @@ def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
         warnings.simplefilter("error")
         for call in calls:
             call(outage_analysis.RHO_MAX)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
 
 
 def test_ml_error_event_count_is_pinned_at_a_fixed_seed():
@@ -518,20 +544,10 @@ def test_bracket_and_mc_slopes_consistent():
 # ---------------------------------------------------------------------------
 
 def _synthetic_curve(dbs, probs, trials=10**6):
-    points = []
-    for db, p in zip(dbs, probs):
-        lo, hi = max(0.0, p * 0.9), min(1.0, p * 1.1)
-        points.append(
-            ProbEstimate(
-                snr_db=float(db),
-                probability=float(p),
-                ci_low=lo,
-                ci_high=hi,
-                trials=trials,
-                events=int(round(p * trials)),
-            )
-        )
-    return OutageCurve(tuple(points))
+    return tuple(
+        ProbEstimate(snr_db=float(db), trials=trials, events=int(round(p * trials)))
+        for db, p in zip(dbs, probs)
+    )
 
 
 def test_fit_recovers_exact_power_law():
@@ -566,7 +582,7 @@ def test_fit_end_to_end_on_jensen_outage():
     for i, db in enumerate(range(20, 50, 5)):
         rho = 10 ** (db / 10)
         points.append(mc_jensen_outage(scheme, 0.0, rho, 500_000, seed=90 + i, rate_bits=1.0))
-    fit = fit_diversity_slope(OutageCurve(tuple(points)))
+    fit = fit_diversity_slope(points)
     assert 1.2 <= fit.d_hat <= 2.4  # raw finite-SNR slope sits below the limit 2
 
 
@@ -581,6 +597,22 @@ def test_union_bound_vacuous_for_duplicate_codewords():
     rho = 100.0
     want = rho ** (2 * 2 * 0.1)
     assert union_bound(scheme, book, rho, 0.1) == pytest.approx(want, rel=1e-12)
+
+
+def test_union_bound_of_a_one_word_book_is_zero():
+    # a single codeword has no pairs, so mu_min = inf and the bound is 0
+    scheme = cyclic_delay_scheme(2, 2)
+    book = Codebook(np.ones((1, 2)), rate_multiplexing=0.1, snr=100.0)
+    assert min_gram_eigenvalue(scheme, book) == math.inf
+    assert union_bound(scheme, book, 100.0, 0.1) == 0.0
+
+
+def test_union_bound_past_exp_700_is_infinite():
+    # duplicate codewords: mu_min = 0 and log bound = 2 N r ln(rho) = 921
+    scheme = cyclic_delay_scheme(2, 2)
+    word = np.ones(2, dtype=complex)
+    book = Codebook(np.stack([word, word]), rate_multiplexing=0.5, snr=1e200)
+    assert union_bound(scheme, book, 1e200, 0.5) == math.inf
 
 
 def test_union_bound_decreases_and_matches_direct_evaluation():
