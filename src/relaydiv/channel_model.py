@@ -6,7 +6,8 @@ draw (f, h) of any leading shape (..., K) becomes the per-relay products
 h~ = h o f and the aggregate noise power 1 + ||h||^2.  Every channel
 quantity (``effective_channel`` here, the MI kernels in ``information``)
 takes that pair and a stack of any leading shape.  The Monte Carlo
-estimators sample the pair from this law without drawing f and h
+estimators sample the pair from this law without drawing f and h, as its
+parts (u, b, 1 + ||h||^2) with h~ = u sqrt(b)
 (``outage_analysis._sample_fading``).
 
 Two simulators are exposed; each takes one fading draw as the (K,) arrays
@@ -44,17 +45,18 @@ def two_hop(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0,1) samples: (a + jb)/sqrt(2) with a, b standard normal.
+    """CN(0,1) samples: (z_2j + i z_2j+1)/sqrt(2) with z standard normal.
 
-    a and b are scaled straight into the parts of one complex array; numpy
-    divides a complex array by a real scalar s as x * (1/s), so the bits
-    are those of the expression above.
+    One standard_normal call fills the interleaved real and imaginary parts
+    of the complex result, which are then scaled by 1/sqrt(2) in place; numpy
+    divides a complex array by a real scalar s as x * (1/s), so the bits are
+    those of ``rng.standard_normal(shape + (2,))`` viewed as complex and
+    divided by sqrt(2).
     """
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    out = np.empty(re.shape, dtype=complex)
-    np.multiply(re, _INV_SQRT2, out=out.real)
-    np.multiply(im, _INV_SQRT2, out=out.imag)
+    out = np.empty(shape, dtype=complex)
+    parts = out.reshape(-1).view(float)
+    rng.standard_normal(out=parts)
+    parts *= _INV_SQRT2
     return out
 
 

@@ -134,6 +134,13 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db entries must lie in [-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}] dB, got {self.snr_db}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db grid must be strictly increasing")
+        # decided on rho, not dB: 1e-17 dB is above 0 but its rho rounds to 1
+        low = [v for v in self.snr_db if not _rho(v) > 1.0]
+        if EXPERIMENTS[self.experiment].outage_grid and low:
+            raise ConfigError(
+                f"{self.experiment} needs rho = 10^(snr_db/10) > 1 at every grid point; "
+                f"snr_db entry {_fmt_number(low[0])} gives rho = {_rho(low[0])!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.min_trials < 1:
@@ -773,12 +780,13 @@ class Experiment(NamedTuple):
     run: Callable[[ExperimentConfig], Output]
     columns: tuple = ()  # CSV header; a CSV experiment requires out= and writes a manifest
     scheme: bool = True  # takes the scheme, grid and estimator keys
+    outage_grid: bool = True  # evaluates outage at each grid point, which needs rho > 1
 
 
 EXPERIMENTS = {
     "outage-sweep": Experiment(_outage_sweep, OUTAGE_CSV_COLUMNS),
     "dm-slope": Experiment(_dm_slope, OUTAGE_CSV_COLUMNS + DM_SLOPE_EXTRA_COLUMNS),
-    "certify-code": Experiment(_certify_code),
+    "certify-code": Experiment(_certify_code, outage_grid=False),
     "analytic-curve": Experiment(_analytic_curve, ANALYTIC_CSV_COLUMNS),
     "self-check": Experiment(_self_check, scheme=False),
 }

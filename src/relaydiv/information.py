@@ -160,24 +160,29 @@ def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:
     return 0.5 * np.log2(1.0 + rho / heff.shape[-1] * fro2)
 
 
-def jensen_form(gram: GramianSummary, ht: np.ndarray) -> np.ndarray:
+def jensen_form(gram: GramianSummary, u: np.ndarray, b) -> np.ndarray:
     """The Gramian quadratic form h~^H gram h~ of a (..., K) stack of
-    two-hop products h~, shape (...), clipped at 0.
+    two-hop products h~ = u sqrt(b), given as its parts u and b (b
+    broadcasts against u; b = 1 takes h~ itself as u), shape (...), clipped
+    at 0.
 
-    It adds gram_kk |h~_k|^2 in relay order, then 2 Re(conj(h~_k) gram_kl
-    h~_l) for k < l, skipping entries that are exactly 0, so an identity
-    Gramian costs K squared magnitudes.  Every term is formed in real
-    arithmetic from elementwise numpy operations, so a trial's bits do not
-    depend on the stack around it.
+    It adds gram_kk |u_k|^2 b_k in relay order, then
+    2 Re(conj(u_k) gram_kl u_l) sqrt(b_k b_l) for k < l, skipping entries
+    that are exactly 0, so an identity Gramian costs K weighted squared
+    magnitudes and no square root, and h~ is never formed.  Every term is
+    formed in real arithmetic from elementwise numpy operations, so a
+    trial's bits do not depend on the stack around it.
     """
-    k = ht.shape[-1]
-    flat = ht.reshape(-1, k)
+    k = u.shape[-1]
+    flat = u.reshape(-1, k)
+    weight = np.broadcast_to(b, u.shape).reshape(-1, k)
     re, im = flat.real, flat.imag
     g = gram.gram
     form = np.zeros(flat.shape[0])
     for i in range(k):
         term = re[:, i] * re[:, i]
         term += im[:, i] * im[:, i]
+        term *= weight[:, i]
         if g[i, i].real != 1.0:
             term *= g[i, i].real
         form += term
@@ -193,10 +198,12 @@ def jensen_form(gram: GramianSummary, ht: np.ndarray) -> np.ndarray:
             cross -= re[:, i] * im[:, l]
             cross *= g[i, l].imag
             term += cross
+            np.multiply(weight[:, i], weight[:, l], out=cross)
+            term *= np.sqrt(cross, out=cross)
             term *= 2.0
             form += term
     np.clip(form, 0.0, None, out=form)
-    return form.reshape(ht.shape[:-1])
+    return form.reshape(u.shape[:-1])
 
 
 def jensen_mi_via_gramian(
@@ -210,7 +217,7 @@ def jensen_mi_via_gramian(
     the H_eff path to 1e-10 relative.
     """
     _check_rho(rho)
-    return 0.5 * np.log2(1.0 + (rho / gram.block_length) * jensen_form(gram, ht) / noise)
+    return 0.5 * np.log2(1.0 + (rho / gram.block_length) * jensen_form(gram, ht, 1.0) / noise)
 
 
 def _check_rho(rho) -> None:

@@ -2,12 +2,12 @@
 
 Monte Carlo estimators are deterministic for a given (seed, config): trials
 are processed in fixed-size blocks, each block drawing from its own
-counter-based substream keyed by (seed, block index).  Event counts reduce
-by integer summation, so results are invariant to how blocks are
-partitioned across worker threads.  Each block samples the two-hop pairs
-(h~, 1 + ||h||^2) from the law channel_model.two_hop states, in one shared
+substream keyed by (seed, block index).  Event counts reduce by integer
+summation, so results are invariant to how blocks are partitioned across
+worker threads.  Each block samples the two-hop law channel_model.two_hop
+states, as the parts (u, b, 1 + ||h||^2) of h~ = u sqrt(b), in one shared
 draw (_sample_fading, FADING_STREAM), so every estimator sees the same
-pairs for the same (seed, block).
+draw for the same (seed, block); each kernel forms only what it needs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ EULER_GAMMA = 0.5772156649015328606
 BLOCK_TRIALS = 1 << 14
 
 # Version of _sample_fading's draw; CLI manifests record it as "stream".
-FADING_STREAM = 2
+FADING_STREAM = 3
 
 # Highest SNR the outage and ML-error functions take: rho = 1e300 leaves the
 # MI kernels ~1e8 of float headroom; above it their products overflow.
@@ -206,7 +206,7 @@ def resolve_threads(threads: int | None) -> int:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _mc_event_count(
@@ -233,19 +233,20 @@ def _mc_event_count(
 
 
 def _sample_fading(rng: np.random.Generator, n: int, k: int):
-    """n trials of the two-hop pair (h~, 1 + ||h||^2) of channel_model.two_hop,
-    shapes (n, k) and (n,), drawn from its law rather than through (f, h).
+    """n trials of the two-hop law of channel_model.two_hop as its parts
+    (u, b, 1 + ||h||^2), shapes (n, k), (n, k) and (n,): the products are
+    h~ = u sqrt(b), drawn from their law rather than through (f, h).
 
-    Stream 2 (FADING_STREAM): u ~ CN(0, 1) first, then b ~ Exp(1), both
-    (n, k), and h~ = u sqrt(b), 1 + ||h||^2 = 1 + sum_k b.  With b = |h|^2
-    and a = |u|^2 = |f|^2 this is two_hop's law: |h~|^2 = ab with a, b iid
+    Stream 3 (FADING_STREAM): u ~ CN(0, 1) first, then b ~ Exp(1), both
+    (n, k), and 1 + ||h||^2 = 1 + sum_k b.  With b = |h|^2 and
+    a = |u|^2 = |f|^2 this is two_hop's law: |h~|^2 = ab with a, b iid
     Exp(1), and a uniform phase independent of both.
 
     numpy sums fewer than 8 terms in order, so below K = 8 adding b's
     columns in relay order gives b.sum(axis=-1)'s bits at a fraction of its
     cost; from K = 8 numpy's pairwise order differs, and the sum stays.
     """
-    ht = complex_gaussian(rng, (n, k))
+    u = complex_gaussian(rng, (n, k))
     b = rng.standard_exponential((n, k))
     if k < 8:
         noise = b[:, 0].copy()
@@ -254,8 +255,14 @@ def _sample_fading(rng: np.random.Generator, n: int, k: int):
     else:
         noise = b.sum(axis=-1)
     noise += 1.0
-    ht *= np.sqrt(b, out=b)
-    return ht, noise
+    return u, b, noise
+
+
+def _products(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The two-hop products h~ = u sqrt(b) of a draw, formed in u, which is
+    returned; b is left holding sqrt(b)."""
+    u *= np.sqrt(b, out=b)
+    return u
 
 
 def mc_jensen_outage(
@@ -292,12 +299,14 @@ def mc_exact_outage(
 
 def _outage_kernel(
     scheme: RelayScheme, outage: str, rho: float, thresh: float
-) -> tuple[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """Name and batched ``in_outage(ht, noise)``, taking the two-hop pair of
-    a fading draw, of the test the ``outage`` estimator runs on a scheme:
-    whether the MI falls below ``thresh`` at SNR ``rho``.
+) -> tuple[str, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
+    """Name and batched ``in_outage(u, b, noise)``, taking a fading draw as
+    _sample_fading returns it, of the test the ``outage`` estimator runs on a
+    scheme: whether the MI falls below ``thresh`` at SNR ``rho``.  The
+    exact kernels form h~ in place, over the draw.
 
-    "jensen" decides on the Gramian form without a logarithm: the bound
+    "jensen" decides on the Gramian form of (u, b), without h~ or a
+    logarithm: the bound
     (1/2) log2(1 + (rho/N) x), x = jensen_form / (1 + ||h||^2), is below
     thresh iff x < c = N (2^(2 thresh) - 1) / rho, and c = inf when
     2^(2 thresh) overflows.  For "exact" the kernel is "exact-spectral"
@@ -311,13 +320,13 @@ def _outage_kernel(
             c = gram.block_length * math.expm1(2.0 * thresh * math.log(2.0)) / rho
         except OverflowError:
             c = math.inf
-        return "jensen", lambda ht, noise: jensen_form(gram, ht) / noise < c
+        return "jensen", lambda u, b, noise: jensen_form(gram, u, b) / noise < c
     spectra = common_spectra(scheme)
     if spectra is not None:
         name, mi = "exact-spectral", partial(mutual_information_spectral, spectra)
     else:
         name, mi = "exact-products-ldl", partial(mutual_information_products, pair_products(scheme))
-    return name, lambda ht, noise: mi(ht, noise, rho) < thresh
+    return name, lambda u, b, noise: mi(_products(u, b), noise, rho) < thresh
 
 
 def _mc_outage(
@@ -374,10 +383,10 @@ def mc_ml_error(
     chunk = max(1, int(4_000_000 / (m * n_block)))
 
     def block(rng: np.random.Generator, n: int) -> int:
-        ht, noise = _sample_fading(rng, n, k)
+        u, b, noise = _sample_fading(rng, n, k)
         sent = rng.integers(0, m, size=n)
         z = complex_gaussian(rng, (n, n_block))
-        heff = effective_channel(ht, noise, g_stack)
+        heff = effective_channel(_products(u, b), noise, g_stack)
         errors = 0
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from relaydiv import (
     InvalidParameterError,
@@ -15,7 +16,13 @@ from relaydiv import (
     two_hop,
 )
 from relaydiv.channel_model import complex_gaussian
-from relaydiv.outage_analysis import _sample_fading, product_rayleigh_cdf
+from relaydiv.outage_analysis import (
+    BLOCK_TRIALS,
+    _block_rng,
+    _products,
+    _sample_fading,
+    product_rayleigh_cdf,
+)
 
 # Kolmogorov-Smirnov critical value at level 1e-3, sqrt(-ln(alpha/2)/2): a
 # sample of n rejects its law when sqrt(n) D exceeds it (two samples of n
@@ -35,19 +42,26 @@ def test_fading_draw_deterministic_under_fixed_seed():
     b = _sample_fading(np.random.default_rng(1234), 5, 2)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-    assert a[0].shape == (5, 2) and a[1].shape == (5,)
+    assert [x.shape for x in a] == [(5, 2), (5, 2), (5,)]
 
 
 @pytest.mark.parametrize("k", [8, 9])
 def test_fading_draw_from_eight_relays_keeps_the_bits_of_its_law(k):
     # from K = 8 the noise term is numpy's pairwise b.sum(axis=-1); u and b
     # are drawn in that order from a twin generator
-    ht, noise = _sample_fading(np.random.default_rng(7), 1000, k)
+    got_u, got_b, noise = _sample_fading(np.random.default_rng(7), 1000, k)
     twin = np.random.default_rng(7)
     u = complex_gaussian(twin, (1000, k))
     b = twin.standard_exponential((1000, k))
-    assert ht.tobytes() == (u * np.sqrt(b)).tobytes()
+    assert (got_u.tobytes(), got_b.tobytes()) == (u.tobytes(), b.tobytes())
     assert noise.tobytes() == (1.0 + b.sum(axis=-1)).tobytes()
+    assert _products(got_u, got_b).tobytes() == (u * np.sqrt(b)).tobytes()
+
+
+def _sampled_pairs(rng, n, k):
+    """n trials of (h~, 1 + ||h||^2) from the estimators' draw."""
+    u, b, noise = _sample_fading(rng, n, k)
+    return _products(u, b), noise
 
 
 def _ks_two_sample(x, y):
@@ -69,7 +83,7 @@ def test_sampled_two_hop_pairs_follow_the_law_of_two_hop():
     # give the same |h~_k|^2 per relay, the same noise term, and the same
     # ||h~||^2 / (1 + ||h||^2), which couples the two
     n, k = 100_000, 3
-    ht, noise = _sample_fading(np.random.default_rng(101), n, k)
+    ht, noise = _sampled_pairs(np.random.default_rng(101), n, k)
     ref_ht, ref_noise = two_hop(*complex_gaussian(np.random.default_rng(102), (2, n, k)))
     for i in range(k):
         assert _ks_two_sample(np.abs(ht[:, i]) ** 2, np.abs(ref_ht[:, i]) ** 2) < KS_CRITICAL
@@ -80,14 +94,14 @@ def test_sampled_two_hop_pairs_follow_the_law_of_two_hop():
 
 
 def test_sampled_products_are_product_rayleigh():
-    ht, _ = _sample_fading(np.random.default_rng(103), 7000, 3)
+    ht, _ = _sampled_pairs(np.random.default_rng(103), 7000, 3)
     cdf = np.vectorize(product_rayleigh_cdf)
     assert _ks_one_sample(np.abs(ht).ravel(), cdf) < KS_CRITICAL
 
 
 def test_sampled_phases_are_uniform_and_independent_of_the_magnitudes():
     n, k = 100_000, 2
-    ht, noise = _sample_fading(np.random.default_rng(104), n, k)
+    ht, noise = _sampled_pairs(np.random.default_rng(104), n, k)
     phase = np.angle(ht)
     magnitude = np.abs(ht)
     assert _ks_one_sample(phase.ravel(), lambda x: (x + np.pi) / (2 * np.pi)) < KS_CRITICAL
@@ -99,14 +113,27 @@ def test_sampled_phases_are_uniform_and_independent_of_the_magnitudes():
             assert abs(np.corrcoef(wave, noise)[0, 1]) < bound
 
 
+@pytest.mark.parametrize("seed,block", [(7, 0), (7, 1), (8, 0)])
+def test_stream_blocks_follow_the_law_of_two_hop(seed, block):
+    # one real block of each estimator's stream: |u|^2 and b are Exp(1),
+    # arg u is uniform, and |h~| = |u| sqrt(b) is product-Rayleigh
+    u, b, _ = _sample_fading(_block_rng(seed, block), BLOCK_TRIALS, 2)
+    ht = u * np.sqrt(b)
+    assert kstest(np.abs(u.ravel()) ** 2, "expon").pvalue > 1e-3
+    assert kstest(b.ravel(), "expon").pvalue > 1e-3
+    assert kstest(np.angle(u.ravel()), "uniform", args=(-np.pi, 2 * np.pi)).pvalue > 1e-3
+    assert kstest(np.abs(ht.ravel()), np.vectorize(product_rayleigh_cdf)).pvalue > 1e-3
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 5, 3), (0, 4), (), (2, 16384, 2)])
 def test_complex_gaussian_keeps_the_bits_of_the_quotient_form(shape):
-    # the draw writes re/sqrt(2) and im/sqrt(2) into one array; it must give
-    # exactly the bits of (a + jb)/sqrt(2) from the same generator state
+    # one standard_normal call fills interleaved (re, im) pairs in place; the
+    # bits must be those of a twin generator's standard_normal(shape + (2,))
+    # pairs, viewed as complex and divided by sqrt(2)
     for seed in range(3):
         got = complex_gaussian(np.random.default_rng(seed), shape)
         twin = np.random.default_rng(seed)
-        want = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / np.sqrt(2.0)
+        want = twin.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
         assert got.shape == np.shape(want) and got.dtype == want.dtype
         assert got.tobytes() == np.asarray(want).tobytes()
 

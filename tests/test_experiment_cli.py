@@ -154,9 +154,9 @@ _KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
     k=st.integers(1, 64),
     extra_n=st.integers(0, 64),
     r=st.one_of(st.floats(0.0, 0.5), _FLOAT),
-    snr_db=st.lists(_FLOAT, min_size=1, max_size=6, unique=True).map(
-        lambda v: tuple(sorted(v))
-    ),
+    # grids above 0 dB, valid for every experiment, as often as arbitrary ones
+    snr_db=st.lists(st.one_of(st.floats(1e-3, 3000.0), _FLOAT), min_size=1, max_size=6,
+                    unique=True).map(lambda v: tuple(sorted(v))),
     trials=st.one_of(st.just("adaptive"), st.integers(1, 2**63).map(str), _CONFIG_TEXT),
     # (min_trials, max_trials, min_events): valid ones (1 <= min_trials <=
     # max_trials, min_events >= 0) as often as arbitrary ones
@@ -832,7 +832,7 @@ def test_cli_manifest_records_the_mi_kernel(tmp_path, experiment, scheme, outage
     assert rc == EXIT_OK
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["mi_kernel"] == kernel
-    assert manifest["stream"] == FADING_STREAM == 2
+    assert manifest["stream"] == FADING_STREAM == 3
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():
@@ -1145,6 +1145,27 @@ def test_certify_at_the_snr_floor_reports_the_largest_threshold(tmp_path, capsys
                "--snr-db=-3000,0", "--codebook", book])
     assert rc == EXIT_OK
     assert "approximately-universal @ snr_db=-3000 r=0.5: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "experiment,snr_db",
+    [("outage-sweep", "-10,20"), ("dm-slope", "0,20,30"), ("analytic-curve", "1e-17,20")],
+)
+def test_grid_point_with_rho_at_most_one_is_a_config_error_naming_it(
+    tmp_path, monkeypatch, capsys, experiment, snr_db
+):
+    # the outage threshold r log2(rho) and the bracket need rho > 1; 1e-17 dB
+    # is above 0 dB, but its rho rounds to 1.0
+    from relaydiv import outage_analysis
+
+    blocks = []
+    monkeypatch.setattr(outage_analysis, "_mc_event_count", lambda *args: blocks.append(args))
+    rc = main([experiment, "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+               f"--snr-db={snr_db}", "--trials", "1000", "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_CONFIG
+    assert f"snr_db entry {snr_db.split(',')[0]} gives rho" in capsys.readouterr().err
+    assert blocks == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_analytic_curve(tmp_path):

@@ -26,7 +26,6 @@ from relaydiv import (
     fit_diversity_slope,
     gaussian_codebook,
     gramian,
-    information,
     jensen_form,
     jensen_mi_via_gramian,
     mc_exact_outage,
@@ -242,6 +241,16 @@ def test_outage_estimators_deterministic_and_thread_invariant():
     assert d.events != a.events  # different seed, different stream
 
 
+def test_block_streams_are_sfc64_and_distinct_across_blocks_and_seeds():
+    keys = [(seed, block) for seed in (0, 1, 7, 8) for block in (0, 1, 2, 225)]
+    rngs = {key: outage_analysis._block_rng(*key) for key in keys}
+    assert all(type(rng.bit_generator) is np.random.SFC64 for rng in rngs.values())
+    heads = {key: rng.integers(0, 2**63, size=4).tobytes() for key, rng in rngs.items()}
+    assert len(set(heads.values())) == len(keys)
+    again = outage_analysis._block_rng(7, 225).integers(0, 2**63, size=4).tobytes()
+    assert again == heads[(7, 225)]
+
+
 def test_exact_outage_dominates_jensen_outage_on_shared_stream():
     scheme = cyclic_delay_scheme(2, 4)
     for seed in (1, 2, 3):
@@ -252,43 +261,46 @@ def test_exact_outage_dominates_jensen_outage_on_shared_stream():
 
 def test_estimators_draw_once_per_block_and_share_the_pairs(monkeypatch):
     # one complex_gaussian call per block (the benchmark tracer counts draws
-    # that way), and the Jensen and exact kernels see the same (h~, noise):
-    # jensen_form takes h~ alone, so each block's noise is taken from the
-    # draw it came out of
+    # that way), and the Jensen and exact kernels see the same (u, b, noise)
+    # bytes, those the draw returned; the exact kernels form h~ over the
+    # draw, so each kernel's inputs are copied before it runs
     monkeypatch.setattr(outage_analysis, "BLOCK_TRIALS", 64)
     calls = []
     draw = outage_analysis.complex_gaussian
     monkeypatch.setattr(outage_analysis, "complex_gaussian",
                         lambda rng, shape: calls.append(shape) or draw(rng, shape))
-    drawn, seen = [], {"jensen": [], "exact": []}
+    drawn, seen = [], {"jensen": [], "exact-spectral": []}
     sample = outage_analysis._sample_fading
 
     def sampling(rng, n, k):
-        ht, noise = sample(rng, n, k)
-        drawn.append((ht.copy(), noise.copy()))
-        return ht, noise
+        parts = sample(rng, n, k)
+        drawn.append(tuple(x.copy() for x in parts))
+        return parts
 
-    def jensen_form(gram, ht):
-        seen["jensen"].append((ht.copy(), drawn[-1][1]))
-        return information.jensen_form(gram, ht)
+    make_kernel = outage_analysis._outage_kernel
 
-    def spectral(spectra, ht, noise, rho):
-        seen["exact"].append((ht.copy(), noise.copy()))
-        return information.mutual_information_spectral(spectra, ht, noise, rho)
+    def kernel(*args):
+        name, in_outage = make_kernel(*args)
+
+        def recording(*parts):
+            seen[name].append(tuple(x.copy() for x in parts))
+            return in_outage(*parts)
+
+        return name, recording
 
     monkeypatch.setattr(outage_analysis, "_sample_fading", sampling)
-    monkeypatch.setattr(outage_analysis, "jensen_form", jensen_form)
-    monkeypatch.setattr(outage_analysis, "mutual_information_spectral", spectral)
+    monkeypatch.setattr(outage_analysis, "_outage_kernel", kernel)
     scheme = cyclic_delay_scheme(2, 4)
     mc_jensen_outage(scheme, 0.25, 100.0, 200, seed=4, threads=1)
     assert calls == [(64, 2)] * 3 + [(8, 2)]
     mc_exact_outage(scheme, 0.25, 100.0, 200, seed=4, threads=1)
     assert len(calls) == len(drawn) == 8
-    assert len(seen["jensen"]) == len(seen["exact"]) == 4
-    for (ht, noise), (ht2, noise2) in zip(seen["jensen"], seen["exact"]):
-        assert ht.tobytes() == ht2.tobytes() and noise.tobytes() == noise2.tobytes()
-    for (ht, noise), (ht2, noise2) in zip(drawn, seen["jensen"] + seen["exact"]):
-        assert ht.tobytes() == ht2.tobytes() and noise.tobytes() == noise2.tobytes()
+    assert len(seen["jensen"]) == len(seen["exact-spectral"]) == 4
+    bytes_of = lambda parts: tuple(x.tobytes() for x in parts)
+    for jensen, exact in zip(seen["jensen"], seen["exact-spectral"]):
+        assert bytes_of(jensen) == bytes_of(exact)
+    for parts, kernel_parts in zip(drawn, seen["jensen"] + seen["exact-spectral"]):
+        assert bytes_of(parts) == bytes_of(kernel_parts)
 
 
 def test_exact_outage_rate_zero_is_zero():
@@ -316,9 +328,9 @@ def _regression_custom_scheme():
 @pytest.mark.parametrize(
     "make_scheme,threads,jensen_events,exact_events",
     [
-        (lambda: cyclic_delay_scheme(2, 4), 2, 16422, 19602),
-        (lambda: phase_rolling_scheme(3, 4), None, 11193, 16260),
-        (_regression_custom_scheme, None, 11437, 16775),
+        (lambda: cyclic_delay_scheme(2, 4), 2, 16481, 19608),
+        (lambda: phase_rolling_scheme(3, 4), None, 11054, 16044),
+        (_regression_custom_scheme, None, 11312, 16641),
     ],
     ids=["cdd", "phase-rolling", "custom"],
 )
@@ -350,6 +362,26 @@ def test_outage_estimators_run_on_eight_relays():
     assert 0 < jensen.events <= exact.events < 20_000
 
 
+def _assert_form_matches_einsum(gram, u, b):
+    # the reference path: h~ = u sqrt(b), then h~^H gram h~ by einsum
+    ht = u * np.sqrt(b)
+    form = jensen_form(gram, u, b)
+    ref = np.einsum("...k,kl,...l->...", ht.conj(), gram.gram, ht).real
+    scale = np.sum(ht.real**2 + ht.imag**2, axis=-1) * gram.lambda_max
+    assert np.all(np.abs(form - ref) <= 1e-12 * scale)
+
+
+@given(k=st.integers(1, 8), extra_n=st.integers(0, 4),
+       family=st.sampled_from(["cdd", "phase-rolling", "haar"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_jensen_form_of_the_draw_matches_the_einsum_of_its_products(k, extra_n, family, seed):
+    n = k + extra_n
+    scheme = {"cdd": cyclic_delay_scheme, "phase-rolling": phase_rolling_scheme,
+              "haar": lambda k, n: _haar_scheme(k, n, seed)}[family](k, n)
+    u, b, _ = outage_analysis._sample_fading(np.random.default_rng(seed), 257, k)
+    _assert_form_matches_einsum(gramian(scheme), u, b)
+
+
 @pytest.mark.parametrize(
     "scheme",
     [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 4), _haar_scheme(3, 4, 23)],
@@ -362,20 +394,18 @@ def test_jensen_outage_test_agrees_with_the_logarithm(scheme):
     gram = gramian(scheme)
     if scheme.name == "custom":
         assert np.all(np.abs(gram.gram.imag[~np.eye(3, dtype=bool)]) > 1e-3)
-    ht, noise = outage_analysis._sample_fading(np.random.default_rng(29), 100_000,
-                                               scheme.num_relays)
+    u, b, noise = outage_analysis._sample_fading(np.random.default_rng(29), 100_000,
+                                                 scheme.num_relays)
+    ht = u * np.sqrt(b)
     near = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        form = jensen_form(gram, ht)
-        ref = np.einsum("...k,kl,...l->...", ht.conj(), gram.gram, ht).real
-        scale = np.sum(ht.real**2 + ht.imag**2, axis=-1) * gram.lambda_max
-        assert np.all(np.abs(form - ref) <= 1e-12 * scale)
+        _assert_form_matches_einsum(gram, u, b)
         for rho in (1.01, 10.0, 100.0, 1e3, 1e8, 1e300):
             mi = jensen_mi_via_gramian(gram, ht, noise, rho)
             for rate_bits in (0.0, 1.0, 509.9, 600.0):
                 name, in_outage = outage_analysis._outage_kernel(scheme, "jensen", rho, rate_bits)
-                got = in_outage(ht, noise)
+                got = in_outage(u, b, noise)
                 band = np.abs(mi - rate_bits) <= 1e-12 * rate_bits
                 assert name == "jensen"
                 assert np.array_equal(got[~band], (mi < rate_bits)[~band])
@@ -432,7 +462,7 @@ def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
 def test_ml_error_event_count_is_pinned_at_a_fixed_seed():
     book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
     est = mc_ml_error(cyclic_delay_scheme(2, 2), book, 10**2.5, 40_000, seed=810)
-    assert est.events == 1007
+    assert est.events == 806
 
 
 def test_outage_argument_validation():
