@@ -9,10 +9,13 @@ leading shape.  The kernels that start from a fading draw take its two-hop
 pair (h~, 1 + ||h||^2) from channel_model.two_hop.  The estimators' exact-MI
 kernels never form H_eff: schemes whose matrices share an eigenbasis (CDD,
 phase rolling) use their spectra, every other scheme its table of
-G_i G_j^H products.  Wherever the MI comes from I + rho H H^H (that table,
-or an H_eff stack), its log-det is one in-house LDL^H elimination whose
-every numpy operation spans all trials, rather than one LAPACK call per
-matrix.
+G_i G_j^H products.  With spectra, the eigenvalues of I + rho H H^H have
+one home, spectral_factors, which yields them one trial-last row at a
+time: mutual_information_spectral sums their logarithms, and the outage
+estimator multiplies them and decides without one.  Wherever the MI comes
+from I + rho H H^H as a matrix (that table, or an H_eff stack), its log-det
+is one in-house LDL^H elimination whose every numpy operation spans all
+trials, rather than one LAPACK call per matrix.
 """
 
 from __future__ import annotations
@@ -125,31 +128,47 @@ def _mi_from_lower(lower: np.ndarray, n: int, first: int = 0) -> np.ndarray:
     return np.sum(np.log2(pivots), axis=0) / (2 * n)
 
 
+def spectral_factors(spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray):
+    """The eigenvalues 1 + rho |s_m|^2 of I + rho H H^H for a (T, K) stack of
+    two-hop products h~ when all G_i share an eigenbasis, given
+    scale = rho / (1 + ||h||^2) of shape (T,); yields one row of shape (T,)
+    per m, and det(I + rho H H^H) is their product.
+
+    With spectra[i] the eigenvalues of G_i (relay_schemes.common_spectra),
+    H_eff is normal with eigenvalues s = h~ @ spectra / sqrt(1 + ||h||^2).
+    Each row s_m sqrt(1 + ||h||^2) = sum_i spectra[i, m] h~_i is formed
+    from a trial-last (K, T) copy of h~ by elementwise complex arithmetic,
+    not by a matrix product: OpenBLAS gives the trials of a GEMM's tail
+    other bits than those of its body, so a trial's bits would depend on
+    the stack around it.  Every factor is >= 1.
+    """
+    x = ht.T.copy()
+    for lam in spectra.T:
+        s = lam[0] * x[0]
+        for i in range(1, x.shape[0]):
+            s += lam[i] * x[i]
+        factor = s.real**2
+        factor += s.imag**2
+        factor *= scale
+        factor += 1.0
+        yield factor
+
+
 def mutual_information_spectral(
     spectra: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho
 ) -> np.ndarray:
-    """Exact MI for a (..., K) stack of two-hop pairs when all G_i share an
-    eigenbasis.
-
-    With spectra[i] the eigenvalues of G_i (relay_schemes.common_spectra),
-    H_eff has eigenvalues s = h~ @ spectra / sqrt(1 + ||h||^2) and is
-    normal, so the MI is (1/2N) sum_m log2(1 + rho |s_m|^2); shape (...).
-
-    A single trial runs as two equal rows: OpenBLAS takes a one-row product
-    down its GEMV path, and the trial's bits would depend on the stack
-    around it.
-    """
+    """Exact MI (1/2N) sum_m log2(1 + rho |s_m|^2) for a (..., K) stack of
+    two-hop pairs (h~, 1 + ||h||^2) when all G_i share an eigenbasis, shape
+    (...): the logarithms of spectral_factors' rows, summed row by row."""
     _check_rho(rho)
     lead, k = ht.shape[:-1], ht.shape[-1]
-    ht = ht.reshape(-1, k)
     scale = np.broadcast_to(rho / noise, lead).reshape(-1)
-    if ht.shape[0] == 1:
-        ht, scale = np.repeat(ht, 2, axis=0), np.repeat(scale, 2)
-    s = ht @ spectra
-    power = s.real**2 + s.imag**2
-    power *= scale[:, None]
-    mi = np.sum(np.log2(1.0 + power), axis=-1) / (2.0 * spectra.shape[1])
-    return mi[: math.prod(lead)].reshape(lead)
+    factors = spectral_factors(spectra, ht.reshape(-1, k), scale)
+    mi = np.log2(next(factors))
+    for factor in factors:
+        mi += np.log2(factor)
+    mi /= 2.0 * spectra.shape[1]
+    return mi.reshape(lead)
 
 
 def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:

@@ -16,7 +16,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,6 +27,7 @@ from .information import (
     jensen_form,
     mutual_information_products,
     mutual_information_spectral,
+    spectral_factors,
 )
 from .relay_schemes import (
     GramianSummary,
@@ -313,7 +313,15 @@ def _outage_kernel(
     when the matrices share an eigenbasis by exact equality (all diagonal
     or all circulant, whatever the scheme's name or source), else
     "exact-products-ldl", an LDL^H log-det of I + rho H H^H built from the
-    G_i G_j^H table.  Neither exact kernel forms H_eff."""
+    G_i G_j^H table.  Neither exact kernel forms H_eff.
+
+    "exact-spectral" takes no logarithm either: the MI
+    (1/2N) sum_m log2 f_m of the rows f_m of spectral_factors is below
+    thresh iff prod_m f_m < 2^(2N thresh), a bound taken once per grid
+    point.  Every f_m is >= 1, so a product that overflows to inf is
+    rightly not in outage; when the bound itself overflows, the point is
+    decided on mutual_information_spectral, the same rows under the
+    logarithm."""
     if outage == "jensen":
         gram = gramian(scheme)
         try:
@@ -322,11 +330,27 @@ def _outage_kernel(
             c = math.inf
         return "jensen", lambda u, b, noise: jensen_form(gram, u, b) / noise < c
     spectra = common_spectra(scheme)
-    if spectra is not None:
-        name, mi = "exact-spectral", partial(mutual_information_spectral, spectra)
-    else:
-        name, mi = "exact-products-ldl", partial(mutual_information_products, pair_products(scheme))
-    return name, lambda u, b, noise: mi(_products(u, b), noise, rho) < thresh
+    if spectra is None:
+        products = pair_products(scheme)
+        return "exact-products-ldl", lambda u, b, noise: (
+            mutual_information_products(products, _products(u, b), noise, rho) < thresh
+        )
+    try:
+        bound = 2.0 ** (2 * scheme.block_length * thresh)
+    except OverflowError:
+        return "exact-spectral", lambda u, b, noise: (
+            mutual_information_spectral(spectra, _products(u, b), noise, rho) < thresh
+        )
+
+    def in_outage(u, b, noise):
+        factors = spectral_factors(spectra, _products(u, b), rho / noise)
+        det = next(factors)
+        with np.errstate(over="ignore"):
+            for factor in factors:
+                det *= factor
+        return det < bound
+
+    return "exact-spectral", in_outage
 
 
 def _mc_outage(

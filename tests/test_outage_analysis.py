@@ -40,8 +40,9 @@ from relaydiv import (
     union_bound,
 )
 from relaydiv.channel_model import complex_gaussian
+from relaydiv.information import mutual_information_spectral
 from relaydiv.outage_analysis import wilson_interval
-from relaydiv.relay_schemes import RelayScheme
+from relaydiv.relay_schemes import RelayScheme, common_spectra
 
 # Frozen from the integral representation of K1 (quadrature oracle below).
 K1_AT_ONE = 0.6019072301972346
@@ -429,6 +430,72 @@ def test_one_jensen_block_stays_within_48k_bytes_per_trial(scheme):
     finally:
         tracemalloc.stop()
     assert peak / outage_analysis.BLOCK_TRIALS <= 48 * scheme.num_relays
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 8),
+     custom_scheme(cyclic_delay_scheme(2, 8).matrices)],
+    ids=["cdd", "phase-rolling", "custom-cdd"],
+)
+def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
+    # the estimator decides prod_m (1 + rho |s_m|^2) < 2^(2 N R), or on the
+    # logarithm where that bound overflows (R >= 64 at N = 8); on every
+    # trial that must be the verdict of the exact MI itself, except where
+    # the MI lies within rounding of the threshold, and a trial decides
+    # alike alone and inside the block.  The kernel forms h~ over the draw,
+    # so each call gets a copy.
+    u, b, noise = outage_analysis._sample_fading(np.random.default_rng(37), 20_000,
+                                                 scheme.num_relays)
+    spectra = common_spectra(scheme)
+    ht = u * np.sqrt(b)
+    alone = range(0, 20_000, 1999)
+    near = 0
+    mixed = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (1.01, 10.0, 100.0, 1e3, 1e8, 1e300):
+            mi = mutual_information_spectral(spectra, ht, noise, rho)
+            rates = (0.0, 1.0, 63.9, 64.1, 509.9, 600.0, 0.5 * math.log2(rho), np.median(mi))
+            for rate_bits in map(float, rates):
+                name, in_outage = outage_analysis._outage_kernel(scheme, "exact", rho, rate_bits)
+                got = in_outage(u.copy(), b.copy(), noise)
+                band = np.abs(mi - rate_bits) <= 1e-12 * rate_bits
+                assert name == "exact-spectral"
+                assert np.array_equal(got[~band], (mi < rate_bits)[~band]), (rho, rate_bits)
+                near += int(np.count_nonzero(band))
+                if 0 < np.count_nonzero(got) < got.size:
+                    mixed.add(2.0 * scheme.block_length * rate_bits >= 1024)
+                for t in alone:
+                    one = in_outage(u[t:t + 1].copy(), b[t:t + 1].copy(), noise[t:t + 1])
+                    assert one.shape == (1,) and one[0] == got[t], (rho, rate_bits, t)
+    assert near == 0
+    # the product test and the logarithm (2^(2 N R) past the float range)
+    # each split some point's trials both ways, at least at the median MI
+    assert mixed == {False, True}
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (4, 16)])
+def test_one_spectral_block_stays_within_24n_bytes_per_trial(k, n):
+    # the verdict takes a (K, T) copy of h~ and one eigenvalue row at a
+    # time, never a (T, N) array of eigenvalues or their logarithms
+    name, in_outage = outage_analysis._outage_kernel(cyclic_delay_scheme(k, n), "exact",
+                                                     100.0, 0.25 * math.log2(100.0))
+
+    def draw():
+        return outage_analysis._sample_fading(outage_analysis._block_rng(1, 0),
+                                              outage_analysis.BLOCK_TRIALS, k)
+
+    in_outage(*draw())
+    parts = draw()
+    tracemalloc.start()
+    try:
+        in_outage(*parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert name == "exact-spectral"
+    assert peak / outage_analysis.BLOCK_TRIALS <= 24 * n
 
 
 def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
