@@ -5,7 +5,8 @@ pairs drives diversity optimality.  For the cyclic-delay and phase-rolling
 families the condition reduces to "no zero DFT bin" and "no zero entry"
 respectively.  Both simplified tests, like ``difference_matrix``, take a
 (..., N) stack of differences and answer per difference; the SVD-based
-general test takes one Phi.
+general test takes one Phi.  At K = N the same duality gives each pair's
+lambda_min(Phi^H Phi) in closed form (``block_min_gram``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .channel_model import complex_gaussian
 from .errors import InvalidParameterError, ResourceLimitError
-from .relay_schemes import RelayScheme, _as_readonly, dft_matrix
+from .relay_schemes import RelayScheme, _as_readonly, builtin_family, dft_matrix
 
 # Relative cutoff for the "entry != 0" conditions: |value| > ZERO_TOL * ||dx||.
 ZERO_TOL = 1e-9
@@ -112,8 +113,7 @@ def rank_full(phi: np.ndarray) -> bool:
 def cdd_condition(dx: np.ndarray) -> np.ndarray:
     """All DFT bins nonzero, per difference of a (..., N) stack: the
     cyclic-delay full-rank shortcut, the phase-rolling one in frequency."""
-    dx = np.asarray(dx, dtype=complex)
-    return phase_rolling_condition(dx @ dft_matrix(dx.shape[-1]).T)
+    return phase_rolling_condition(_dft_bins(dx))
 
 
 def phase_rolling_condition(dx: np.ndarray) -> np.ndarray:
@@ -121,6 +121,12 @@ def phase_rolling_condition(dx: np.ndarray) -> np.ndarray:
     phase-rolling full-rank shortcut."""
     dx = np.asarray(dx, dtype=complex)
     return np.all(np.abs(dx) > ZERO_TOL * np.linalg.norm(dx, axis=-1, keepdims=True), axis=-1)
+
+
+def _dft_bins(dx: np.ndarray) -> np.ndarray:
+    """F dx per difference of a (..., N) stack, F the unitary DFT."""
+    dx = np.asarray(dx, dtype=complex)
+    return dx @ dft_matrix(dx.shape[-1]).T
 
 
 def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
@@ -134,10 +140,32 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
     """
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
+    family = builtin_family(scheme)
     best = math.inf
     for _, _, dx in pair_blocks(book):
-        best = min(best, _min_gram(difference_matrix(scheme, dx)))
+        best = min(best, block_min_gram(scheme, family, dx))
     return best
+
+
+def block_min_gram(
+    scheme: RelayScheme, family: str | None, dx: np.ndarray, phi: np.ndarray | None = None
+) -> float:
+    """min of lambda_min(Phi(dx)^H Phi(dx)) over a nonempty (P, N) block of
+    differences, where family is ``builtin_family(scheme)`` and phi, when
+    given, is the block's ``difference_matrix(scheme, dx)``.
+
+    At K = N the built-in families need no Gramian: Phi(dx) is a circulant
+    over sqrt(N) for "cdd", so its singular values are |F dx|, and diag(dx)
+    times a unitary for "phase-rolling", so they are |dx|.  The minimum is
+    then min_m |y_m|^2, y = F dx or dx, whose digits stay near the SVD's;
+    eigvalsh of Phi^H Phi squares the pair's condition number.  Every other
+    scheme, and K < N, takes the eigenvalues (_min_gram), forming Phi only
+    if phi is not given.
+    """
+    if family is None or scheme.num_relays != scheme.block_length:
+        return _min_gram(difference_matrix(scheme, dx) if phi is None else phi)
+    y = _dft_bins(dx) if family == "cdd" else dx
+    return float(np.min(y.real * y.real + y.imag * y.imag))
 
 
 def _min_gram(phi: np.ndarray) -> float:

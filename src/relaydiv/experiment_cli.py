@@ -22,10 +22,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__, codebook
+from . import __version__
 from .channel_model import complex_gaussian, effective_channel, two_hop
 from .codebook import (
     Codebook,
+    block_min_gram,
     cdd_condition,
     difference_matrix,
     pair_blocks,
@@ -56,6 +57,7 @@ from .outage_analysis import (
 )
 from .relay_schemes import (
     RelayScheme,
+    builtin_family,
     custom_scheme,
     cyclic_delay_scheme,
     dft_matrix,
@@ -573,14 +575,8 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
             f"codebook N={book.block_length} does not match scheme N={scheme.block_length}"
         )
     k, n = scheme.num_relays, scheme.block_length
-    family, simplified = "", None
-    for name, make, condition in (
-        ("cdd", cyclic_delay_scheme, cdd_condition),
-        ("phase-rolling", phase_rolling_scheme, phase_rolling_condition),
-    ):
-        if np.array_equal(scheme.stacked(), make(k, n).stacked()):
-            family, simplified = name, condition
-            break
+    family = builtin_family(scheme)
+    simplified = {"cdd": cdd_condition, "phase-rolling": phase_rolling_condition}.get(family)
     first_violation = ""
     mu = math.inf
     # One pass over the pairs, in blocks: no array grows with the pair count.
@@ -600,7 +596,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
             i = np.argmin(full)
             sv = [float(f"{v:.3e}") for v in np.linalg.svd(phi[i], compute_uv=False)]
             first_violation = f"pair ({idx_a[i]}, {idx_b[i]}): rank deficient, singular values {sv}"
-        mu = min(mu, codebook._min_gram(phi))
+        mu = min(mu, block_min_gram(scheme, family, dx, phi))
     certified = not first_violation
     pairs = book.size * (book.size - 1) // 2
     lines = [

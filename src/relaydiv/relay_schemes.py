@@ -141,8 +141,41 @@ def custom_scheme(matrices, name: str = "custom") -> RelayScheme:
     return RelayScheme(tuple(matrices), name=name)
 
 
+@functools.lru_cache(maxsize=64)
+def _builtin_stacks(num_relays: int, block_length: int) -> tuple[tuple[str, np.ndarray], ...]:
+    """The (K, N, N) stacks of the built-in families, built once per size."""
+    return (
+        ("cdd", cyclic_delay_scheme(num_relays, block_length).stacked()),
+        ("phase-rolling", phase_rolling_scheme(num_relays, block_length).stacked()),
+    )
+
+
+def builtin_family(scheme: RelayScheme) -> str | None:
+    """"cdd" or "phase-rolling" when the scheme's matrices are exactly
+    ``cyclic_delay_scheme(K, N)``'s or ``phase_rolling_scheme(K, N)``'s,
+    compared as matrices whatever the scheme is called; else None.  At
+    K = 1 both families are I/sqrt(N), and the answer is "cdd"."""
+    for family, stack in _builtin_stacks(scheme.num_relays, scheme.block_length):
+        if np.array_equal(scheme.stacked(), stack):
+            return family
+    return None
+
+
 def gramian(scheme: RelayScheme) -> GramianSummary:
-    """Gramian with entries trace(G_c G_r^H) and its eigenvalue extremes."""
+    """Gramian with entries trace(G_c G_r^H) and its eigenvalue extremes.
+
+    For the matrices of a built-in family (builtin_family) it is I exactly,
+    with both extremes 1.0: the traces are delta_rc by the orthogonality of
+    the cyclic shifts and of the phase ramps (acceptance criterion 6).
+    Computed traces would leave roundoff that the Jensen kernel pays for:
+    diagonal entries 0.9999999999999999 at N = 8, and ~1e-17 off the
+    diagonal for phase rolling, each a cross term.
+    """
+    if builtin_family(scheme) is not None:
+        return GramianSummary(
+            gram=_as_readonly(np.eye(scheme.num_relays)), lambda_min=1.0, lambda_max=1.0,
+            block_length=scheme.block_length,
+        )
     g = scheme.stacked()
     # gram[r, c] = tr(G_c G_r^H) = sum_{ab} G_c[a,b] conj(G_r[a,b])
     gram = np.einsum("cab,rab->rc", g, g.conj())

@@ -23,6 +23,8 @@ from relaydiv import (
 )
 from relaydiv import codebook
 from relaydiv.channel_model import complex_gaussian
+from relaydiv.codebook import block_min_gram
+from relaydiv.relay_schemes import builtin_family
 
 
 def _svd_rank(phi, tol=1e-9):
@@ -280,18 +282,103 @@ def _min_gram_peak_bytes(scheme, book):
 
 
 def test_min_gram_eigenvalue_memory_is_bounded_by_the_block(monkeypatch):
-    # 300 words, 44850 pairs at N = K = 4: unblocked, the (P, N, K) and
-    # (P, K, K) arrays alone take ~35 MB; in blocks of 256 pairs nothing
-    # grows with the book
+    # 300 words, 44850 pairs at N = K = 4 on a scheme that takes the
+    # eigenvalues: unblocked, the (P, N, K) and (P, K, K) arrays alone take
+    # ~35 MB; in blocks of 256 pairs nothing grows with the book
     rng = np.random.default_rng(32)
     book = Codebook(complex_gaussian(rng, (300, 4)), 0.1, 10.0)
-    scheme = cyclic_delay_scheme(4, 4)
+    scheme = _haar_scheme(4, 4, 5)
     monkeypatch.setattr(codebook, "PAIR_BLOCK", 1 << 20)
     unblocked = _min_gram_peak_bytes(scheme, book)
     monkeypatch.setattr(codebook, "PAIR_BLOCK", 256)
     blocked = _min_gram_peak_bytes(scheme, book)
     assert unblocked > 30e6
     assert blocked < 2e6
+
+
+@pytest.mark.parametrize("make", [cyclic_delay_scheme, phase_rolling_scheme])
+def test_closed_form_min_gram_memory_is_bounded_by_the_block(monkeypatch, make):
+    # the same book on a built-in family at K = N: no Phi and no Gramian,
+    # only (P, N) arrays, ~7-10 MB unblocked and flat in blocks of 256
+    rng = np.random.default_rng(32)
+    book = Codebook(complex_gaussian(rng, (300, 4)), 0.1, 10.0)
+    scheme = make(4, 4)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 1 << 20)
+    unblocked = _min_gram_peak_bytes(scheme, book)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 256)
+    blocked = _min_gram_peak_bytes(scheme, book)
+    assert unblocked > 5e6
+    assert blocked < 2e5
+
+
+def _haar_scheme(k, n, seed):
+    rng = np.random.default_rng(seed)
+    return custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)]
+    )
+
+
+def _closed_form_book(make, n, rng):
+    """20 Gaussian words, a duplicate of word 0, and a word whose
+    difference to word 1 has one DFT bin (CDD) or one entry (phase
+    rolling) 1e-7 times the rest."""
+    words = complex_gaussian(rng, (20, n))
+    y = complex_gaussian(rng, n)
+    y[-1] *= 1e-7
+    dx = dft_matrix(n).conj().T @ y if make is cyclic_delay_scheme else y
+    return Codebook(np.concatenate([words, words[:1], words[1:2] - dx]), 0.1, 10.0)
+
+
+@pytest.mark.parametrize("make", [cyclic_delay_scheme, phase_rolling_scheme])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_closed_form_min_gram_matches_the_svd_per_pair(make, n):
+    scheme = make(n, n)
+    family = builtin_family(scheme)
+    assert family is not None
+    book = _closed_form_book(make, n, np.random.default_rng(40 + n))
+    eps = np.finfo(float).eps
+    mus = []
+    for _, _, dx in codebook.pair_blocks(book):
+        for row in dx:
+            mu = block_min_gram(scheme, family, row[None])
+            sv2 = np.linalg.svd(difference_matrix(scheme, row), compute_uv=False) ** 2
+            assert abs(mu - sv2[-1]) <= max(1e-12 * sv2[-1], 4 * eps * sv2[0])
+            mus.append(mu)
+    # the duplicate pair (0, 20) is exactly singular, and the near-singular
+    # pair is the book's minimum but for it
+    assert min(mus) == 0.0
+    assert sorted(mus)[1] < 1e-12
+    assert min_gram_eigenvalue(scheme, book) == 0.0
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [cyclic_delay_scheme(2, 4), cyclic_delay_scheme(3, 8), phase_rolling_scheme(3, 4),
+     _haar_scheme(4, 4, 6)],
+    ids=["cdd-2-4", "cdd-3-8", "pr-3-4", "haar-4-4"],
+)
+def test_min_gram_keeps_the_eigenvalues_off_the_closed_form(monkeypatch, scheme):
+    # K < N, or a scheme that is no built-in family: bit for bit _min_gram
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 64)
+    rng = np.random.default_rng(41)
+    n = scheme.block_length
+    book = Codebook(complex_gaussian(rng, (30, n)), 0.1, 10.0)
+    family = builtin_family(scheme)
+    want = np.inf
+    for _, _, dx in codebook.pair_blocks(book):
+        phi = difference_matrix(scheme, dx)
+        got = block_min_gram(scheme, family, dx)
+        assert got == block_min_gram(scheme, family, dx, phi) == codebook._min_gram(phi)
+        want = min(want, got)
+    assert min_gram_eigenvalue(scheme, book) == want
+
+
+def test_closed_form_follows_the_matrices_not_the_name():
+    rng = np.random.default_rng(42)
+    book = Codebook(complex_gaussian(rng, (12, 4)), 0.1, 10.0)
+    for make in (cyclic_delay_scheme, phase_rolling_scheme):
+        renamed = custom_scheme(make(4, 4).matrices, name="mine")
+        assert min_gram_eigenvalue(renamed, book) == min_gram_eigenvalue(make(4, 4), book)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

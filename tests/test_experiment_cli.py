@@ -24,6 +24,7 @@ from relaydiv import (
     custom_scheme,
     cyclic_delay_scheme,
     gaussian_codebook,
+    min_gram_eigenvalue,
     phase_rolling_scheme,
 )
 from relaydiv.channel_model import complex_gaussian
@@ -37,6 +38,7 @@ from relaydiv.experiment_cli import (
     SNR_DB_MAX,
     ExperimentConfig,
     _rho,
+    build_scheme,
     config_from_mapping,
     load_codebook_file,
     load_scheme_file,
@@ -518,6 +520,29 @@ def test_certify_differences_each_pair_once(tmp_path, monkeypatch):
     report = run_certify(_sweep_config(experiment="certify-code", k=4, n=4, codebook=path))
     assert report.pairs_checked == sum(received) == 780
     assert second_pass == []
+
+
+@pytest.mark.parametrize(
+    "scheme,k,n",
+    [("cdd", 4, 4), ("phase-rolling", 4, 4), ("cdd", 2, 4), ("haar", 4, 4)],
+)
+def test_certify_mu_min_is_min_gram_eigenvalue(tmp_path, monkeypatch, scheme, k, n):
+    # the closed form at K = N, the eigenvalues elsewhere: the pass and
+    # min_gram_eigenvalue take each block's minimum from one function
+    from relaydiv import codebook
+
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 50)
+    rng = np.random.default_rng(43)
+    if scheme == "haar":
+        scheme = str(tmp_path / "haar.txt")
+        save_scheme_file(scheme, custom_scheme(
+            [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)]))
+    path = str(tmp_path / "book.txt")
+    book = Codebook(complex_gaussian(rng, (30, n)), 0.25, 100.0)
+    save_codebook_file(path, book)
+    cfg = _sweep_config(experiment="certify-code", scheme=scheme, k=k, n=n, codebook=path)
+    report = run_certify(cfg)
+    assert report.mu_min == min_gram_eigenvalue(build_scheme(cfg), load_codebook_file(path))
 
 
 def test_certify_report_does_not_depend_on_the_pair_block(tmp_path, monkeypatch):

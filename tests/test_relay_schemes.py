@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relaydiv import (
+    GramianSummary,
     InternalConsistencyError,
     InvalidParameterError,
     RelayScheme,
@@ -12,10 +13,11 @@ from relaydiv import (
     cyclic_delay_scheme,
     dft_matrix,
     gramian,
+    jensen_form,
     phase_rolling_scheme,
 )
 from relaydiv.channel_model import complex_gaussian
-from relaydiv.relay_schemes import pair_products, unitary_scaling_deviations
+from relaydiv.relay_schemes import builtin_family, pair_products, unitary_scaling_deviations
 
 
 def test_cdd_single_relay_is_scaled_identity():
@@ -182,6 +184,58 @@ def test_gramian_identity_for_cdd_and_phase_rolling():
             np.testing.assert_allclose(summary.gram, np.eye(k), atol=1e-12)
             assert summary.lambda_min == pytest.approx(1.0, abs=1e-12)
             assert summary.lambda_max == pytest.approx(1.0, abs=1e-12)
+
+
+def _computed_gramian(scheme):
+    # the traces as gramian computes them for a scheme of no built-in family
+    g = scheme.stacked()
+    gram = np.einsum("cab,rab->rc", g, g.conj())
+    gram = 0.5 * (gram + gram.conj().T)
+    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    return GramianSummary(gram, float(eig[0]), float(eig[-1]), scheme.block_length)
+
+
+def test_gramian_is_exactly_identity_for_builtin_matrices():
+    grid = [(k, n) for n in (1, 2, 3, 4, 5, 8, 16) for k in range(1, n + 1)]
+    for k, n in grid:
+        pr = phase_rolling_scheme(k, n)
+        renamed = custom_scheme(pr.matrices, name="mine")
+        for scheme in (cyclic_delay_scheme(k, n), pr, renamed):
+            summary = gramian(scheme)
+            assert np.array_equal(summary.gram, np.eye(k))
+            assert summary.lambda_min == summary.lambda_max == 1.0
+        assert builtin_family(renamed) == ("cdd" if k == 1 else "phase-rolling")
+    # the test is exact equality, so the rule has something to mend: computed
+    # traces leave roundoff off phase rolling's diagonal
+    assert not np.array_equal(_computed_gramian(phase_rolling_scheme(3, 4)).gram, np.eye(3))
+
+
+def test_gramian_keeps_the_computed_traces_off_the_builtin_families():
+    rng = np.random.default_rng(12)
+    haar = custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (4, 4)))[0] / 2.0 for _ in range(3)]
+    )
+    # one ulp off a phase-rolling entry is no built-in family either
+    pr = np.array(phase_rolling_scheme(2, 4).stacked())
+    pr[1, 1, 1] = np.nextafter(pr[1, 1, 1].real, 1.0) + 1j * pr[1, 1, 1].imag
+    for scheme in (haar, custom_scheme(pr)):
+        assert builtin_family(scheme) is None
+        summary, want = gramian(scheme), _computed_gramian(scheme)
+        assert summary.gram.tobytes() == want.gram.tobytes()
+        assert (summary.lambda_min, summary.lambda_max) == (want.lambda_min, want.lambda_max)
+
+
+def test_exact_phase_rolling_gramian_keeps_the_jensen_form():
+    # the dropped cross terms were roundoff: one 16384-trial block agrees
+    # with the computed-trace form to 1e-15 relative
+    rng = np.random.default_rng(13)
+    for k, n in [(2, 8), (3, 4), (4, 16)]:
+        scheme = phase_rolling_scheme(k, n)
+        u = complex_gaussian(rng, (16384, k))
+        b = rng.exponential(size=(16384, k))
+        exact = jensen_form(gramian(scheme), u, b)
+        np.testing.assert_allclose(exact, jensen_form(_computed_gramian(scheme), u, b),
+                                   rtol=1e-15, atol=0)
 
 
 def test_phase_rolling_gramian_off_diagonals_vanish_by_geometric_sum():
