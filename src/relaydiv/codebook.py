@@ -67,25 +67,19 @@ def nominal_size(block_length: int, r: float, rho: float) -> int | float:
     return max(1, math.ceil(v * (1.0 - 1e-12) - 1e-9))
 
 
-def gaussian_codebook(
-    block_length: int,
-    r: float,
-    rho: float,
-    rng: np.random.Generator,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> Codebook:
+def gaussian_codebook(block_length: int, r: float, rho: float, rng: np.random.Generator) -> Codebook:
     """i.i.d. complex Gaussian codebook with ceil(rho^(2Nr)) codewords.
 
     Entries have unit variance so E||x||^2 = N.  Refuses books over
-    ``size_cap`` rather than silently truncating.
+    DEFAULT_SIZE_CAP rather than silently truncating.
     """
     if not 0.0 <= r <= 0.5:
         raise InvalidParameterError("multiplexing gain r must lie in [0, 1/2]")
     if not rho > 0:
         raise InvalidParameterError("rho must be positive")
     size = nominal_size(block_length, r, rho)
-    if size > size_cap:
-        raise ResourceLimitError("codebook size over cap", size, size_cap)
+    if size > DEFAULT_SIZE_CAP:
+        raise ResourceLimitError("codebook size over cap", size, DEFAULT_SIZE_CAP)
     cw = complex_gaussian(rng, (size, block_length))
     return Codebook(cw, rate_multiplexing=r, snr=float(rho))
 
@@ -140,19 +134,16 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
     """
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
-    family = builtin_family(scheme)
     best = math.inf
     for _, _, dx in pair_blocks(book):
-        best = min(best, block_min_gram(scheme, family, dx))
+        best = min(best, block_min_gram(scheme, dx))
     return best
 
 
-def block_min_gram(
-    scheme: RelayScheme, family: str | None, dx: np.ndarray, phi: np.ndarray | None = None
-) -> float:
+def block_min_gram(scheme: RelayScheme, dx: np.ndarray, phi: np.ndarray | None = None) -> float:
     """min of lambda_min(Phi(dx)^H Phi(dx)) over a nonempty (P, N) block of
-    differences, where family is ``builtin_family(scheme)`` and phi, when
-    given, is the block's ``difference_matrix(scheme, dx)``.
+    differences, where phi, when given, is the block's
+    ``difference_matrix(scheme, dx)``.
 
     At K = N the built-in families need no Gramian: Phi(dx) is a circulant
     over sqrt(N) for "cdd", so its singular values are |F dx|, and diag(dx)
@@ -162,6 +153,7 @@ def block_min_gram(
     scheme, and K < N, takes the eigenvalues (_min_gram), forming Phi only
     if phi is not given.
     """
+    family = builtin_family(scheme)
     if family is None or scheme.num_relays != scheme.block_length:
         return _min_gram(difference_matrix(scheme, dx) if phi is None else phi)
     y = _dft_bins(dx) if family == "cdd" else dx

@@ -416,7 +416,11 @@ def write_manifest(csv_path: str, cfg: ExperimentConfig, wall_time: float,
     }
     if extra:
         manifest.update(extra)
-    _write_atomic(csv_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # strict JSON has no NaN or Infinity: a failed fit's d_hat is written as null
+    manifest = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                for key, v in manifest.items()}
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(csv_path + ".manifest.json", text + "\n")
 
 
 def _curve_rows(curve: tuple[ProbEstimate, ...], extra: tuple = ()):
@@ -596,7 +600,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
             i = np.argmin(full)
             sv = [float(f"{v:.3e}") for v in np.linalg.svd(phi[i], compute_uv=False)]
             first_violation = f"pair ({idx_a[i]}, {idx_b[i]}): rank deficient, singular values {sv}"
-        mu = min(mu, block_min_gram(scheme, family, dx, phi))
+        mu = min(mu, block_min_gram(scheme, dx, phi))
     certified = not first_violation
     pairs = book.size * (book.size - 1) // 2
     lines = [

@@ -6,16 +6,12 @@ quantity has one function, which takes a stack of any leading shape and
 returns one value per element; a single realization is a stack with no
 leading axes, and rho may be a scalar or an array that broadcasts over the
 leading shape.  The kernels that start from a fading draw take its two-hop
-pair (h~, 1 + ||h||^2) from channel_model.two_hop.  The estimators' exact-MI
-kernels never form H_eff: schemes whose matrices share an eigenbasis (CDD,
-phase rolling) use their spectra, every other scheme its table of
-G_i G_j^H products.  With spectra, the eigenvalues of I + rho H H^H have
-one home, spectral_factors, which yields them one trial-last row at a
-time: mutual_information_spectral sums their logarithms, and the outage
-estimator multiplies them and decides without one.  Wherever the MI comes
-from I + rho H H^H as a matrix (that table, or an H_eff stack), its log-det
-is one in-house LDL^H elimination whose every numpy operation spans all
-trials, rather than one LAPACK call per matrix.
+pair (h~, 1 + ||h||^2) from channel_model.two_hop.
+
+The exact MI has one rule: a factor source, spectral_factors (schemes whose
+G_i share an eigenbasis) or ldl_factors (any other), yields N trial-last
+rows >= 1 whose product is det(I + rho H H^H), without forming H_eff, and
+mi_from_factors is the one reduction of them, (1/2N) sum_n log2 f_n.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import numpy as np
 from .errors import InternalConsistencyError, InvalidParameterError
 from .relay_schemes import GramianSummary
 
-# Trials per sub-block of mutual_information_products.  The elimination
+# Trials per sub-block of ldl_factors.  The elimination
 # makes ~N^2/2 passes over its packed (N(N+1)/2, t) triangle, which should
 # stay in a core's L2 cache (1.2 MB at N = 8) while each pass stays long
 # enough to hide numpy's per-call cost: 2048 was the fastest power of two
@@ -45,7 +41,7 @@ def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
     gram = heff @ np.swapaxes(heff.conj(), -1, -2)
     gram *= np.asarray(rho)[..., None, None]
     lower = gram.reshape(-1, n * n).T[_lower_rows(n)]
-    return _mi_from_lower(lower, n).reshape(heff.shape[:-2])
+    return mi_from_factors(_ldl_pivots(lower, n)).reshape(heff.shape[:-2])
 
 
 def mutual_information_products(
@@ -53,28 +49,60 @@ def mutual_information_products(
 ) -> np.ndarray:
     """Exact MI for a (..., K) stack of two-hop pairs (h~, 1 + ||h||^2) from
     the (K*K, N*N) table of vec(G_i G_j^H) (relay_schemes.pair_products),
-    shape (...).
+    shape (...): mi_from_factors of ldl_factors' rows."""
+    return _pair_mi(ldl_factors, products, ht, noise, rho)
 
-    rho H H^H = sum_ij w_ij G_i G_j^H with w_ij = rho h~_i conj(h~_j) /
-    (1 + ||h||^2), so the lower triangles of a sub-block of t trials are one
+
+def mutual_information_spectral(
+    spectra: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho
+) -> np.ndarray:
+    """Exact MI for a (..., K) stack of two-hop pairs (h~, 1 + ||h||^2) when
+    all G_i share an eigenbasis, shape (...): mi_from_factors of
+    spectral_factors' rows."""
+    return _pair_mi(spectral_factors, spectra, ht, noise, rho)
+
+
+def _pair_mi(factors, table: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho) -> np.ndarray:
+    """The MI of a (..., K) stack of two-hop pairs from a factor source and its table."""
+    _check_rho(rho)
+    lead, k = ht.shape[:-1], ht.shape[-1]
+    scale = np.broadcast_to(rho / noise, lead).reshape(-1)
+    return mi_from_factors(factors(table, ht.reshape(-1, k), scale)).reshape(lead)
+
+
+def mi_from_factors(factors) -> np.ndarray:
+    """The exact MI (1/2N) sum_n log2 f_n, shape (T,), of the N rows f_n of
+    shape (T,) that a factor source yields, added one row at a time: the
+    bits of np.sum(np.log2(rows), axis=0) over the stacked rows."""
+    mi, n = 0.0, 0
+    for n, row in enumerate(factors, start=1):
+        mi += np.log2(row)
+    return mi / (2.0 * n)
+
+
+def ldl_factors(products: np.ndarray, ht: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The LDL^H pivots of I + rho H H^H, as spectral_factors' rows but for
+    any scheme, from the (K*K, N*N) table of vec(G_i G_j^H)
+    (relay_schemes.pair_products): an (N, T) array whose row j is d_j.
+
+    rho H H^H = sum_ij w_ij G_i G_j^H with w_ij = scale h~_i conj(h~_j), so
+    the lower triangles of a sub-block of t trials are one
     (N(N+1)/2, K*K) x (K*K, t) product; H_eff is never formed.  That GEMM's
     blocking depends on t, so a trial's bits depend on the width of the
     sub-block it falls in (PRODUCTS_SUB_BLOCK, or less at a stack's end),
     not only on the trial.
     """
-    _check_rho(rho)
-    lead, k = ht.shape[:-1], ht.shape[-1]
+    k = ht.shape[-1]
     n = math.isqrt(products.shape[1])
     table = products[:, _lower_rows(n)].T
-    ht = np.ascontiguousarray(ht.reshape(-1, k).T)
-    scale = np.broadcast_to(rho / noise, lead).reshape(-1)
-    out = np.empty(ht.shape[1])
-    for lo in range(0, out.size, PRODUCTS_SUB_BLOCK):
+    x = np.ascontiguousarray(ht.T)
+    pivots = np.empty((n, x.shape[1]))
+    for lo in range(0, x.shape[1], PRODUCTS_SUB_BLOCK):
         hi = lo + PRODUCTS_SUB_BLOCK
-        w = ht[:, None, lo:hi] * ht[None, :, lo:hi].conj()
+        w = x[:, None, lo:hi] * x[None, :, lo:hi].conj()
         w *= scale[lo:hi]
-        out[lo:hi] = _mi_from_lower(table @ w.reshape(k * k, -1), n, first=lo)
-    return out.reshape(lead)
+        pivots[:, lo:hi] = _ldl_pivots(table @ w.reshape(k * k, -1), n, first=lo)
+    return pivots
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,25 +115,26 @@ def _lower_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _mi_from_lower(lower: np.ndarray, n: int, first: int = 0) -> np.ndarray:
-    """(1/2N) log2 det(I + A) for t Hermitian PSD (N, N) matrices A, given
-    trial-last as their packed lower triangles (_lower_rows order), shape
-    (N(N+1)/2, t); returns shape (t,) and overwrites ``lower``.  A fault
-    names its trial as ``first`` plus its column in ``lower``.
+def _ldl_pivots(lower: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+    """The LDL^H pivots of I + A for t Hermitian PSD (N, N) matrices A,
+    given trial-last as their packed lower triangles (_lower_rows order),
+    shape (N(N+1)/2, t); returns shape (N, t), row j the pivots d_j, and
+    overwrites ``lower``.  A fault names its trial as ``first`` plus its
+    column in ``lower``.
 
-    One LDL^H elimination of I + A runs across all trials at once: step j
-    takes the pivot d_j = 1 + A[j, j] and subtracts the rank-1 update
+    One elimination of I + A runs across all trials at once: step j takes
+    the pivot d_j = 1 + A[j, j] and subtracts the rank-1 update
     A[i, k] -= A[i, j] conj(A[k, j]) / d_j from the trailing lower triangle,
-    one column k at a time, and log2 det(I + A) = sum_j log2 d_j.  In exact
+    one column k at a time, and det(I + A) = prod_j d_j.  In exact
     arithmetic every pivot of I + PSD is >= 1, so a pivot that is not > 0
     (NaN included) is a fault; the steps after it are garbage, and it raises.
 
     A single trial runs as two equal columns: with one column numpy takes
-    other loops (a complex multiply without FMA, a pairwise sum of the
-    pivots), and the trial's bits would depend on the stack around it.
+    other loops (a complex multiply without FMA), and the trial's bits
+    would depend on the stack around it.
     """
     if lower.shape[1] == 1:
-        return _mi_from_lower(np.repeat(lower, 2, axis=1), n, first)[:1]
+        return _ldl_pivots(np.repeat(lower, 2, axis=1), n, first)[:, :1]
     pivots = np.empty((n, lower.shape[1]))
     start = 0  # row of A[j, j] in ``lower``
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,7 +154,7 @@ def _mi_from_lower(lower: np.ndarray, n: int, first: int = 0) -> np.ndarray:
             f"I + rho H H^H is not positive definite: "
             f"pivot {j} of trial {first + t} is {pivots[j, t]}"
         )
-    return np.sum(np.log2(pivots), axis=0) / (2 * n)
+    return pivots
 
 
 def spectral_factors(spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray):
@@ -152,23 +181,6 @@ def spectral_factors(spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray):
         factor *= scale
         factor += 1.0
         yield factor
-
-
-def mutual_information_spectral(
-    spectra: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho
-) -> np.ndarray:
-    """Exact MI (1/2N) sum_m log2(1 + rho |s_m|^2) for a (..., K) stack of
-    two-hop pairs (h~, 1 + ||h||^2) when all G_i share an eigenbasis, shape
-    (...): the logarithms of spectral_factors' rows, summed row by row."""
-    _check_rho(rho)
-    lead, k = ht.shape[:-1], ht.shape[-1]
-    scale = np.broadcast_to(rho / noise, lead).reshape(-1)
-    factors = spectral_factors(spectra, ht.reshape(-1, k), scale)
-    mi = np.log2(next(factors))
-    for factor in factors:
-        mi += np.log2(factor)
-    mi /= 2.0 * spectra.shape[1]
-    return mi.reshape(lead)
 
 
 def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:

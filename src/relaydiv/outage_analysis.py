@@ -21,14 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .channel_model import complex_gaussian, effective_channel
-from .codebook import Codebook, min_gram_eigenvalue
+from .codebook import DEFAULT_SIZE_CAP, Codebook, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
-from .information import (
-    jensen_form,
-    mutual_information_products,
-    mutual_information_spectral,
-    spectral_factors,
-)
+from .information import jensen_form, ldl_factors, mi_from_factors, spectral_factors
 from .relay_schemes import (
     GramianSummary,
     RelayScheme,
@@ -312,16 +307,12 @@ def _outage_kernel(
     2^(2 thresh) overflows.  For "exact" the kernel is "exact-spectral"
     when the matrices share an eigenbasis by exact equality (all diagonal
     or all circulant, whatever the scheme's name or source), else
-    "exact-products-ldl", an LDL^H log-det of I + rho H H^H built from the
-    G_i G_j^H table.  Neither exact kernel forms H_eff.
-
-    "exact-spectral" takes no logarithm either: the MI
-    (1/2N) sum_m log2 f_m of the rows f_m of spectral_factors is below
-    thresh iff prod_m f_m < 2^(2N thresh), a bound taken once per grid
-    point.  Every f_m is >= 1, so a product that overflows to inf is
-    rightly not in outage; when the bound itself overflows, the point is
-    decided on mutual_information_spectral, the same rows under the
-    logarithm."""
+    "exact-products-ldl"; their factor sources (information) yield N rows
+    f_n >= 1 whose product is det(I + rho H H^H).  One rule decides both,
+    without a logarithm: the MI (1/2N) sum_n log2 f_n is below thresh iff
+    prod_n f_n < 2^(2N thresh), a bound taken once per grid point.  A
+    product that overflows to inf is rightly not in outage; when the bound
+    itself overflows, the point is decided on mi_from_factors of the rows."""
     if outage == "jensen":
         gram = gramian(scheme)
         try:
@@ -331,26 +322,25 @@ def _outage_kernel(
         return "jensen", lambda u, b, noise: jensen_form(gram, u, b) / noise < c
     spectra = common_spectra(scheme)
     if spectra is None:
-        products = pair_products(scheme)
-        return "exact-products-ldl", lambda u, b, noise: (
-            mutual_information_products(products, _products(u, b), noise, rho) < thresh
-        )
+        name, factors, table = "exact-products-ldl", ldl_factors, pair_products(scheme)
+    else:
+        name, factors, table = "exact-spectral", spectral_factors, spectra
     try:
         bound = 2.0 ** (2 * scheme.block_length * thresh)
     except OverflowError:
-        return "exact-spectral", lambda u, b, noise: (
-            mutual_information_spectral(spectra, _products(u, b), noise, rho) < thresh
+        return name, lambda u, b, noise: (
+            mi_from_factors(factors(table, _products(u, b), rho / noise)) < thresh
         )
 
     def in_outage(u, b, noise):
-        factors = spectral_factors(spectra, _products(u, b), rho / noise)
-        det = next(factors)
+        rows = iter(factors(table, _products(u, b), rho / noise))
+        det = next(rows)
         with np.errstate(over="ignore"):
-            for factor in factors:
-                det *= factor
+            for row in rows:
+                det *= row
         return det < bound
 
-    return "exact-spectral", in_outage
+    return name, in_outage
 
 
 def _mc_outage(
@@ -386,15 +376,15 @@ def mc_ml_error(
     trials: int,
     seed: int,
     *,
-    size_cap: int = 65536,
     threads: int | None = None,
 ) -> ProbEstimate:
     """Block error rate of exhaustive maximum-likelihood decoding over the
-    normalized channel y = sqrt(rho) H x + z with perfect receiver CSI."""
+    normalized channel y = sqrt(rho) H x + z with perfect receiver CSI;
+    books over DEFAULT_SIZE_CAP words are refused."""
     if book.size < 2:
         raise InvalidParameterError("ML simulation needs at least 2 codewords")
-    if book.size > size_cap:
-        raise ResourceLimitError("codebook too large for ML decoding", book.size, size_cap)
+    if book.size > DEFAULT_SIZE_CAP:
+        raise ResourceLimitError("codebook too large for ML decoding", book.size, DEFAULT_SIZE_CAP)
     if not 0 < rho <= RHO_MAX:
         raise InvalidParameterError(f"rho must lie in (0, {RHO_MAX:g}]")
     g_stack = scheme.stacked()

@@ -51,9 +51,9 @@ def test_codebook_average_power():
 
 def test_codebook_size_cap():
     with pytest.raises(ResourceLimitError) as excinfo:
-        gaussian_codebook(8, 0.5, 10.0, np.random.default_rng(0), size_cap=1000)
+        gaussian_codebook(8, 0.5, 10.0, np.random.default_rng(0))
     assert excinfo.value.required == 10**8
-    assert excinfo.value.allowed == 1000
+    assert excinfo.value.allowed == codebook.DEFAULT_SIZE_CAP
 
 
 @pytest.mark.parametrize("rho", [1e300, 1e200, float("inf")])
@@ -340,7 +340,7 @@ def test_closed_form_min_gram_matches_the_svd_per_pair(make, n):
     mus = []
     for _, _, dx in codebook.pair_blocks(book):
         for row in dx:
-            mu = block_min_gram(scheme, family, row[None])
+            mu = block_min_gram(scheme, row[None])
             sv2 = np.linalg.svd(difference_matrix(scheme, row), compute_uv=False) ** 2
             assert abs(mu - sv2[-1]) <= max(1e-12 * sv2[-1], 4 * eps * sv2[0])
             mus.append(mu)
@@ -363,12 +363,11 @@ def test_min_gram_keeps_the_eigenvalues_off_the_closed_form(monkeypatch, scheme)
     rng = np.random.default_rng(41)
     n = scheme.block_length
     book = Codebook(complex_gaussian(rng, (30, n)), 0.1, 10.0)
-    family = builtin_family(scheme)
     want = np.inf
     for _, _, dx in codebook.pair_blocks(book):
         phi = difference_matrix(scheme, dx)
-        got = block_min_gram(scheme, family, dx)
-        assert got == block_min_gram(scheme, family, dx, phi) == codebook._min_gram(phi)
+        got = block_min_gram(scheme, dx)
+        assert got == block_min_gram(scheme, dx, phi) == codebook._min_gram(phi)
         want = min(want, got)
     assert min_gram_eigenvalue(scheme, book) == want
 

@@ -1,5 +1,6 @@
 """Config grammar, scheme/codebook files, runners, and the CLI surface."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -919,6 +920,39 @@ def test_cli_snr_ceiling_is_decided_before_monte_carlo(tmp_path, monkeypatch, sn
 
 def test_snr_ceiling_is_the_library_rho_ceiling():
     assert _rho(SNR_DB_MAX) == RHO_MAX
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_failed_slope_fit_writes_null_not_nan_to_the_manifest(tmp_path):
+    # no point has an event at 60-80 dB, so the fit fails and d_hat is NaN:
+    # the CSV keeps its nan cells, the manifest writes null
+    out = tmp_path / "s.csv"
+    rc = main(["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
+               "--snr-db", "60,70,80", "--trials", "20000", "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["d_hat"], row["d_hat_raw"]) for row in rows] == [("nan", "nan")] * 3
+    manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["status"].startswith("warning")
+    assert manifest["d_hat"] is None and manifest["d_hat_raw"] is None
+    assert manifest["d_theory"] == 2.0
+
+
+def test_a_fitted_slope_manifest_keeps_its_numbers(tmp_path):
+    out = tmp_path / "s.csv"
+    rc = main(["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+               "--snr-db", "20,25,30", "--trials", "20000", "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    text = Path(str(out) + ".manifest.json").read_text()
+    manifest = _strict_json(text)
+    assert math.isfinite(manifest["d_hat"]) and math.isfinite(manifest["d_hat_raw"])
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def test_dm_slope_above_the_largest_float_rate_puts_every_trial_in_outage(tmp_path):

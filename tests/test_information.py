@@ -23,10 +23,13 @@ from relaydiv.channel_model import complex_gaussian
 from relaydiv.experiment_cli import load_scheme_file, save_scheme_file
 from relaydiv.information import (
     PRODUCTS_SUB_BLOCK,
+    _ldl_pivots,
     _lower_rows,
-    _mi_from_lower,
+    ldl_factors,
+    mi_from_factors,
     mutual_information_products,
     mutual_information_spectral,
+    spectral_factors,
 )
 from relaydiv.outage_analysis import mc_exact_outage
 from relaydiv.relay_schemes import EIGENVALUE_CLAMP_TOL, common_spectra, pair_products
@@ -306,9 +309,44 @@ def test_common_spectra_is_none_without_a_shared_basis():
 
 
 def _packed_lower(grams):
-    """A (T, N, N) stack as _mi_from_lower takes it."""
+    """A (T, N, N) stack as _ldl_pivots takes it."""
     n = grams.shape[-1]
     return grams.transpose(1, 2, 0).reshape(n * n, -1)[_lower_rows(n)]
+
+
+@pytest.mark.parametrize("kind", ["cdd", "phase-rolling", "haar"])
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 4), (3, 8), (2, 9), (4, 16)])
+def test_each_exact_mi_is_the_row_sum_of_its_own_factor_rows(kind, k, n):
+    # the one reduction adds log2 of the rows one at a time, in row order:
+    # bit for bit np.sum(np.log2(rows), axis=0) / 2N over the stacked rows,
+    # for the spectral rows, the LDL^H pivots of the products table and
+    # those of an H_eff stack
+    rng = np.random.default_rng(60 + n)
+    if kind == "cdd":
+        scheme = cyclic_delay_scheme(k, n)
+    elif kind == "phase-rolling":
+        scheme = phase_rolling_scheme(k, n)
+    else:
+        scheme = _haar_scheme(k, n, rng)
+    spectra, products = common_spectra(scheme), pair_products(scheme)
+    assert (spectra is None) == (kind == "haar")
+    for trials in (2, 257):
+        ht, noise = two_hop(*complex_gaussian(rng, (2, trials, k)))
+        heffs = effective_channel(ht, noise, scheme.stacked())
+        for rho in (1.5, 300.0, 1e12):
+            cases = [
+                (mutual_information_products(products, ht, noise, rho),
+                 ldl_factors(products, ht, rho / noise)),
+                (mutual_information(heffs, rho),
+                 _ldl_pivots(_packed_lower(rho * (heffs @ heffs.conj().transpose(0, 2, 1))), n)),
+            ]
+            if spectra is not None:
+                cases.append((mutual_information_spectral(spectra, ht, noise, rho),
+                              np.array(list(spectral_factors(spectra, ht, rho / noise)))))
+            for got, rows in cases:
+                assert rows.shape == (n, trials)
+                want = np.sum(np.log2(rows), axis=0) / (2 * n)
+                assert got.tobytes() == want.tobytes(), (rho, trials)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -332,7 +370,8 @@ def test_ldl_log_det_matches_eigenvalue_oracle(n, rank, rho, real, seed):
         b = np.ascontiguousarray(b.real)
     b[:, :, rank:] = 0.0
     grams = rho * (b @ b.conj().transpose(0, 2, 1))
-    _assert_matches_oracle(_mi_from_lower(_packed_lower(grams), n), _eigvalsh_oracle(b, rho))
+    _assert_matches_oracle(mi_from_factors(_ldl_pivots(_packed_lower(grams), n)),
+                           _eigvalsh_oracle(b, rho))
 
 
 def test_real_channels_match_eigenvalue_oracle():
@@ -370,7 +409,7 @@ def test_non_positive_definite_input_is_an_internal_consistency_error():
         grams = np.zeros((2, 3, 3), dtype=complex)
         grams[1][entry] = value
         with pytest.raises(InternalConsistencyError):
-            _mi_from_lower(_packed_lower(grams), 3)
+            _ldl_pivots(_packed_lower(grams), 3)
         # K = 1 and f = h = 1 at rho = 2 give w = 1, so I + rho H H^H is I
         # plus the table's one row
         with pytest.raises(InternalConsistencyError):

@@ -40,9 +40,10 @@ from relaydiv import (
     union_bound,
 )
 from relaydiv.channel_model import complex_gaussian
-from relaydiv.information import mutual_information_spectral
+from relaydiv.codebook import DEFAULT_SIZE_CAP
+from relaydiv.information import mutual_information_products, mutual_information_spectral
 from relaydiv.outage_analysis import wilson_interval
-from relaydiv.relay_schemes import RelayScheme, common_spectra
+from relaydiv.relay_schemes import RelayScheme, common_spectra, pair_products
 
 # Frozen from the integral representation of K1 (quadrature oracle below).
 K1_AT_ONE = 0.6019072301972346
@@ -435,11 +436,12 @@ def test_one_jensen_block_stays_within_48k_bytes_per_trial(scheme):
 @pytest.mark.parametrize(
     "scheme",
     [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 8),
-     custom_scheme(cyclic_delay_scheme(2, 8).matrices)],
-    ids=["cdd", "phase-rolling", "custom-cdd"],
+     custom_scheme(cyclic_delay_scheme(2, 8).matrices), _haar_scheme(3, 8, 43)],
+    ids=["cdd", "phase-rolling", "custom-cdd", "haar"],
 )
 def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
-    # the estimator decides prod_m (1 + rho |s_m|^2) < 2^(2 N R), or on the
+    # both exact kernels decide prod_n f_n < 2^(2 N R) on their factor rows
+    # (eigenvalues, or LDL^H pivots for the Haar scheme), or on the
     # logarithm where that bound overflows (R >= 64 at N = 8); on every
     # trial that must be the verdict of the exact MI itself, except where
     # the MI lies within rounding of the threshold, and a trial decides
@@ -448,6 +450,11 @@ def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
     u, b, noise = outage_analysis._sample_fading(np.random.default_rng(37), 20_000,
                                                  scheme.num_relays)
     spectra = common_spectra(scheme)
+    if spectra is None:
+        kernel, table = "exact-products-ldl", pair_products(scheme)
+        exact_mi = mutual_information_products
+    else:
+        kernel, table, exact_mi = "exact-spectral", spectra, mutual_information_spectral
     ht = u * np.sqrt(b)
     alone = range(0, 20_000, 1999)
     near = 0
@@ -455,13 +462,13 @@ def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rho in (1.01, 10.0, 100.0, 1e3, 1e8, 1e300):
-            mi = mutual_information_spectral(spectra, ht, noise, rho)
+            mi = exact_mi(table, ht, noise, rho)
             rates = (0.0, 1.0, 63.9, 64.1, 509.9, 600.0, 0.5 * math.log2(rho), np.median(mi))
             for rate_bits in map(float, rates):
                 name, in_outage = outage_analysis._outage_kernel(scheme, "exact", rho, rate_bits)
                 got = in_outage(u.copy(), b.copy(), noise)
                 band = np.abs(mi - rate_bits) <= 1e-12 * rate_bits
-                assert name == "exact-spectral"
+                assert name == kernel
                 assert np.array_equal(got[~band], (mi < rate_bits)[~band]), (rho, rate_bits)
                 near += int(np.count_nonzero(band))
                 if 0 < np.count_nonzero(got) < got.size:
@@ -496,6 +503,29 @@ def test_one_spectral_block_stays_within_24n_bytes_per_trial(k, n):
         tracemalloc.stop()
     assert name == "exact-spectral"
     assert peak / outage_analysis.BLOCK_TRIALS <= 24 * n
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 8), (4, 16)])
+def test_one_ldl_block_stays_within_48n_bytes_per_trial(k, n):
+    # the verdict holds the block's (N, T) pivot rows, and per sub-block of
+    # PRODUCTS_SUB_BLOCK trials its packed triangles; no (T, N, N) array
+    name, in_outage = outage_analysis._outage_kernel(_haar_scheme(k, n, 47), "exact",
+                                                     100.0, 0.25 * math.log2(100.0))
+
+    def draw():
+        return outage_analysis._sample_fading(outage_analysis._block_rng(1, 0),
+                                              outage_analysis.BLOCK_TRIALS, k)
+
+    in_outage(*draw())
+    parts = draw()
+    tracemalloc.start()
+    try:
+        in_outage(*parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert name == "exact-products-ldl"
+    assert peak / outage_analysis.BLOCK_TRIALS <= 48 * n
 
 
 def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
@@ -757,7 +787,8 @@ def test_ml_error_validation():
     single = Codebook(np.ones((1, 2)), 0.0, 10.0)
     with pytest.raises(InvalidParameterError):
         mc_ml_error(scheme, single, 10.0, 100, seed=0)
-    rng = np.random.default_rng(7)
-    big = Codebook(rng.standard_normal((50, 2)), 0.1, 10.0)
-    with pytest.raises(ResourceLimitError):
-        mc_ml_error(scheme, big, 10.0, 100, seed=0, size_cap=10)
+    # one word over the cap, refused before any draw
+    big = Codebook(np.ones((DEFAULT_SIZE_CAP + 1, 2)), 0.1, 10.0)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        mc_ml_error(scheme, big, 10.0, 100, seed=0)
+    assert excinfo.value.allowed == DEFAULT_SIZE_CAP
