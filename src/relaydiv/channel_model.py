@@ -44,8 +44,10 @@ def two_hop(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h * f, 1.0 + np.sum(np.abs(h) ** 2, axis=-1)
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0,1) samples: (z_2j + i z_2j+1)/sqrt(2) with z standard normal.
+def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """CN(0,1) samples of the given shape: (z_2j + i z_2j+1)/sqrt(2) with z
+    standard normal, written to ``out`` (a C-contiguous complex array of
+    that shape) when given.
 
     One standard_normal call fills the interleaved real and imaginary parts
     of the complex result, which are then scaled by 1/sqrt(2) in place; numpy
@@ -53,7 +55,8 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     those of ``rng.standard_normal(shape + (2,))`` viewed as complex and
     divided by sqrt(2).
     """
-    out = np.empty(shape, dtype=complex)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
     parts = out.reshape(-1).view(float)
     rng.standard_normal(out=parts)
     parts *= _INV_SQRT2

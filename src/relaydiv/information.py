@@ -12,6 +12,10 @@ The exact MI has one rule: a factor source, spectral_factors (schemes whose
 G_i share an eigenbasis) or ldl_factors (any other), yields N trial-last
 rows >= 1 whose product is det(I + rho H H^H), without forming H_eff, and
 mi_from_factors is the one reduction of them, (1/2N) sum_n log2 f_n.
+
+Each factor source also takes an optional Workspace, whose arrays it reuses
+for its temporaries and rows instead of allocating them; called without
+one, it returns fresh arrays only.
 """
 
 from __future__ import annotations
@@ -31,6 +35,33 @@ from .relay_schemes import GramianSummary
 # from 256 to 16384 at (K, N) = (2, 4) and (3, 8), and within noise of the
 # fastest at (4, 16), on a 2-vCPU Xeon.
 PRODUCTS_SUB_BLOCK = 2048
+
+
+class Workspace:
+    """Named scratch arrays that only grow: ``take(name, shape, dtype)``
+    returns a C-contiguous view of the first prod(shape) elements of the
+    array kept under (name, dtype), first replacing that array by a larger
+    one if it is too small.  A view's contents are whatever the last user
+    of the name left there, and it is valid until the name is taken again.
+    Each name is a separate allocation, aligned as a fresh array is."""
+
+    def __init__(self):
+        self._arrays: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        key = (name, np.dtype(dtype))
+        size = math.prod(shape)
+        array = self._arrays.get(key)
+        if array is None or array.size < size:
+            array = self._arrays[key] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
+
+
+def _scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.ndarray:
+    """``workspace.take(name, shape, dtype)``, or a fresh array without one."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    return workspace.take(name, shape, dtype)
 
 
 def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
@@ -80,10 +111,14 @@ def mi_from_factors(factors) -> np.ndarray:
     return mi / (2.0 * n)
 
 
-def ldl_factors(products: np.ndarray, ht: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def ldl_factors(
+    products: np.ndarray, ht: np.ndarray, scale: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
     """The LDL^H pivots of I + rho H H^H, as spectral_factors' rows but for
     any scheme, from the (K*K, N*N) table of vec(G_i G_j^H)
     (relay_schemes.pair_products): an (N, T) array whose row j is d_j.
+    With a workspace the array is its "pivots", valid until that is taken
+    again.
 
     rho H H^H = sum_ij w_ij G_i G_j^H with w_ij = scale h~_i conj(h~_j), so
     the lower triangles of a sub-block of t trials are one
@@ -92,16 +127,21 @@ def ldl_factors(products: np.ndarray, ht: np.ndarray, scale: np.ndarray) -> np.n
     sub-block it falls in (PRODUCTS_SUB_BLOCK, or less at a stack's end),
     not only on the trial.
     """
-    k = ht.shape[-1]
+    trials, k = ht.shape
     n = math.isqrt(products.shape[1])
     table = products[:, _lower_rows(n)].T
-    x = np.ascontiguousarray(ht.T)
-    pivots = np.empty((n, x.shape[1]))
-    for lo in range(0, x.shape[1], PRODUCTS_SUB_BLOCK):
-        hi = lo + PRODUCTS_SUB_BLOCK
-        w = x[:, None, lo:hi] * x[None, :, lo:hi].conj()
+    x = _scratch(workspace, "ht", (k, trials), complex)
+    np.copyto(x, ht.T)
+    pivots = _scratch(workspace, "pivots", (n, trials))
+    for lo in range(0, trials, PRODUCTS_SUB_BLOCK):
+        hi = min(lo + PRODUCTS_SUB_BLOCK, trials)
+        conj = np.conjugate(x[:, lo:hi], out=_scratch(workspace, "conj", (k, hi - lo), complex))
+        w = _scratch(workspace, "w", (k, k, hi - lo), complex)
+        np.multiply(x[:, None, lo:hi], conj[None], out=w)
         w *= scale[lo:hi]
-        pivots[:, lo:hi] = _ldl_pivots(table @ w.reshape(k * k, -1), n, first=lo)
+        lower = _scratch(workspace, "lower", (table.shape[0], hi - lo), complex)
+        np.matmul(table, w.reshape(k * k, -1), out=lower)
+        _ldl_pivots(lower, n, first=lo, out=pivots[:, lo:hi], workspace=workspace)
     return pivots
 
 
@@ -115,53 +155,78 @@ def _lower_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _ldl_pivots(lower: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+def _ldl_pivots(
+    lower: np.ndarray,
+    n: int,
+    first: int = 0,
+    out: np.ndarray | None = None,
+    workspace: Workspace | None = None,
+) -> np.ndarray:
     """The LDL^H pivots of I + A for t Hermitian PSD (N, N) matrices A,
     given trial-last as their packed lower triangles (_lower_rows order),
-    shape (N(N+1)/2, t); returns shape (N, t), row j the pivots d_j, and
-    overwrites ``lower``.  A fault names its trial as ``first`` plus its
-    column in ``lower``.
+    shape (N(N+1)/2, t); returns shape (N, t), row j the pivots d_j, in
+    ``out`` when given, and overwrites ``lower``.  A fault names its trial
+    as ``first`` plus its column in ``lower``.
 
     One elimination of I + A runs across all trials at once: step j takes
     the pivot d_j = 1 + A[j, j] and subtracts the rank-1 update
     A[i, k] -= A[i, j] conj(A[k, j]) / d_j from the trailing lower triangle,
-    one column k at a time, and det(I + A) = prod_j d_j.  In exact
-    arithmetic every pivot of I + PSD is >= 1, so a pivot that is not > 0
-    (NaN included) is a fault; the steps after it are garbage, and it raises.
+    one column k at a time, and det(I + A) = prod_j d_j.  For complex A the
+    division is a product with 1/d_j, which gives the bits of numpy's
+    complex-by-real division (it computes x (1/d)) at a third of its cost;
+    real A is divided, as x (1/d) would change its bits.  In
+    exact arithmetic every pivot of I + PSD is >= 1, so a pivot that is not
+    > 0 (NaN included) is a fault; the steps after it are garbage, and it
+    raises.
 
     A single trial runs as two equal columns: with one column numpy takes
     other loops (a complex multiply without FMA), and the trial's bits
     would depend on the stack around it.
     """
-    if lower.shape[1] == 1:
-        return _ldl_pivots(np.repeat(lower, 2, axis=1), n, first)[:, :1]
-    pivots = np.empty((n, lower.shape[1]))
+    t = lower.shape[1]
+    if out is None:
+        out = np.empty((n, t))
+    if t == 1:
+        out[:] = _ldl_pivots(np.repeat(lower, 2, axis=1), n, first)[:, :1]
+        return out
+    recip = _scratch(workspace, "recip", (t,))
+    scaled_rows = _scratch(workspace, "scaled", (n - 1, t), lower.dtype)
+    update_rows = _scratch(workspace, "update", (n - 1, t), lower.dtype)
+    complex_rows = lower.dtype.kind == "c"
     start = 0  # row of A[j, j] in ``lower``
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n):
-            np.add(lower[start].real, 1.0, out=pivots[j])
+            np.add(lower[start].real, 1.0, out=out[j])
             col = lower[start + 1 : start + n - j]  # A[j+1:, j]
-            scaled = np.conjugate(col)  # a copy even for real input, unlike col.conj()
-            scaled /= pivots[j]
+            scaled = np.conjugate(col, out=scaled_rows[: n - j - 1])
+            if complex_rows:
+                scaled *= np.divide(1.0, out[j], out=recip)
+            else:
+                scaled /= out[j]
             start += n - j
             target = start  # row of A[k, k] for k = j+1, j+2, ...
             for k in range(j + 1, n):
-                lower[target : target + n - k] -= col[k - j - 1 :] * scaled[k - j - 1]
+                update = update_rows[: n - k]
+                np.multiply(col[k - j - 1 :], scaled[k - j - 1], out=update)
+                lower[target : target + n - k] -= update
                 target += n - k
-    if not np.all(pivots > 0):
-        j, t = np.argwhere(~(pivots > 0))[0]
+    if not np.all(out > 0):
+        j, t = np.argwhere(~(out > 0))[0]
         raise InternalConsistencyError(
             f"I + rho H H^H is not positive definite: "
-            f"pivot {j} of trial {first + t} is {pivots[j, t]}"
+            f"pivot {j} of trial {first + t} is {out[j, t]}"
         )
-    return pivots
+    return out
 
 
-def spectral_factors(spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray):
+def spectral_factors(
+    spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray, workspace: Workspace | None = None
+):
     """The eigenvalues 1 + rho |s_m|^2 of I + rho H H^H for a (T, K) stack of
     two-hop products h~ when all G_i share an eigenbasis, given
     scale = rho / (1 + ||h||^2) of shape (T,); yields one row of shape (T,)
-    per m, and det(I + rho H H^H) is their product.
+    per m, and det(I + rho H H^H) is their product.  With a workspace every
+    row is its "factor", so a row is valid only until the next is taken.
 
     With spectra[i] the eigenvalues of G_i (relay_schemes.common_spectra),
     H_eff is normal with eigenvalues s = h~ @ spectra / sqrt(1 + ||h||^2).
@@ -171,13 +236,18 @@ def spectral_factors(spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray):
     other bits than those of its body, so a trial's bits would depend on
     the stack around it.  Every factor is >= 1.
     """
-    x = ht.T.copy()
+    trials, k = ht.shape
+    x = _scratch(workspace, "ht", (k, trials), complex)
+    np.copyto(x, ht.T)
+    s = _scratch(workspace, "s", (trials,), complex)
+    term = _scratch(workspace, "term", (trials,), complex)
+    square = _scratch(workspace, "square", (trials,))
     for lam in spectra.T:
-        s = lam[0] * x[0]
-        for i in range(1, x.shape[0]):
-            s += lam[i] * x[i]
-        factor = s.real**2
-        factor += s.imag**2
+        np.multiply(lam[0], x[0], out=s)
+        for i in range(1, k):
+            s += np.multiply(lam[i], x[i], out=term)
+        factor = np.square(s.real, out=_scratch(workspace, "factor", (trials,)))
+        factor += np.square(s.imag, out=square)
         factor *= scale
         factor += 1.0
         yield factor

@@ -8,12 +8,19 @@ worker threads.  Each block samples the two-hop law channel_model.two_hop
 states, as the parts (u, b, 1 + ||h||^2) of h~ = u sqrt(b), in one shared
 draw (_sample_fading, FADING_STREAM), so every estimator sees the same
 draw for the same (seed, block); each kernel forms only what it needs.
+
+A block's draw and the exact kernels' temporaries live in its thread's
+Workspace (_workspace), which grows to the largest block the thread has run
+and is kept for the thread's life, so blocks after a thread's first
+allocate no large array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +30,7 @@ import numpy as np
 from .channel_model import complex_gaussian, effective_channel
 from .codebook import DEFAULT_SIZE_CAP, Codebook, min_gram_eigenvalue
 from .errors import InsufficientDataError, InvalidParameterError, ResourceLimitError
-from .information import jensen_form, ldl_factors, mi_from_factors, spectral_factors
+from .information import Workspace, jensen_form, ldl_factors, mi_from_factors, spectral_factors
 from .relay_schemes import (
     GramianSummary,
     RelayScheme,
@@ -55,6 +62,9 @@ ENV_THREADS = "RELAYDIV_THREADS"
 
 # Most worker threads one Monte Carlo pool may start.
 MAX_THREADS = 256
+
+# Each thread's Workspace, made by its first call to _workspace.
+_THREAD = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +192,17 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
 
 def resolve_threads(threads: int | None) -> int:
     """Explicit argument, else RELAYDIV_THREADS, else 1; anything but an
-    integer in [1, MAX_THREADS] raises InvalidParameterError naming its source."""
+    integer in [1, MAX_THREADS] (a bool, a float even if integral, a string
+    that is no integer literal) raises InvalidParameterError naming its
+    source."""
     name, raw = "threads", threads
     if threads is None:
         name, raw = ENV_THREADS, os.environ.get(ENV_THREADS, "1")
     try:
-        value = int(raw)
-    except ValueError:
+        value = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
         value = 0
-    if not 1 <= value <= MAX_THREADS:
+    if isinstance(raw, bool) or not 1 <= value <= MAX_THREADS:
         raise InvalidParameterError(f"{name} must be an integer in [1, {MAX_THREADS}], got {raw!r}")
     return value
 
@@ -227,10 +239,20 @@ def _mc_event_count(
     return int(sum(counts))
 
 
+def _workspace() -> Workspace:
+    """The calling thread's Workspace, made on its first call."""
+    workspace = getattr(_THREAD, "workspace", None)
+    if workspace is None:
+        workspace = _THREAD.workspace = Workspace()
+    return workspace
+
+
 def _sample_fading(rng: np.random.Generator, n: int, k: int):
     """n trials of the two-hop law of channel_model.two_hop as its parts
     (u, b, 1 + ||h||^2), shapes (n, k), (n, k) and (n,): the products are
-    h~ = u sqrt(b), drawn from their law rather than through (f, h).
+    h~ = u sqrt(b), drawn from their law rather than through (f, h).  The
+    three are the calling thread's workspace arrays "u", "b" and "noise",
+    valid until its next draw.
 
     Stream 3 (FADING_STREAM): u ~ CN(0, 1) first, then b ~ Exp(1), both
     (n, k), and 1 + ||h||^2 = 1 + sum_k b.  With b = |h|^2 and
@@ -241,14 +263,16 @@ def _sample_fading(rng: np.random.Generator, n: int, k: int):
     columns in relay order gives b.sum(axis=-1)'s bits at a fraction of its
     cost; from K = 8 numpy's pairwise order differs, and the sum stays.
     """
-    u = complex_gaussian(rng, (n, k))
-    b = rng.standard_exponential((n, k))
+    workspace = _workspace()
+    u = complex_gaussian(rng, (n, k), out=workspace.take("u", (n, k), complex))
+    b = rng.standard_exponential(out=workspace.take("b", (n, k)))
+    noise = workspace.take("noise", (n,))
     if k < 8:
-        noise = b[:, 0].copy()
+        np.copyto(noise, b[:, 0])
         for j in range(1, k):
             noise += b[:, j]
     else:
-        noise = b.sum(axis=-1)
+        b.sum(axis=-1, out=noise)
     noise += 1.0
     return u, b, noise
 
@@ -298,7 +322,8 @@ def _outage_kernel(
     """Name and batched ``in_outage(u, b, noise)``, taking a fading draw as
     _sample_fading returns it, of the test the ``outage`` estimator runs on a
     scheme: whether the MI falls below ``thresh`` at SNR ``rho``.  The
-    exact kernels form h~ in place, over the draw.
+    exact kernels form h~ in place, over the draw, and keep their
+    temporaries in the calling thread's workspace.
 
     "jensen" decides on the Gramian form of (u, b), without h~ or a
     logarithm: the bound
@@ -325,18 +350,23 @@ def _outage_kernel(
         name, factors, table = "exact-products-ldl", ldl_factors, pair_products(scheme)
     else:
         name, factors, table = "exact-spectral", spectral_factors, spectra
+
+    def rows(u, b, noise, workspace):
+        scale = np.divide(rho, noise, out=workspace.take("scale", noise.shape))
+        return factors(table, _products(u, b), scale, workspace)
+
     try:
         bound = 2.0 ** (2 * scheme.block_length * thresh)
     except OverflowError:
-        return name, lambda u, b, noise: (
-            mi_from_factors(factors(table, _products(u, b), rho / noise)) < thresh
-        )
+        return name, lambda u, b, noise: mi_from_factors(rows(u, b, noise, _workspace())) < thresh
 
     def in_outage(u, b, noise):
-        rows = iter(factors(table, _products(u, b), rho / noise))
-        det = next(rows)
+        workspace = _workspace()
+        factor_rows = iter(rows(u, b, noise, workspace))
+        det = workspace.take("det", noise.shape)
+        np.copyto(det, next(factor_rows))
         with np.errstate(over="ignore"):
-            for row in rows:
+            for row in factor_rows:
                 det *= row
         return det < bound
 

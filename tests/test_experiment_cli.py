@@ -1078,6 +1078,35 @@ def test_thread_count_is_capped_before_any_compute(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+def test_exact_sweep_bytes_hold_across_threads_and_workspace_sizes(tmp_path):
+    # every thread reuses one workspace across blocks and runs: on both
+    # exact kernels the CSV is the same at 1, 2 and 8 threads, and a
+    # 1-thread (3, 8) run after a (2, 4) one, which leaves the main thread's
+    # arrays resized and dirty, repeats the first (3, 8) run byte for byte
+    rng = np.random.default_rng(88)
+    for kind, kernel in (("cdd", "exact-spectral"), ("haar", "exact-products-ldl")):
+        outputs = {}
+        for run, (k, n, threads) in enumerate(
+                ((3, 8, 1), (3, 8, 2), (3, 8, 8), (2, 4, 1), (2, 4, 2), (3, 8, 1))):
+            scheme = "cdd"
+            if kind == "haar":
+                scheme = str(tmp_path / f"haar-{k}-{n}.txt")
+                if not os.path.exists(scheme):
+                    save_scheme_file(scheme, custom_scheme(
+                        [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n)
+                         for _ in range(k)]))
+            out = tmp_path / f"{kind}-{run}.csv"
+            rc = main(["outage-sweep", "--outage", "exact", "--scheme", scheme, "--k", str(k),
+                       "--n", str(n), "--r", "0.25", "--snr-db", "20,30", "--trials", "40000",
+                       "--seed", "5", "--threads", str(threads), "--out", str(out)])
+            assert rc == EXIT_OK
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["mi_kernel"] == kernel
+            outputs.setdefault((k, n), []).append(out.read_bytes())
+        assert [len(runs) for runs in outputs.values()] == [4, 2]
+        assert all(len(set(runs)) == 1 for runs in outputs.values())
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "257"])
 def test_cli_bad_env_threads_is_config_error(tmp_path, monkeypatch, capsys, value):
     out = tmp_path / "t.csv"

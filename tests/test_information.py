@@ -294,6 +294,33 @@ def test_common_spectra_follow_structure_not_name(tmp_path):
             == mc_exact_outage(cdd, 0.25, 1000.0, 40_000, seed=3))
 
 
+@pytest.mark.parametrize("kind", ["cdd", "haar"])
+def test_results_are_not_changed_by_a_later_call(kind):
+    # called without a workspace, the MI functions and the factor sources
+    # return fresh arrays: neither a later call nor a Monte Carlo run, which
+    # reuses its thread's workspace, changes an earlier result
+    rng = np.random.default_rng(71)
+    scheme = cyclic_delay_scheme(3, 8) if kind == "cdd" else _haar_scheme(3, 8, rng)
+    spectra, products = common_spectra(scheme), pair_products(scheme)
+
+    def results(seed):
+        ht, noise = two_hop(*complex_gaussian(np.random.default_rng(seed), (2, 3000, 3)))
+        got = [mutual_information_products(products, ht, noise, 300.0),
+               ldl_factors(products, ht, 300.0 / noise),
+               mutual_information(effective_channel(ht, noise, scheme.stacked()), 300.0)]
+        if spectra is not None:
+            got.append(mutual_information_spectral(spectra, ht, noise, 300.0))
+            got.extend(spectral_factors(spectra, ht, 300.0 / noise))
+        return got
+
+    first = results(1)
+    kept = [a.tobytes() for a in first]
+    results(2)
+    mc_exact_outage(scheme, 0.25, 300.0, 20_000, seed=3, threads=1)
+    assert [a.tobytes() for a in first] == kept
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[:i])
+
+
 def test_common_spectra_is_none_without_a_shared_basis():
     rng = np.random.default_rng(9)
     assert common_spectra(_haar_scheme(3, 8, rng)) is None
