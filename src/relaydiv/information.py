@@ -5,13 +5,15 @@ All logarithms are base 2; rates are in bits per channel use.  The factor
 quantity has one function, which takes a stack of any leading shape and
 returns one value per element; a single realization is a stack with no
 leading axes, and rho may be a scalar or an array that broadcasts over the
-leading shape.  The kernels that start from a fading draw take its two-hop
-pair (h~, 1 + ||h||^2) from channel_model.two_hop.
+leading shape.  The kernels that start from a fading draw take its
+two-hop products h~ = u sqrt(b) as the parts u and b (b broadcasts against
+u, and b = 1 takes h~ itself as u), and only read them.
 
 The exact MI has one rule: a factor source, spectral_factors (schemes whose
 G_i share an eigenbasis) or ldl_factors (any other), yields N trial-last
-rows >= 1 whose product is det(I + rho H H^H), without forming H_eff, and
-mi_from_factors is the one reduction of them, (1/2N) sum_n log2 f_n.
+rows >= 1 whose product is det(I + rho H H^H), without forming H_eff, from
+h~ and scale = rho / (1 + ||h||^2), and mi_from_factors is the one
+reduction of them, (1/2N) sum_n log2 f_n.
 
 Each factor source also takes an optional Workspace, whose arrays it reuses
 for its temporaries and rows instead of allocating them; called without
@@ -75,35 +77,9 @@ def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
     return mi_from_factors(_ldl_pivots(lower, n)).reshape(heff.shape[:-2])
 
 
-def mutual_information_products(
-    products: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho
-) -> np.ndarray:
-    """Exact MI for a (..., K) stack of two-hop pairs (h~, 1 + ||h||^2) from
-    the (K*K, N*N) table of vec(G_i G_j^H) (relay_schemes.pair_products),
-    shape (...): mi_from_factors of ldl_factors' rows."""
-    return _pair_mi(ldl_factors, products, ht, noise, rho)
-
-
-def mutual_information_spectral(
-    spectra: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho
-) -> np.ndarray:
-    """Exact MI for a (..., K) stack of two-hop pairs (h~, 1 + ||h||^2) when
-    all G_i share an eigenbasis, shape (...): mi_from_factors of
-    spectral_factors' rows."""
-    return _pair_mi(spectral_factors, spectra, ht, noise, rho)
-
-
-def _pair_mi(factors, table: np.ndarray, ht: np.ndarray, noise: np.ndarray, rho) -> np.ndarray:
-    """The MI of a (..., K) stack of two-hop pairs from a factor source and its table."""
-    _check_rho(rho)
-    lead, k = ht.shape[:-1], ht.shape[-1]
-    scale = np.broadcast_to(rho / noise, lead).reshape(-1)
-    return mi_from_factors(factors(table, ht.reshape(-1, k), scale)).reshape(lead)
-
-
 def mi_from_factors(factors) -> np.ndarray:
-    """The exact MI (1/2N) sum_n log2 f_n, shape (T,), of the N rows f_n of
-    shape (T,) that a factor source yields, added one row at a time: the
+    """The exact MI (1/2N) sum_n log2 f_n of the N rows f_n that a factor
+    source yields, in the rows' shape, added one row at a time: the
     bits of np.sum(np.log2(rows), axis=0) over the stacked rows."""
     mi, n = 0.0, 0
     for n, row in enumerate(factors, start=1):
@@ -112,11 +88,11 @@ def mi_from_factors(factors) -> np.ndarray:
 
 
 def ldl_factors(
-    products: np.ndarray, ht: np.ndarray, scale: np.ndarray, workspace: Workspace | None = None
+    products: np.ndarray, u: np.ndarray, b, scale, workspace: Workspace | None = None
 ) -> np.ndarray:
     """The LDL^H pivots of I + rho H H^H, as spectral_factors' rows but for
     any scheme, from the (K*K, N*N) table of vec(G_i G_j^H)
-    (relay_schemes.pair_products): an (N, T) array whose row j is d_j.
+    (relay_schemes.pair_products): an (N, ...) array whose row j is d_j.
     With a workspace the array is its "pivots", valid until that is taken
     again.
 
@@ -127,11 +103,12 @@ def ldl_factors(
     sub-block it falls in (PRODUCTS_SUB_BLOCK, or less at a stack's end),
     not only on the trial.
     """
-    trials, k = ht.shape
+    lead = u.shape[:-1]
+    x = _trial_last_products(u, b, workspace)
+    k, trials = x.shape
+    scale = np.broadcast_to(scale, lead).reshape(-1)
     n = math.isqrt(products.shape[1])
     table = products[:, _lower_rows(n)].T
-    x = _scratch(workspace, "ht", (k, trials), complex)
-    np.copyto(x, ht.T)
     pivots = _scratch(workspace, "pivots", (n, trials))
     for lo in range(0, trials, PRODUCTS_SUB_BLOCK):
         hi = min(lo + PRODUCTS_SUB_BLOCK, trials)
@@ -142,7 +119,25 @@ def ldl_factors(
         lower = _scratch(workspace, "lower", (table.shape[0], hi - lo), complex)
         np.matmul(table, w.reshape(k * k, -1), out=lower)
         _ldl_pivots(lower, n, first=lo, out=pivots[:, lo:hi], workspace=workspace)
-    return pivots
+    return pivots.reshape((n,) + lead)
+
+
+def _trial_last_products(u: np.ndarray, b, workspace: Workspace | None) -> np.ndarray:
+    """The two-hop products h~ = u sqrt(b) of a (..., K) stack as a
+    trial-last (K, T) array, the workspace's "ht".  Relay i's row is formed
+    as the real products Re u_i sqrt(b_i) and Im u_i sqrt(b_i), sqrt(b_i)
+    first taking the imaginary row's place: the bits of numpy's
+    u * np.sqrt(b), with u and b only read and no complex-by-real cast
+    buffer."""
+    k = u.shape[-1]
+    flat = u.reshape(-1, k)
+    weight = np.broadcast_to(b, u.shape).reshape(-1, k)
+    x = _scratch(workspace, "ht", (k, flat.shape[0]), complex)
+    for i in range(k):
+        root = np.sqrt(weight[:, i], out=x[i].imag)
+        np.multiply(flat[:, i].real, root, out=x[i].real)
+        np.multiply(flat[:, i].imag, root, out=root)
+    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,13 +215,14 @@ def _ldl_pivots(
 
 
 def spectral_factors(
-    spectra: np.ndarray, ht: np.ndarray, scale: np.ndarray, workspace: Workspace | None = None
+    spectra: np.ndarray, u: np.ndarray, b, scale, workspace: Workspace | None = None
 ):
-    """The eigenvalues 1 + rho |s_m|^2 of I + rho H H^H for a (T, K) stack of
-    two-hop products h~ when all G_i share an eigenbasis, given
-    scale = rho / (1 + ||h||^2) of shape (T,); yields one row of shape (T,)
-    per m, and det(I + rho H H^H) is their product.  With a workspace every
-    row is its "factor", so a row is valid only until the next is taken.
+    """The eigenvalues 1 + rho |s_m|^2 of I + rho H H^H for a (..., K) stack
+    of two-hop products h~ = u sqrt(b) when all G_i share an eigenbasis,
+    given scale = rho / (1 + ||h||^2), which broadcasts; yields one row of
+    shape (...) per m, and det(I + rho H H^H) is their product.  With a
+    workspace every row is its "factor", so a row is valid only until the
+    next is taken.
 
     With spectra[i] the eigenvalues of G_i (relay_schemes.common_spectra),
     H_eff is normal with eigenvalues s = h~ @ spectra / sqrt(1 + ||h||^2).
@@ -236,9 +232,10 @@ def spectral_factors(
     other bits than those of its body, so a trial's bits would depend on
     the stack around it.  Every factor is >= 1.
     """
-    trials, k = ht.shape
-    x = _scratch(workspace, "ht", (k, trials), complex)
-    np.copyto(x, ht.T)
+    lead = u.shape[:-1]
+    x = _trial_last_products(u, b, workspace)
+    k, trials = x.shape
+    scale = np.broadcast_to(scale, lead).reshape(-1)
     s = _scratch(workspace, "s", (trials,), complex)
     term = _scratch(workspace, "term", (trials,), complex)
     square = _scratch(workspace, "square", (trials,))
@@ -250,7 +247,7 @@ def spectral_factors(
         factor += np.square(s.imag, out=square)
         factor *= scale
         factor += 1.0
-        yield factor
+        yield factor.reshape(lead)
 
 
 def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:

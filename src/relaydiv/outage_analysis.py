@@ -277,13 +277,6 @@ def _sample_fading(rng: np.random.Generator, n: int, k: int):
     return u, b, noise
 
 
-def _products(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The two-hop products h~ = u sqrt(b) of a draw, formed in u, which is
-    returned; b is left holding sqrt(b)."""
-    u *= np.sqrt(b, out=b)
-    return u
-
-
 def mc_jensen_outage(
     scheme: RelayScheme,
     r: float,
@@ -321,9 +314,9 @@ def _outage_kernel(
 ) -> tuple[str, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
     """Name and batched ``in_outage(u, b, noise)``, taking a fading draw as
     _sample_fading returns it, of the test the ``outage`` estimator runs on a
-    scheme: whether the MI falls below ``thresh`` at SNR ``rho``.  The
-    exact kernels form h~ in place, over the draw, and keep their
-    temporaries in the calling thread's workspace.
+    scheme: whether the MI falls below ``thresh`` at SNR ``rho``.  No kernel
+    writes into the draw; the exact kernels keep h~ and their temporaries
+    in the calling thread's workspace.
 
     "jensen" decides on the Gramian form of (u, b), without h~ or a
     logarithm: the bound
@@ -353,7 +346,7 @@ def _outage_kernel(
 
     def rows(u, b, noise, workspace):
         scale = np.divide(rho, noise, out=workspace.take("scale", noise.shape))
-        return factors(table, _products(u, b), scale, workspace)
+        return factors(table, u, b, scale, workspace)
 
     try:
         bound = 2.0 ** (2 * scheme.block_length * thresh)
@@ -430,7 +423,7 @@ def mc_ml_error(
         u, b, noise = _sample_fading(rng, n, k)
         sent = rng.integers(0, m, size=n)
         z = complex_gaussian(rng, (n, n_block))
-        heff = effective_channel(_products(u, b), noise, g_stack)
+        heff = effective_channel(u * np.sqrt(b), noise, g_stack)
         errors = 0
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)

@@ -19,7 +19,6 @@ from relaydiv.channel_model import complex_gaussian
 from relaydiv.outage_analysis import (
     BLOCK_TRIALS,
     _block_rng,
-    _products,
     _sample_fading,
     product_rayleigh_cdf,
 )
@@ -55,13 +54,6 @@ def test_fading_draw_from_eight_relays_keeps_the_bits_of_its_law(k):
     b = twin.standard_exponential((1000, k))
     assert (got_u.tobytes(), got_b.tobytes()) == (u.tobytes(), b.tobytes())
     assert noise.tobytes() == (1.0 + b.sum(axis=-1)).tobytes()
-    assert _products(got_u, got_b).tobytes() == (u * np.sqrt(b)).tobytes()
-
-
-def _sampled_pairs(rng, n, k):
-    """n trials of (h~, 1 + ||h||^2) from the estimators' draw."""
-    u, b, noise = _sample_fading(rng, n, k)
-    return _products(u, b), noise
 
 
 def _ks_two_sample(x, y):
@@ -83,7 +75,8 @@ def test_sampled_two_hop_pairs_follow_the_law_of_two_hop():
     # give the same |h~_k|^2 per relay, the same noise term, and the same
     # ||h~||^2 / (1 + ||h||^2), which couples the two
     n, k = 100_000, 3
-    ht, noise = _sampled_pairs(np.random.default_rng(101), n, k)
+    u, b, noise = _sample_fading(np.random.default_rng(101), n, k)
+    ht = u * np.sqrt(b)
     ref_ht, ref_noise = two_hop(*complex_gaussian(np.random.default_rng(102), (2, n, k)))
     for i in range(k):
         assert _ks_two_sample(np.abs(ht[:, i]) ** 2, np.abs(ref_ht[:, i]) ** 2) < KS_CRITICAL
@@ -94,14 +87,16 @@ def test_sampled_two_hop_pairs_follow_the_law_of_two_hop():
 
 
 def test_sampled_products_are_product_rayleigh():
-    ht, _ = _sampled_pairs(np.random.default_rng(103), 7000, 3)
+    u, b, _ = _sample_fading(np.random.default_rng(103), 7000, 3)
+    ht = u * np.sqrt(b)
     cdf = np.vectorize(product_rayleigh_cdf)
     assert _ks_one_sample(np.abs(ht).ravel(), cdf) < KS_CRITICAL
 
 
 def test_sampled_phases_are_uniform_and_independent_of_the_magnitudes():
     n, k = 100_000, 2
-    ht, noise = _sampled_pairs(np.random.default_rng(104), n, k)
+    u, b, noise = _sample_fading(np.random.default_rng(104), n, k)
+    ht = u * np.sqrt(b)
     phase = np.angle(ht)
     magnitude = np.abs(ht)
     assert _ks_one_sample(phase.ravel(), lambda x: (x + np.pi) / (2 * np.pi)) < KS_CRITICAL

@@ -23,15 +23,14 @@ from relaydiv.channel_model import complex_gaussian
 from relaydiv.experiment_cli import load_scheme_file, save_scheme_file
 from relaydiv.information import (
     PRODUCTS_SUB_BLOCK,
+    Workspace,
     _ldl_pivots,
     _lower_rows,
     ldl_factors,
     mi_from_factors,
-    mutual_information_products,
-    mutual_information_spectral,
     spectral_factors,
 )
-from relaydiv.outage_analysis import mc_exact_outage
+from relaydiv.outage_analysis import _sample_fading, mc_exact_outage
 from relaydiv.relay_schemes import EIGENVALUE_CLAMP_TOL, common_spectra, pair_products
 
 
@@ -159,10 +158,6 @@ def test_rho_must_be_positive():
             jensen_mi(heff, bad)
         with pytest.raises(InvalidParameterError):
             jensen_mi_via_gramian(gramian(scheme), ht, noise, bad)
-        with pytest.raises(InvalidParameterError):
-            mutual_information_spectral(common_spectra(scheme), ht, noise, bad)
-        with pytest.raises(InvalidParameterError):
-            mutual_information_products(pair_products(scheme), ht, noise, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +211,14 @@ def test_exact_mi_kernels_match_eigenvalue_oracle(kind, k, extra_n, rho, seed):
     exact = mutual_information(heffs, rho)
     _assert_matches_oracle(exact, want)
     products = pair_products(scheme)
-    _assert_matches_oracle(mutual_information_products(products, ht, noise, rho), want)
+    by_products = mi_from_factors(ldl_factors(products, ht, 1.0, rho / noise))
+    _assert_matches_oracle(by_products, want)
     spectra = common_spectra(scheme)
     if kind != "haar":
         assert spectra is not None
     if spectra is not None:
-        _assert_matches_oracle(mutual_information_spectral(spectra, ht, noise, rho), want)
+        _assert_matches_oracle(mi_from_factors(spectral_factors(spectra, ht, 1.0, rho / noise)),
+                               want)
     # shape contract: one realization gives element t of the stack bit for
     # bit, a (2, 32) leading shape gives the flattened stack's bits, and a
     # per-trial rho gives the scalar call's bits
@@ -233,8 +230,8 @@ def test_exact_mi_kernels_match_eigenvalue_oracle(kind, k, extra_n, rho, seed):
     heffs2 = effective_channel(ht.reshape(grid + (k,)), noise.reshape(grid), scheme.stacked())
     assert heffs2.tobytes() == heffs.tobytes()
     assert mutual_information(heffs2, rho).tobytes() == exact.tobytes()
-    by_trial = mutual_information_products(products, ht, noise, np.full(64, rho))
-    assert by_trial.tobytes() == mutual_information_products(products, ht, noise, rho).tobytes()
+    by_trial = mi_from_factors(ldl_factors(products, ht, 1.0, np.full(64, rho) / noise))
+    assert by_trial.tobytes() == by_products.tobytes()
     assert mutual_information(heffs, np.full(64, rho)).tobytes() == exact.tobytes()
 
 
@@ -248,9 +245,10 @@ def test_products_kernel_sub_blocks_match_trials_one_by_one():
     f = complex_gaussian(rng, (trials, 3))
     h = complex_gaussian(rng, (trials, 3))
     ht, noise = two_hop(f, h)
-    got = mutual_information_products(products, ht, noise, 300.0)
+    got = mi_from_factors(ldl_factors(products, ht, 1.0, 300.0 / noise))
     one_by_one = np.array([
-        mutual_information_products(products, ht[t], noise[t], 300.0) for t in range(trials)
+        mi_from_factors(ldl_factors(products, ht[t], 1.0, 300.0 / noise[t]))
+        for t in range(trials)
     ])
     np.testing.assert_allclose(got, one_by_one, rtol=1e-14, atol=0.0)
 
@@ -262,13 +260,14 @@ def test_spectral_kernel_gives_each_trial_its_in_stack_bits(k, n):
     spectra = common_spectra(cyclic_delay_scheme(k, n))
     rng = np.random.default_rng(31 * k + n)
     ht, noise = two_hop(*complex_gaussian(rng, (2, 500, k)))
-    full = mutual_information_spectral(spectra, ht, noise, 300.0)
+    full = mi_from_factors(spectral_factors(spectra, ht, 1.0, 300.0 / noise))
     for size in (1, 2, 3, 500):
         for lo in range(0, 500 - size + 1, size):
-            part = mutual_information_spectral(spectra, ht[lo:lo + size], noise[lo:lo + size], 300.0)
+            part = mi_from_factors(
+                spectral_factors(spectra, ht[lo:lo + size], 1.0, 300.0 / noise[lo:lo + size]))
             assert part.tobytes() == full[lo:lo + size].tobytes(), (size, lo)
     for t in range(0, 500, 7):
-        one = mutual_information_spectral(spectra, ht[t], noise[t], 300.0)
+        one = mi_from_factors(spectral_factors(spectra, ht[t], 1.0, 300.0 / noise[t]))
         assert one.shape == () and one.tobytes() == full[t].tobytes()
 
 
@@ -296,8 +295,8 @@ def test_common_spectra_follow_structure_not_name(tmp_path):
 
 @pytest.mark.parametrize("kind", ["cdd", "haar"])
 def test_results_are_not_changed_by_a_later_call(kind):
-    # called without a workspace, the MI functions and the factor sources
-    # return fresh arrays: neither a later call nor a Monte Carlo run, which
+    # called without a workspace, the factor sources and the MI return
+    # fresh arrays: neither a later call nor a Monte Carlo run, which
     # reuses its thread's workspace, changes an earlier result
     rng = np.random.default_rng(71)
     scheme = cyclic_delay_scheme(3, 8) if kind == "cdd" else _haar_scheme(3, 8, rng)
@@ -305,12 +304,10 @@ def test_results_are_not_changed_by_a_later_call(kind):
 
     def results(seed):
         ht, noise = two_hop(*complex_gaussian(np.random.default_rng(seed), (2, 3000, 3)))
-        got = [mutual_information_products(products, ht, noise, 300.0),
-               ldl_factors(products, ht, 300.0 / noise),
+        got = [ldl_factors(products, ht, 1.0, 300.0 / noise),
                mutual_information(effective_channel(ht, noise, scheme.stacked()), 300.0)]
         if spectra is not None:
-            got.append(mutual_information_spectral(spectra, ht, noise, 300.0))
-            got.extend(spectral_factors(spectra, ht, 300.0 / noise))
+            got.extend(spectral_factors(spectra, ht, 1.0, 300.0 / noise))
         return got
 
     first = results(1)
@@ -319,6 +316,29 @@ def test_results_are_not_changed_by_a_later_call(kind):
     mc_exact_outage(scheme, 0.25, 300.0, 20_000, seed=3, threads=1)
     assert [a.tobytes() for a in first] == kept
     assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[:i])
+
+
+@pytest.mark.parametrize("kind", ["cdd", "phase-rolling", "haar"])
+def test_factor_sources_take_the_draws_parts_and_only_read_them(kind):
+    # fed the draw's parts (u, b), each source returns the bytes it returns
+    # when fed h~ = u sqrt(b) and b = 1, with and without a workspace, and
+    # leaves u and b as drawn; two sub-blocks and a tail for LDL^H
+    rng = np.random.default_rng(83)
+    scheme = {"cdd": cyclic_delay_scheme(2, 8), "phase-rolling": phase_rolling_scheme(3, 8),
+              "haar": _haar_scheme(3, 8, rng)}[kind]
+    trials = 2 * PRODUCTS_SUB_BLOCK + 3
+    u, b, noise = _sample_fading(rng, trials, scheme.num_relays)
+    drawn = u.tobytes(), b.tobytes()
+    ht, scale = u * np.sqrt(b), 300.0 / noise
+    spectra, products = common_spectra(scheme), pair_products(scheme)
+    for workspace in (None, Workspace()):
+        got = [ldl_factors(products, u, b, scale, workspace).tobytes()]
+        want = [ldl_factors(products, ht, 1.0, scale).tobytes()]
+        if spectra is not None:
+            got += [row.tobytes() for row in spectral_factors(spectra, u, b, scale, workspace)]
+            want += [row.tobytes() for row in spectral_factors(spectra, ht, 1.0, scale)]
+        assert got == want
+        assert (u.tobytes(), b.tobytes()) == drawn
 
 
 def test_common_spectra_is_none_without_a_shared_basis():
@@ -347,7 +367,7 @@ def test_each_exact_mi_is_the_row_sum_of_its_own_factor_rows(kind, k, n):
     # the one reduction adds log2 of the rows one at a time, in row order:
     # bit for bit np.sum(np.log2(rows), axis=0) / 2N over the stacked rows,
     # for the spectral rows, the LDL^H pivots of the products table and
-    # those of an H_eff stack
+    # those of an H_eff stack, whose MI is mutual_information's
     rng = np.random.default_rng(60 + n)
     if kind == "cdd":
         scheme = cyclic_delay_scheme(k, n)
@@ -362,14 +382,14 @@ def test_each_exact_mi_is_the_row_sum_of_its_own_factor_rows(kind, k, n):
         heffs = effective_channel(ht, noise, scheme.stacked())
         for rho in (1.5, 300.0, 1e12):
             cases = [
-                (mutual_information_products(products, ht, noise, rho),
-                 ldl_factors(products, ht, rho / noise)),
+                (mi_from_factors(ldl_factors(products, ht, 1.0, rho / noise)),
+                 ldl_factors(products, ht, 1.0, rho / noise)),
                 (mutual_information(heffs, rho),
                  _ldl_pivots(_packed_lower(rho * (heffs @ heffs.conj().transpose(0, 2, 1))), n)),
             ]
             if spectra is not None:
-                cases.append((mutual_information_spectral(spectra, ht, noise, rho),
-                              np.array(list(spectral_factors(spectra, ht, rho / noise)))))
+                cases.append((mi_from_factors(spectral_factors(spectra, ht, 1.0, rho / noise)),
+                              np.array(list(spectral_factors(spectra, ht, 1.0, rho / noise)))))
             for got, rows in cases:
                 assert rows.shape == (n, trials)
                 want = np.sum(np.log2(rows), axis=0) / (2 * n)
@@ -423,10 +443,9 @@ def test_fault_names_its_trial_past_the_first_sub_block():
     trials = PRODUCTS_SUB_BLOCK + 5
     f = np.ones((trials, 1), dtype=complex)
     f[trials - 2] = np.nan
+    ht, noise = two_hop(f, np.ones((trials, 1)))
     with pytest.raises(InternalConsistencyError, match=f"pivot 0 of trial {trials - 2} is nan"):
-        mutual_information_products(
-            np.eye(3, dtype=complex).reshape(1, 9), *two_hop(f, np.ones((trials, 1))), 2.0
-        )
+        ldl_factors(np.eye(3, dtype=complex).reshape(1, 9), ht, 1.0, 2.0 / noise)
 
 
 def test_non_positive_definite_input_is_an_internal_consistency_error():
@@ -439,10 +458,9 @@ def test_non_positive_definite_input_is_an_internal_consistency_error():
             _ldl_pivots(_packed_lower(grams), 3)
         # K = 1 and f = h = 1 at rho = 2 give w = 1, so I + rho H H^H is I
         # plus the table's one row
+        ht, noise = two_hop(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(InternalConsistencyError):
-            mutual_information_products(
-                grams[1].reshape(1, 9), *two_hop(np.ones((1, 1)), np.ones((1, 1))), 2.0
-            )
+            ldl_factors(grams[1].reshape(1, 9), ht, 1.0, 2.0 / noise)
         # H H^H is PSD for every finite H, so only a non-finite H reaches the
         # check through the H-stack kernel
         heffs = np.eye(3, dtype=complex)[None].repeat(2, axis=0)

@@ -41,7 +41,7 @@ from relaydiv import (
 )
 from relaydiv.channel_model import complex_gaussian
 from relaydiv.codebook import DEFAULT_SIZE_CAP
-from relaydiv.information import mutual_information_products, mutual_information_spectral
+from relaydiv.information import ldl_factors, mi_from_factors, spectral_factors
 from relaydiv.outage_analysis import resolve_threads, wilson_interval
 from relaydiv.relay_schemes import RelayScheme, common_spectra, pair_products
 
@@ -264,8 +264,9 @@ def test_exact_outage_dominates_jensen_outage_on_shared_stream():
 def test_estimators_draw_once_per_block_and_share_the_pairs(monkeypatch):
     # one complex_gaussian call per block (the benchmark tracer counts draws
     # that way), and the Jensen and exact kernels see the same (u, b, noise)
-    # bytes, those the draw returned; the exact kernels form h~ over the
-    # draw, so each kernel's inputs are copied before it runs
+    # bytes, those the draw returned; the draw is the thread's workspace,
+    # which the next block draws over, so each kernel's inputs are copied
+    # before it runs
     monkeypatch.setattr(outage_analysis, "BLOCK_TRIALS", 64)
     calls = []
     draw = outage_analysis.complex_gaussian
@@ -445,16 +446,14 @@ def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
     # logarithm where that bound overflows (R >= 64 at N = 8); on every
     # trial that must be the verdict of the exact MI itself, except where
     # the MI lies within rounding of the threshold, and a trial decides
-    # alike alone and inside the block.  The kernel forms h~ over the draw,
-    # so each call gets a copy.
+    # alike alone and inside the block.
     u, b, noise = outage_analysis._sample_fading(np.random.default_rng(37), 20_000,
                                                  scheme.num_relays)
     spectra = common_spectra(scheme)
     if spectra is None:
-        kernel, table = "exact-products-ldl", pair_products(scheme)
-        exact_mi = mutual_information_products
+        kernel, table, factors = "exact-products-ldl", pair_products(scheme), ldl_factors
     else:
-        kernel, table, exact_mi = "exact-spectral", spectra, mutual_information_spectral
+        kernel, table, factors = "exact-spectral", spectra, spectral_factors
     ht = u * np.sqrt(b)
     alone = range(0, 20_000, 1999)
     near = 0
@@ -462,11 +461,11 @@ def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rho in (1.01, 10.0, 100.0, 1e3, 1e8, 1e300):
-            mi = exact_mi(table, ht, noise, rho)
+            mi = mi_from_factors(factors(table, ht, 1.0, rho / noise))
             rates = (0.0, 1.0, 63.9, 64.1, 509.9, 600.0, 0.5 * math.log2(rho), np.median(mi))
             for rate_bits in map(float, rates):
                 name, in_outage = outage_analysis._outage_kernel(scheme, "exact", rho, rate_bits)
-                got = in_outage(u.copy(), b.copy(), noise)
+                got = in_outage(u, b, noise)
                 band = np.abs(mi - rate_bits) <= 1e-12 * rate_bits
                 assert name == kernel
                 assert np.array_equal(got[~band], (mi < rate_bits)[~band]), (rho, rate_bits)
@@ -474,12 +473,59 @@ def test_spectral_outage_test_agrees_with_the_logarithm(scheme):
                 if 0 < np.count_nonzero(got) < got.size:
                     mixed.add(2.0 * scheme.block_length * rate_bits >= 1024)
                 for t in alone:
-                    one = in_outage(u[t:t + 1].copy(), b[t:t + 1].copy(), noise[t:t + 1])
+                    one = in_outage(u[t:t + 1], b[t:t + 1], noise[t:t + 1])
                     assert one.shape == (1,) and one[0] == got[t], (rho, rate_bits, t)
     assert near == 0
     # the product test and the logarithm (2^(2 N R) past the float range)
     # each split some point's trials both ways, at least at the median MI
     assert mixed == {False, True}
+
+
+def test_no_kernel_writes_into_the_draw(monkeypatch):
+    # after one block of each exact kernel and one ML block, the draw's u
+    # and b still hold the bytes of a twin draw
+    drawn = []
+    sample = outage_analysis._sample_fading
+    monkeypatch.setattr(outage_analysis, "_sample_fading",
+                        lambda rng, n, k: drawn.append(sample(rng, n, k)) or drawn[-1])
+    book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
+    runs = (
+        lambda: mc_exact_outage(cyclic_delay_scheme(2, 4), 0.25, 100.0, 64, seed=5, threads=1),
+        lambda: mc_exact_outage(_haar_scheme(2, 4, 47), 0.25, 100.0, 64, seed=5, threads=1),
+        lambda: mc_ml_error(cyclic_delay_scheme(2, 2), book, 100.0, 64, seed=5, threads=1),
+    )
+    kernels = []
+    for run in runs:
+        kernels.append(run().mi_kernel)
+        u, b, _ = drawn.pop()
+        twin = outage_analysis._block_rng(5, 0)
+        want_u = complex_gaussian(twin, (64, 2))
+        want_b = twin.standard_exponential((64, 2))
+        assert (u.tobytes(), b.tobytes()) == (want_u.tobytes(), want_b.tobytes()), kernels[-1]
+    assert kernels == ["exact-spectral", "exact-products-ldl", ""]
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 8), (4, 4), (3, 16)])
+def test_cdd_and_phase_rolling_decide_each_trial_alike(k, n):
+    # the two families are DFT duals: the spectral kernel takes the same
+    # eigenvalues from both, in another order and rounding, so on one block
+    # their exact verdicts agree on every trial whose MI is not within
+    # rounding of the target
+    u, b, noise = outage_analysis._sample_fading(outage_analysis._block_rng(2113, 0),
+                                                 outage_analysis.BLOCK_TRIALS, k)
+    schemes = cyclic_delay_scheme(k, n), phase_rolling_scheme(k, n)
+    for snr_db in (20.0, 30.0, 40.0):
+        rho = 10.0 ** (snr_db / 10.0)
+        rate = 0.25 * math.log2(rho)
+        verdicts, band = [], np.zeros(u.shape[0], dtype=bool)
+        for scheme in schemes:
+            name, in_outage = outage_analysis._outage_kernel(scheme, "exact", rho, rate)
+            assert name == "exact-spectral"
+            verdicts.append(in_outage(u, b, noise))
+            mi = mi_from_factors(spectral_factors(common_spectra(scheme), u, b, rho / noise))
+            band |= np.abs(mi - rate) <= 1e-12 * rate
+        assert np.array_equal(verdicts[0][~band], verdicts[1][~band]), snr_db
+        assert 0 < np.count_nonzero(verdicts[0]) < u.shape[0]
 
 
 @pytest.mark.parametrize("k,n", [(2, 8), (4, 16)])
@@ -529,18 +575,20 @@ def test_one_ldl_block_stays_within_48n_bytes_per_trial(k, n):
 
 
 @pytest.mark.parametrize(
-    "scheme",
-    [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 8), _haar_scheme(2, 4, 47),
-     _haar_scheme(3, 8, 47), _haar_scheme(4, 16, 47)],
+    "scheme,bound",
+    [(cyclic_delay_scheme(2, 8), 4), (phase_rolling_scheme(3, 8), 4), (_haar_scheme(2, 4, 47), 24),
+     (_haar_scheme(3, 8, 47), 24), (_haar_scheme(4, 16, 47), 24)],
     ids=["cdd-2-8", "phase-rolling-3-8", "haar-2-4", "haar-3-8", "haar-4-16"],
 )
-def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme):
+def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme, bound):
     # after a thread's first block, its blocks draw into and compute in the
-    # thread's workspace; what is left is numpy's cast buffer for
-    # h~ = u sqrt(b) (128 KiB), the verdict, the pivot checks and the
-    # products table.  Measured on a 2-vCPU Xeon with numpy 2.4.6: 8.2
-    # B/trial on the spectral kernel and 11-17 on LDL^H, against 144-224
-    # and 178-699 B/trial when every block allocated its own arrays.
+    # thread's workspace, and h~ is formed there from the draw's parts
+    # without a cast buffer.  What is left is the verdict (1 B/trial), and
+    # on LDL^H the pivot checks and the products table, so the spectral
+    # kernel is held to 4 B/trial and LDL^H to 24.  Measured on a
+    # 2-vCPU Xeon with numpy 2.4.6: 1.22 B/trial on the spectral kernel and
+    # 11-16.5 on LDL^H, against 144-224 and 178-699 B/trial when every block
+    # allocated its own arrays.
     def run():
         mc_exact_outage(scheme, 0.25, 100.0, outage_analysis.BLOCK_TRIALS, seed=1, threads=1)
 
@@ -551,7 +599,7 @@ def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / outage_analysis.BLOCK_TRIALS <= 24
+    assert peak / outage_analysis.BLOCK_TRIALS <= bound
 
 
 @pytest.mark.parametrize("threads", [2.5, True, "3.0", 2.0, False])
