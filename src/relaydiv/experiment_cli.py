@@ -112,7 +112,7 @@ class ExperimentConfig:
     seed: int = _key(1, "64-bit seed")
     codebook: str = _key("", "codebook file to certify")
     out: str = _key("", "output path")
-    threads: int | None = _key(None, "worker threads (speed only); default RELAYDIV_THREADS or 1")
+    threads: int = _key(1, "worker threads, 1 to 256; changes speed only, never results")
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -205,7 +205,6 @@ def _grid_text(grid) -> str:
 _FIELD_TYPES = {
     "str": (str, str),
     "int": (lambda v: int(str(v)), str),
-    "int | None": (lambda v: int(str(v)), str),
     "float": (lambda v: float(str(v)), _fmt_number),
     "tuple[float, ...]": (_parse_grid, _grid_text),
 }

@@ -112,10 +112,15 @@ def ldl_factors(
     pivots = _scratch(workspace, "pivots", (n, trials))
     for lo in range(0, trials, PRODUCTS_SUB_BLOCK):
         hi = min(lo + PRODUCTS_SUB_BLOCK, trials)
-        conj = np.conjugate(x[:, lo:hi], out=_scratch(workspace, "conj", (k, hi - lo), complex))
+        weight = _scratch(workspace, "weight", (hi - lo,), complex)
+        weight.real, weight.imag = scale[lo:hi], 0.0
+        conj = _scratch(workspace, "conj", (k, hi - lo), complex)
         w = _scratch(workspace, "w", (k, k, hi - lo), complex)
-        np.multiply(x[:, None, lo:hi], conj[None], out=w)
-        w *= scale[lo:hi]
+        for i in range(k):
+            np.conjugate(x[i, lo:hi], out=conj[i])
+        for i, j in np.ndindex(k, k):
+            np.multiply(x[i, lo:hi], conj[j], out=w[i, j])
+            w[i, j] *= weight
         lower = _scratch(workspace, "lower", (table.shape[0], hi - lo), complex)
         np.matmul(table, w.reshape(k * k, -1), out=lower)
         _ldl_pivots(lower, n, first=lo, out=pivots[:, lo:hi], workspace=workspace)
@@ -143,9 +148,9 @@ def _trial_last_products(u: np.ndarray, b, workspace: Workspace | None) -> np.nd
 @functools.lru_cache(maxsize=None)
 def _lower_rows(n: int) -> np.ndarray:
     """Indices into a row-major vec(A) of A's lower triangle packed by
-    columns: column j's rows j..N-1, then column j+1's (read-only)."""
-    col, row = np.triu_indices(n)
-    rows = row * n + col
+    diagonals: A[k, k] for k = 0..N-1, then A[k+1, k], then A[k+2, k], ...
+    (read-only)."""
+    rows = np.concatenate([np.arange(n - d) * (n + 1) + d * n for d in range(n)])
     rows.flags.writeable = False
     return rows
 
@@ -166,13 +171,14 @@ def _ldl_pivots(
     One elimination of I + A runs across all trials at once: step j takes
     the pivot d_j = 1 + A[j, j] and subtracts the rank-1 update
     A[i, k] -= A[i, j] conj(A[k, j]) / d_j from the trailing lower triangle,
-    one column k at a time, and det(I + A) = prod_j d_j.  For complex A the
-    division is a product with 1/d_j, which gives the bits of numpy's
-    complex-by-real division (it computes x (1/d)) at a third of its cost;
-    real A is divided, as x (1/d) would change its bits.  In
-    exact arithmetic every pivot of I + PSD is >= 1, so a pivot that is not
-    > 0 (NaN included) is a fault; the steps after it are garbage, and it
-    raises.
+    one diagonal i - k at a time, and det(I + A) = prod_j d_j.  For complex
+    A the division is a product with 1/d_j + 0j, row by row, which gives the
+    bits of numpy's complex-by-real division (it computes x (1/d)) at a
+    third of its cost; real A is divided, as x (1/d) would change its bits.
+    Every complex operation takes rows or blocks of equal shape: numpy gives
+    one that broadcasts a row over a block a buffer of up to 8192 elements.
+    A pivot of I + PSD is >= 1 in exact arithmetic, so one that is not > 0
+    (NaN included) is a fault, and it raises.
 
     A single trial runs as two equal columns: with one column numpy takes
     other loops (a complex multiply without FMA), and the trial's bits
@@ -184,33 +190,31 @@ def _ldl_pivots(
     if t == 1:
         out[:] = _ldl_pivots(np.repeat(lower, 2, axis=1), n, first)[:, :1]
         return out
-    recip = _scratch(workspace, "recip", (t,))
-    scaled_rows = _scratch(workspace, "scaled", (n - 1, t), lower.dtype)
-    update_rows = _scratch(workspace, "update", (n - 1, t), lower.dtype)
-    complex_rows = lower.dtype.kind == "c"
-    start = 0  # row of A[j, j] in ``lower``
+    recip = _scratch(workspace, "recip", (t,), complex)
+    recip.imag = 0.0
+    col_rows, scaled_rows, update_rows = (
+        _scratch(workspace, name, (n - 1, t), lower.dtype) for name in ("col", "scaled", "update")
+    )
+    diagonal = np.cumsum([0, *range(n, 1, -1)])  # row of A[d, 0] in ``lower``
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n):
-            np.add(lower[start].real, 1.0, out=out[j])
-            col = lower[start + 1 : start + n - j]  # A[j+1:, j]
-            scaled = np.conjugate(col, out=scaled_rows[: n - j - 1])
-            if complex_rows:
-                scaled *= np.divide(1.0, out[j], out=recip)
+            np.add(lower[j].real, 1.0, out=out[j])
+            if not out[j].min() > 0:
+                bad = np.flatnonzero(~(out[j] > 0))[0]
+                raise InternalConsistencyError("I + rho H H^H is not positive definite: "
+                                               f"pivot {j} of trial {first + bad} is {out[j, bad]}")
+            r = n - j - 1
+            col = np.take(lower, diagonal[1 : r + 1] + j, axis=0, out=col_rows[:r], mode="clip")
+            scaled = np.conjugate(col, out=scaled_rows[:r])  # col is A[j+1:, j]
+            if lower.dtype.kind == "c":
+                np.divide(1.0, out[j], out=recip.real)
+                for row in scaled:
+                    row *= recip
             else:
                 scaled /= out[j]
-            start += n - j
-            target = start  # row of A[k, k] for k = j+1, j+2, ...
-            for k in range(j + 1, n):
-                update = update_rows[: n - k]
-                np.multiply(col[k - j - 1 :], scaled[k - j - 1], out=update)
-                lower[target : target + n - k] -= update
-                target += n - k
-    if not np.all(out > 0):
-        j, t = np.argwhere(~(out > 0))[0]
-        raise InternalConsistencyError(
-            f"I + rho H H^H is not positive definite: "
-            f"pivot {j} of trial {first + t} is {out[j, t]}"
-        )
+            for d in range(r):  # A[k+d, k] for k = j+1, ..., N-1-d
+                update = np.multiply(col[d:], scaled[: r - d], out=update_rows[: r - d])
+                lower[diagonal[d] + j + 1 : diagonal[d] + n - d] -= update
     return out
 
 

@@ -9,16 +9,18 @@ states, as the parts (u, b, 1 + ||h||^2) of h~ = u sqrt(b), in one shared
 draw (_sample_fading, FADING_STREAM), so every estimator sees the same
 draw for the same (seed, block); each kernel forms only what it needs.
 
-A block's draw and the exact kernels' temporaries live in its thread's
-Workspace (_workspace), which grows to the largest block the thread has run
-and is kept for the thread's life, so blocks after a thread's first
-allocate no large array.
+Blocks run on the calling thread or, with 2 or more workers, on the
+process's one pool of that many threads (_pool), which live as long as the
+process.  Each thread keeps one Workspace (_workspace) for the arrays of
+its blocks' draws and exact kernels; it grows to the largest block the
+thread has run, so blocks after a thread's first allocate no large array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,8 +59,6 @@ Z_95 = 1.959963984540054
 
 # Crossover between the ascending series and the asymptotic expansion.
 _K1_CROSSOVER = 9.0
-
-ENV_THREADS = "RELAYDIV_THREADS"
 
 # Most worker threads one Monte Carlo pool may start.
 MAX_THREADS = 256
@@ -190,21 +190,13 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Explicit argument, else RELAYDIV_THREADS, else 1; anything but an
-    integer in [1, MAX_THREADS] (a bool, a float even if integral, a string
-    that is no integer literal) raises InvalidParameterError naming its
-    source."""
-    name, raw = "threads", threads
-    if threads is None:
-        name, raw = ENV_THREADS, os.environ.get(ENV_THREADS, "1")
-    try:
-        value = int(raw) if isinstance(raw, str) else operator.index(raw)
-    except (TypeError, ValueError):
-        value = 0
-    if isinstance(raw, bool) or not 1 <= value <= MAX_THREADS:
-        raise InvalidParameterError(f"{name} must be an integer in [1, {MAX_THREADS}], got {raw!r}")
-    return value
+def resolve_threads(threads: int) -> int:
+    """``threads`` once it is an integer in [1, MAX_THREADS]; any other value
+    (a bool, a float even if integral, a string) raises InvalidParameterError."""
+    if not (isinstance(threads, numbers.Integral) and not isinstance(threads, bool)
+            and 1 <= threads <= MAX_THREADS):
+        raise InvalidParameterError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
+    return int(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +208,20 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, made on first use."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no pool threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _mc_event_count(
     trials: int,
     seed: int,
-    threads: int | None,
+    threads: int,
     block_events: Callable[[np.random.Generator, int], int],
 ) -> int:
     if trials < 1:
@@ -231,20 +233,15 @@ def _mc_event_count(
         n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
         return block_events(_block_rng(seed, block), n)
 
-    if workers == 1 or nblocks == 1:
-        counts = [one(b) for b in range(nblocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one, range(nblocks)))
-    return int(sum(counts))
+    run = map if workers == 1 or nblocks == 1 else _pool(workers).map
+    return int(sum(run(one, range(nblocks))))
 
 
 def _workspace() -> Workspace:
     """The calling thread's Workspace, made on its first call."""
-    workspace = getattr(_THREAD, "workspace", None)
-    if workspace is None:
-        workspace = _THREAD.workspace = Workspace()
-    return workspace
+    if not hasattr(_THREAD, "workspace"):
+        _THREAD.workspace = Workspace()
+    return _THREAD.workspace
 
 
 def _sample_fading(rng: np.random.Generator, n: int, k: int):
@@ -285,7 +282,7 @@ def mc_jensen_outage(
     seed: int,
     *,
     rate_bits: float | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ProbEstimate:
     """Fraction of fading draws whose Jensen mutual information falls below
     the rate target r log2(rho) (or the fixed ``rate_bits`` override used by
@@ -301,7 +298,7 @@ def mc_exact_outage(
     seed: int,
     *,
     rate_bits: float | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ProbEstimate:
     """As mc_jensen_outage but with the exact mutual information; shares
     the fading draw order with the Jensen estimator so both can be compared
@@ -374,7 +371,7 @@ def _mc_outage(
     trials: int,
     seed: int,
     rate_bits: float | None,
-    threads: int | None,
+    threads: int,
 ) -> ProbEstimate:
     """Count draws whose MI under the ``outage`` kernel falls below
     r log2(rho), or below ``rate_bits`` when given."""
@@ -399,7 +396,7 @@ def mc_ml_error(
     trials: int,
     seed: int,
     *,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ProbEstimate:
     """Block error rate of exhaustive maximum-likelihood decoding over the
     normalized channel y = sqrt(rho) H x + z with perfect receiver CSI;

@@ -50,6 +50,11 @@ def _runs(tmp):
                 "--scheme", scheme, "--n", "4", "--r", "0.25", "--snr-db", "20,30",
                 "--trials", "40000", "--threads", str(threads),
                 "--out", tmp / f"w-{name}-{threads}.csv"]
+    for threads in (1, 2):
+        runs[f"threads-slope-cdd-{threads}"] = [
+            "dm-slope", "--outage", "exact", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
+            "--snr-db", "10,15,20,25", "--trials", "40000", "--seed", "1",
+            "--threads", str(threads), "--out", tmp / f"w-slope-cdd-{threads}.csv"]
     return {name: (list(map(str, args)), {"PYTHONWARNINGS": "error"} if name == "h2990" else {})
             for name, args in runs.items()}
 
@@ -128,10 +133,11 @@ def test_a_haar_scheme_takes_the_ldl_kernel(cli):
     assert manifest["mi_kernel"] == "exact-products-ldl", manifest
 
 
-@pytest.mark.parametrize("scheme", ["cdd", "haar"])
+@pytest.mark.parametrize("scheme", ["cdd", "haar", "slope-cdd"])
 def test_one_and_two_threads_write_the_same_exact_sweep(cli, scheme):
     # each thread reuses one workspace across blocks; on both exact kernels
-    # a 1-thread and a 2-thread run write the same bytes
+    # a 1-thread and a 2-thread run write the same bytes, and so does a
+    # dm-slope run, whose 2-thread points all run on one pool
     for threads in (1, 2):
         _ok(cli, f"threads-{scheme}-{threads}")
     one, two = (cli[0] / f"w-{scheme}-{t}.csv" for t in (1, 2))

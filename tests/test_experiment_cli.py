@@ -174,7 +174,7 @@ _KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
     seed=st.integers(0, 2**64 - 1),
     codebook=st.one_of(st.just(""), _CONFIG_TEXT),
     out=st.one_of(st.just(""), _CONFIG_TEXT),
-    threads=st.one_of(st.none(), st.integers(1, 64)),
+    threads=st.integers(1, 64),
 )
 def test_canonical_text_round_trips_every_valid_config(
     experiment, scheme, k, extra_n, r, snr_db, trials, counts, rate_bits, outage, seed,
@@ -193,7 +193,7 @@ def test_canonical_text_round_trips_every_valid_config(
         reject()
     # threads changes speed only and is not written
     again = config_from_mapping(parse_config_text(cfg.canonical_text()))
-    assert again == dataclasses.replace(cfg, threads=None)
+    assert again == dataclasses.replace(cfg, threads=1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -881,15 +881,13 @@ def test_cli_self_check_exit_zero(capsys):
     assert "self-check report" in capsys.readouterr().out
 
 
-def test_cli_env_threads_default(tmp_path, monkeypatch):
+def test_cli_env_threads_default(tmp_path):
     out1 = str(tmp_path / "t1.csv")
     out8 = str(tmp_path / "t8.csv")
     args = ["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
             "--snr-db", "20,25", "--trials", "40000", "--seed", "5"]
-    monkeypatch.setenv("RELAYDIV_THREADS", "1")
-    assert main(args + ["--out", out1]) == EXIT_OK
-    monkeypatch.setenv("RELAYDIV_THREADS", "8")
-    assert main(args + ["--out", out8]) == EXIT_OK
+    assert main(args + ["--threads", "1", "--out", out1]) == EXIT_OK
+    assert main(args + ["--threads", "8", "--out", out8]) == EXIT_OK
     assert Path(out1).read_bytes() == Path(out8).read_bytes()
 
 
@@ -1109,13 +1107,17 @@ def test_exact_sweep_bytes_hold_across_threads_and_workspace_sizes(tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", "0", "257"])
 def test_cli_bad_env_threads_is_config_error(tmp_path, monkeypatch, capsys, value):
+    # the thread count comes from the flag or key alone: a bad one is a
+    # config error, and an environment variable of the old name is ignored
     out = tmp_path / "t.csv"
-    monkeypatch.setenv("RELAYDIV_THREADS", value)
-    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
-               "--snr-db", "20", "--trials", "1000", "--seed", "5", "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    assert "RELAYDIV_THREADS" in capsys.readouterr().err
+    args = ["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+            "--snr-db", "20", "--trials", "1000", "--seed", "5", "--out", str(out)]
+    assert main(args + ["--threads", value]) == EXIT_CONFIG
+    assert "threads" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    monkeypatch.setenv("RELAYDIV_THREADS", value)
+    assert main(args) == EXIT_OK
+    assert out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -332,8 +336,8 @@ def _regression_custom_scheme():
     "make_scheme,threads,jensen_events,exact_events",
     [
         (lambda: cyclic_delay_scheme(2, 4), 2, 16481, 19608),
-        (lambda: phase_rolling_scheme(3, 4), None, 11054, 16044),
-        (_regression_custom_scheme, None, 11312, 16641),
+        (lambda: phase_rolling_scheme(3, 4), 1, 11054, 16044),
+        (_regression_custom_scheme, 1, 11312, 16641),
     ],
     ids=["cdd", "phase-rolling", "custom"],
 )
@@ -576,19 +580,20 @@ def test_one_ldl_block_stays_within_48n_bytes_per_trial(k, n):
 
 @pytest.mark.parametrize(
     "scheme,bound",
-    [(cyclic_delay_scheme(2, 8), 4), (phase_rolling_scheme(3, 8), 4), (_haar_scheme(2, 4, 47), 24),
-     (_haar_scheme(3, 8, 47), 24), (_haar_scheme(4, 16, 47), 24)],
+    [(cyclic_delay_scheme(2, 8), 4), (phase_rolling_scheme(3, 8), 4), (_haar_scheme(2, 4, 47), 4),
+     (_haar_scheme(3, 8, 47), 4), (_haar_scheme(4, 16, 47), 9)],
     ids=["cdd-2-8", "phase-rolling-3-8", "haar-2-4", "haar-3-8", "haar-4-16"],
 )
 def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme, bound):
     # after a thread's first block, its blocks draw into and compute in the
     # thread's workspace, and h~ is formed there from the draw's parts
-    # without a cast buffer.  What is left is the verdict (1 B/trial), and
-    # on LDL^H the pivot checks and the products table, so the spectral
-    # kernel is held to 4 B/trial and LDL^H to 24.  Measured on a
-    # 2-vCPU Xeon with numpy 2.4.6: 1.22 B/trial on the spectral kernel and
-    # 11-16.5 on LDL^H, against 144-224 and 178-699 B/trial when every block
-    # allocated its own arrays.
+    # without a cast buffer; LDL^H scales by complex rows and takes no numpy
+    # operation that broadcasts a row over a block, which would allocate a
+    # buffer of up to 8192 elements.  What is left is the verdict
+    # (1 B/trial) and each call's scheme tables, which at (4, 16) are the
+    # (K^2, N^2) products and their packed lower triangles, 8 B/trial here.
+    # Measured on a 2-vCPU Xeon with numpy 2.4.6: 1.21-1.83 B/trial, and
+    # 8.05 at (4, 16).
     def run():
         mc_exact_outage(scheme, 0.25, 100.0, outage_analysis.BLOCK_TRIALS, seed=1, threads=1)
 
@@ -600,6 +605,88 @@ def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme, bound):
     finally:
         tracemalloc.stop()
     assert peak / outage_analysis.BLOCK_TRIALS <= bound
+
+
+@pytest.mark.parametrize(
+    "scheme,bound", [(_haar_scheme(3, 8, 47), 24), (cyclic_delay_scheme(2, 8), 4)],
+    ids=["haar-3-8", "cdd-2-8"],
+)
+def test_a_second_two_thread_exact_call_reuses_its_workspaces(scheme, bound):
+    # one pool per worker count serves every call, so the second point of a
+    # 2-thread sweep runs on threads whose workspaces the first one grew.
+    # The peak is per trial of one block, as in the 1-thread test above.
+    # Measured on a 2-vCPU Xeon with numpy 2.4.6: 3.0-3.5 (Haar) and 1.75
+    # (CDD) B/trial; new pool threads would grow new workspaces, 5.5 and
+    # 2.4 MiB each
+    def run():
+        mc_exact_outage(scheme, 0.25, 100.0, 4 * outage_analysis.BLOCK_TRIALS, seed=1, threads=2)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / outage_analysis.BLOCK_TRIALS <= bound
+
+
+def test_blocks_run_on_the_calling_thread_or_on_one_pool(monkeypatch):
+    # one worker runs every block on the calling thread; two consecutive
+    # 2-thread calls run theirs on the same two pool threads
+    ran = []
+    sample = outage_analysis._sample_fading
+    monkeypatch.setattr(outage_analysis, "_sample_fading",
+                        lambda *args: ran.append(threading.current_thread()) or sample(*args))
+    scheme = _haar_scheme(3, 8, 47)
+    trials = 4 * outage_analysis.BLOCK_TRIALS
+    mc_exact_outage(scheme, 0.25, 100.0, trials, seed=1, threads=1)
+    assert ran == [threading.current_thread()] * 4
+    calls = []
+    for _ in range(2):
+        ran.clear()
+        mc_exact_outage(scheme, 0.25, 100.0, trials, seed=1, threads=2)
+        calls.append(set(ran))
+    first, second = calls
+    assert len(first) == 2 and threading.current_thread() not in first
+    assert second <= first
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_a_two_thread_call_on_its_own_pool():
+    # a forked child has none of its parent's pool threads; were the pool
+    # kept across the fork, the child's blocks would wait for them forever
+    def count():
+        scheme = cyclic_delay_scheme(2, 8)
+        trials = 4 * outage_analysis.BLOCK_TRIALS
+        return mc_jensen_outage(scheme, 0.25, 100.0, trials, seed=1, threads=2).events
+
+    want = count()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that a fork of a process with threads may deadlock
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)  # the child ends even if the parent is gone
+            os.write(write, str(count()).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    deadline = time.monotonic() + 20
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+            pytest.fail("a 2-thread call in a forked child did not return within 20 s")
+        time.sleep(0.02)
+    with os.fdopen(read) as pipe:
+        assert pipe.read() == str(want)
 
 
 @pytest.mark.parametrize("threads", [2.5, True, "3.0", 2.0, False])
@@ -614,7 +701,7 @@ def test_a_thread_count_that_is_no_integer_is_refused_before_any_draw(monkeypatc
     with pytest.raises(InvalidParameterError, match="threads"):
         mc_exact_outage(cyclic_delay_scheme(2, 4), 0.25, 100.0, 40_000, seed=1, threads=threads)
     assert draws == []
-    assert resolve_threads(np.int64(3)) == resolve_threads("3") == 3
+    assert resolve_threads(np.int64(3)) == 3
 
 
 def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
