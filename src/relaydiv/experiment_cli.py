@@ -660,7 +660,7 @@ def duality_deviations(sizes) -> tuple[float, float, float]:
         dual = max(dual, float(np.abs(recon - lams).max()))
         recon = np.einsum("ab,ibc,cd->iad", f.conj().T, lams, f, optimize=True)
         diag = max(diag, float(np.abs(recon - perms).max()))
-        inner = np.einsum("iab,jab->ij", perms, perms.conj())
+        inner = perms.reshape(k, -1) @ perms.reshape(k, -1).conj().T
         orth = max(orth, float(np.abs(inner - n * np.eye(k)).max()))
     return dual, diag, orth
 

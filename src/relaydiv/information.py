@@ -68,13 +68,15 @@ def _scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.n
 
 def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
     """(1/2N) sum_n log2(1 + rho lambda_n(H H^H)) of each channel in a
-    (..., N, N) stack, shape (...)."""
+    (..., N, N) stack, shape (...); a real stack is taken as complex."""
     _check_rho(rho)
+    heff = np.asarray(heff, dtype=complex)
     n = heff.shape[-1]
     gram = heff @ np.swapaxes(heff.conj(), -1, -2)
     gram *= np.asarray(rho)[..., None, None]
     lower = gram.reshape(-1, n * n).T[_lower_rows(n)]
-    return mi_from_factors(_ldl_pivots(lower, n)).reshape(heff.shape[:-2])
+    pivots = _ldl_pivots(lower, n, np.empty((n, lower.shape[1])), Workspace())
+    return mi_from_factors(pivots).reshape(heff.shape[:-2])
 
 
 def mi_from_factors(factors) -> np.ndarray:
@@ -103,27 +105,31 @@ def ldl_factors(
     sub-block it falls in (PRODUCTS_SUB_BLOCK, or less at a stack's end),
     not only on the trial.
     """
+    workspace = Workspace() if workspace is None else workspace
     lead = u.shape[:-1]
     x = _trial_last_products(u, b, workspace)
     k, trials = x.shape
     scale = np.broadcast_to(scale, lead).reshape(-1)
     n = math.isqrt(products.shape[1])
-    table = products[:, _lower_rows(n)].T
-    pivots = _scratch(workspace, "pivots", (n, trials))
+    rows = _lower_rows(n)
+    table = workspace.take("table", (rows.size, k * k), complex)
+    for i, product in enumerate(products):
+        np.take(product, rows, out=table[:, i], mode="clip")
+    pivots = workspace.take("pivots", (n, trials))
     for lo in range(0, trials, PRODUCTS_SUB_BLOCK):
         hi = min(lo + PRODUCTS_SUB_BLOCK, trials)
-        weight = _scratch(workspace, "weight", (hi - lo,), complex)
+        weight = workspace.take("weight", (hi - lo,), complex)
         weight.real, weight.imag = scale[lo:hi], 0.0
-        conj = _scratch(workspace, "conj", (k, hi - lo), complex)
-        w = _scratch(workspace, "w", (k, k, hi - lo), complex)
+        conj = workspace.take("conj", (k, hi - lo), complex)
+        w = workspace.take("w", (k, k, hi - lo), complex)
         for i in range(k):
             np.conjugate(x[i, lo:hi], out=conj[i])
         for i, j in np.ndindex(k, k):
             np.multiply(x[i, lo:hi], conj[j], out=w[i, j])
             w[i, j] *= weight
-        lower = _scratch(workspace, "lower", (table.shape[0], hi - lo), complex)
+        lower = workspace.take("lower", (rows.size, hi - lo), complex)
         np.matmul(table, w.reshape(k * k, -1), out=lower)
-        _ldl_pivots(lower, n, first=lo, out=pivots[:, lo:hi], workspace=workspace)
+        _ldl_pivots(lower, n, pivots[:, lo:hi], workspace, first=lo)
     return pivots.reshape((n,) + lead)
 
 
@@ -156,44 +162,37 @@ def _lower_rows(n: int) -> np.ndarray:
 
 
 def _ldl_pivots(
-    lower: np.ndarray,
-    n: int,
-    first: int = 0,
-    out: np.ndarray | None = None,
-    workspace: Workspace | None = None,
+    lower: np.ndarray, n: int, out: np.ndarray, workspace: Workspace, first: int = 0
 ) -> np.ndarray:
     """The LDL^H pivots of I + A for t Hermitian PSD (N, N) matrices A,
-    given trial-last as their packed lower triangles (_lower_rows order),
-    shape (N(N+1)/2, t); returns shape (N, t), row j the pivots d_j, in
-    ``out`` when given, and overwrites ``lower``.  A fault names its trial
-    as ``first`` plus its column in ``lower``.
+    given trial-last as their complex packed lower triangles (_lower_rows
+    order), shape (N(N+1)/2, t), which it overwrites; returns ``out``, shape
+    (N, t), row j the pivots d_j.  Temporaries are the workspace's.  A fault
+    names its trial as ``first`` plus its column in ``lower``.
 
     One elimination of I + A runs across all trials at once: step j takes
     the pivot d_j = 1 + A[j, j] and subtracts the rank-1 update
     A[i, k] -= A[i, j] conj(A[k, j]) / d_j from the trailing lower triangle,
-    one diagonal i - k at a time, and det(I + A) = prod_j d_j.  For complex
-    A the division is a product with 1/d_j + 0j, row by row, which gives the
-    bits of numpy's complex-by-real division (it computes x (1/d)) at a
-    third of its cost; real A is divided, as x (1/d) would change its bits.
-    Every complex operation takes rows or blocks of equal shape: numpy gives
-    one that broadcasts a row over a block a buffer of up to 8192 elements.
-    A pivot of I + PSD is >= 1 in exact arithmetic, so one that is not > 0
-    (NaN included) is a fault, and it raises.
+    one diagonal i - k at a time, and det(I + A) = prod_j d_j.  The division
+    is a product with 1/d_j + 0j, row by row, which gives the bits of
+    numpy's complex-by-real division (it computes x (1/d)) at a third of its
+    cost.  Every complex operation takes rows or blocks of equal shape:
+    numpy gives one that broadcasts a row over a block a buffer of up to
+    8192 elements.  A pivot of I + PSD is >= 1 in exact arithmetic, so one
+    that is not > 0 (NaN included) is a fault, and it raises.
 
     A single trial runs as two equal columns: with one column numpy takes
     other loops (a complex multiply without FMA), and the trial's bits
     would depend on the stack around it.
     """
     t = lower.shape[1]
-    if out is None:
-        out = np.empty((n, t))
     if t == 1:
-        out[:] = _ldl_pivots(np.repeat(lower, 2, axis=1), n, first)[:, :1]
+        out[:] = _ldl_pivots(np.repeat(lower, 2, axis=1), n, np.empty((n, 2)), workspace, first)[:, :1]
         return out
-    recip = _scratch(workspace, "recip", (t,), complex)
+    recip = workspace.take("recip", (t,), complex)
     recip.imag = 0.0
     col_rows, scaled_rows, update_rows = (
-        _scratch(workspace, name, (n - 1, t), lower.dtype) for name in ("col", "scaled", "update")
+        workspace.take(name, (n - 1, t), complex) for name in ("col", "scaled", "update")
     )
     diagonal = np.cumsum([0, *range(n, 1, -1)])  # row of A[d, 0] in ``lower``
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,12 +205,9 @@ def _ldl_pivots(
             r = n - j - 1
             col = np.take(lower, diagonal[1 : r + 1] + j, axis=0, out=col_rows[:r], mode="clip")
             scaled = np.conjugate(col, out=scaled_rows[:r])  # col is A[j+1:, j]
-            if lower.dtype.kind == "c":
-                np.divide(1.0, out[j], out=recip.real)
-                for row in scaled:
-                    row *= recip
-            else:
-                scaled /= out[j]
+            np.divide(1.0, out[j], out=recip.real)
+            for row in scaled:
+                row *= recip
             for d in range(r):  # A[k+d, k] for k = j+1, ..., N-1-d
                 update = np.multiply(col[d:], scaled[: r - d], out=update_rows[: r - d])
                 lower[diagonal[d] + j + 1 : diagonal[d] + n - d] -= update

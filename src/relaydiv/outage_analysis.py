@@ -327,7 +327,7 @@ def _outage_kernel(
     without a logarithm: the MI (1/2N) sum_n log2 f_n is below thresh iff
     prod_n f_n < 2^(2N thresh), a bound taken once per grid point.  A
     product that overflows to inf is rightly not in outage; when the bound
-    itself overflows, the point is decided on mi_from_factors of the rows."""
+    itself overflows, the one closure decides on mi_from_factors of the rows."""
     if outage == "jensen":
         gram = gramian(scheme)
         try:
@@ -340,23 +340,21 @@ def _outage_kernel(
         name, factors, table = "exact-products-ldl", ldl_factors, pair_products(scheme)
     else:
         name, factors, table = "exact-spectral", spectral_factors, spectra
-
-    def rows(u, b, noise, workspace):
-        scale = np.divide(rho, noise, out=workspace.take("scale", noise.shape))
-        return factors(table, u, b, scale, workspace)
-
     try:
         bound = 2.0 ** (2 * scheme.block_length * thresh)
     except OverflowError:
-        return name, lambda u, b, noise: mi_from_factors(rows(u, b, noise, _workspace())) < thresh
+        bound = None
 
     def in_outage(u, b, noise):
         workspace = _workspace()
-        factor_rows = iter(rows(u, b, noise, workspace))
+        scale = np.divide(rho, noise, out=workspace.take("scale", noise.shape))
+        rows = iter(factors(table, u, b, scale, workspace))
+        if bound is None:
+            return mi_from_factors(rows) < thresh
         det = workspace.take("det", noise.shape)
-        np.copyto(det, next(factor_rows))
+        np.copyto(det, next(rows))
         with np.errstate(over="ignore"):
-            for row in factor_rows:
+            for row in rows:
                 det *= row
         return det < bound
 
@@ -407,6 +405,8 @@ def mc_ml_error(
         raise ResourceLimitError("codebook too large for ML decoding", book.size, DEFAULT_SIZE_CAP)
     if not 0 < rho <= RHO_MAX:
         raise InvalidParameterError(f"rho must lie in (0, {RHO_MAX:g}]")
+    if book.block_length != scheme.block_length:
+        raise InvalidParameterError("codebook and scheme block lengths differ")
     g_stack = scheme.stacked()
     words = book.codewords
     m, n_block = words.shape

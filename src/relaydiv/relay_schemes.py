@@ -132,7 +132,7 @@ def unitary_scaling_deviations(stack: np.ndarray) -> np.ndarray:
     NaN for a matrix with a non-finite entry."""
     n = stack.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):
-        gg = np.einsum("kab,kcb->kac", stack, stack.conj())
+        gg = stack @ stack.conj().transpose(0, 2, 1)
         return np.abs(gg - np.eye(n) / n).max(axis=(1, 2))
 
 
@@ -202,8 +202,9 @@ def pair_products(scheme: RelayScheme) -> np.ndarray:
     """
     g = scheme.stacked()
     k, n = scheme.num_relays, scheme.block_length
-    products = g[:, None] @ g.conj().transpose(0, 2, 1)[None]  # (K, K, N, N)
-    return _as_readonly(products.reshape(k * k, n * n))
+    products = (g[:, None] @ g.conj().transpose(0, 2, 1)[None]).reshape(k * k, n * n)
+    products.flags.writeable = False
+    return products
 
 
 def common_spectra(scheme: RelayScheme) -> np.ndarray | None:

@@ -143,6 +143,9 @@ def test_simulators_reject_fading_of_the_wrong_shape(simulate):
                  (np.ones(2), np.ones(3)), (np.ones((1, 2)), np.ones((1, 2)))]:
         with pytest.raises(InvalidParameterError, match="f and h must have shape"):
             simulate(scheme, f, h, x, 10.0, rng)
+    # well-shaped fading does not excuse a signal of other than N symbols
+    with pytest.raises(InvalidParameterError, match="x must have shape"):
+        simulate(scheme, np.ones(2), np.ones(2), np.ones(3), 10.0, rng)
 
 
 def test_fading_entry_statistics():

@@ -388,6 +388,18 @@ def test_codebook_rejects_non_finite_codewords(bad):
         Codebook(words, 0.1, 10.0)
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (2, 3, 4)], ids=["no-words", "3-d"])
+def test_codebook_rejects_words_that_are_no_nonempty_matrix(shape):
+    with pytest.raises(InvalidParameterError, match="nonempty"):
+        Codebook(np.ones(shape), 0.1, 10.0)
+
+
+def test_min_gram_eigenvalue_refuses_a_book_of_another_block_length():
+    book = Codebook(np.eye(3), 0.1, 10.0)
+    with pytest.raises(InvalidParameterError, match="block lengths differ"):
+        min_gram_eigenvalue(cyclic_delay_scheme(2, 4), book)
+
+
 def test_rank_full_invariant_under_common_unitary():
     rng = np.random.default_rng(10)
     base = cyclic_delay_scheme(3, 4)

@@ -1,7 +1,10 @@
 """Config grammar, scheme/codebook files, runners, and the CLI surface."""
 
+import ast
 import csv
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
@@ -93,6 +96,8 @@ def test_parse_config_rejects_garbage():
         config_from_mapping({"experiment": "outage-sweep", "bogus_key": "1"})
     with pytest.raises(ConfigError):
         config_from_mapping({"experiment": "no-such-thing"})
+    with pytest.raises(ConfigError, match="missing 'experiment'"):
+        config_from_mapping({"scheme": "cdd", "k": 2, "n": 4})
 
 
 def test_config_validation_rules():
@@ -678,6 +683,9 @@ def _exit_path_args(tmp_path, case):
     book2 = str(tmp_path / "book2.txt")
     save_codebook_file(book2, Codebook(np.array([[0, 0], [1, 0]]), 0.25, 100.0))
     grid = ["--r", "0.25", "--snr-db", "20,30,40", "--trials", "1000"]
+    if case in ("seed=-1", "seed=18446744073709551616", "trials=0", "trials=-5"):
+        return ["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", *grid,
+                f"--{case}", "--out", str(tmp_path / "o.csv")]
     if case == "scheme-file-k-n-mismatch":
         scheme = str(tmp_path / "cdd24.txt")
         save_scheme_file(scheme, cyclic_delay_scheme(2, 4))
@@ -709,7 +717,9 @@ def _exit_path_args(tmp_path, case):
     [("scheme-file-k-n-mismatch", EXIT_CONFIG), ("csv-without-out", EXIT_CONFIG),
      ("dm-slope-two-point-grid", EXIT_CONFIG), ("certify-without-codebook", EXIT_CONFIG),
      ("certify-codebook-n-mismatch", EXIT_CONFIG), ("certify-overflowing-snr", EXIT_CONFIG),
-     ("certify-underflowing-snr", EXIT_CONFIG), ("internal-consistency", EXIT_INTERNAL)],
+     ("certify-underflowing-snr", EXIT_CONFIG), ("internal-consistency", EXIT_INTERNAL),
+     ("seed=-1", EXIT_CONFIG), ("seed=18446744073709551616", EXIT_CONFIG),
+     ("trials=0", EXIT_CONFIG), ("trials=-5", EXIT_CONFIG)],
 )
 def test_cli_documented_exit_paths_write_nothing(tmp_path, monkeypatch, case, code):
     from relaydiv import experiment_cli
@@ -1307,3 +1317,23 @@ def test_cli_certify_code(tmp_path):
     text = Path(out).read_text()
     assert "PASS (all pairs)" in text
     assert "mu_min" in text
+
+
+def test_the_benchmark_tracer_finds_the_functions_it_wraps_by_name():
+    # benchmarks/tracer.py wraps package functions by module and name, and
+    # skips a name it cannot find, so that layer's metrics read 0 without
+    # notice.  Two names are gone already and read 0; any other that stops
+    # resolving, or a new signature of the block runner it wraps, fails here
+    source = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
+    missing = {(module, attr) for module, attr, _ in wrapped
+               if not hasattr(importlib.import_module(module), attr)}
+    assert missing == {("relaydiv.experiment_cli", "pair_differences"),
+                       ("relaydiv.experiment_cli", "min_gram_eigenvalue")}
+    from relaydiv import outage_analysis
+
+    assert list(inspect.signature(outage_analysis._mc_event_count).parameters) == [
+        "trials", "seed", "threads", "block_events"]

@@ -355,10 +355,11 @@ def test_common_spectra_is_none_without_a_shared_basis():
         _assert_matches_oracle(mutual_information(heffs, rho), _eigvalsh_oracle(heffs, rho))
 
 
-def _packed_lower(grams):
-    """A (T, N, N) stack as _ldl_pivots takes it."""
+def _pivots(grams):
+    """_ldl_pivots of a complex (T, N, N) stack, packed as it takes it."""
     n = grams.shape[-1]
-    return grams.transpose(1, 2, 0).reshape(n * n, -1)[_lower_rows(n)]
+    lower = grams.transpose(1, 2, 0).reshape(n * n, -1)[_lower_rows(n)]
+    return _ldl_pivots(lower, n, np.empty((n, grams.shape[0])), Workspace())
 
 
 @pytest.mark.parametrize("kind", ["cdd", "phase-rolling", "haar"])
@@ -385,7 +386,7 @@ def test_each_exact_mi_is_the_row_sum_of_its_own_factor_rows(kind, k, n):
                 (mi_from_factors(ldl_factors(products, ht, 1.0, rho / noise)),
                  ldl_factors(products, ht, 1.0, rho / noise)),
                 (mutual_information(heffs, rho),
-                 _ldl_pivots(_packed_lower(rho * (heffs @ heffs.conj().transpose(0, 2, 1))), n)),
+                 _pivots(rho * (heffs @ heffs.conj().transpose(0, 2, 1)))),
             ]
             if spectra is not None:
                 cases.append((mi_from_factors(spectral_factors(spectra, ht, 1.0, rho / noise)),
@@ -410,14 +411,15 @@ def test_ldl_log_det_matches_eigenvalue_oracle(n, rank, rho, real, seed):
     # both the oracle and the elimination ~eps rho ||B||^2 of absolute
     # error, so rho stops where that stays under the bound: at rho = 1e5 a
     # rank-r determinant det(I + rho B^H B) put them 1.3e-11 and 4e-12 off.
-    # Real stacks are symmetric PSD, where conj() returns its input itself.
+    # Real stacks are symmetric PSD, where conj() returns its input itself;
+    # the elimination takes them as complex, as mutual_information does.
     rng = np.random.default_rng(seed)
     b = complex_gaussian(rng, (32, n, n)) / np.sqrt(n)
     if real:
         b = np.ascontiguousarray(b.real)
     b[:, :, rank:] = 0.0
     grams = rho * (b @ b.conj().transpose(0, 2, 1))
-    _assert_matches_oracle(mi_from_factors(_ldl_pivots(_packed_lower(grams), n)),
+    _assert_matches_oracle(mi_from_factors(_pivots(grams.astype(complex))),
                            _eigvalsh_oracle(b, rho))
 
 
@@ -455,7 +457,7 @@ def test_non_positive_definite_input_is_an_internal_consistency_error():
         grams = np.zeros((2, 3, 3), dtype=complex)
         grams[1][entry] = value
         with pytest.raises(InternalConsistencyError):
-            _ldl_pivots(_packed_lower(grams), 3)
+            _pivots(grams)
         # K = 1 and f = h = 1 at rho = 2 give w = 1, so I + rho H H^H is I
         # plus the table's one row
         ht, noise = two_hop(np.ones((1, 1)), np.ones((1, 1)))

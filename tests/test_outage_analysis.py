@@ -581,19 +581,18 @@ def test_one_ldl_block_stays_within_48n_bytes_per_trial(k, n):
 @pytest.mark.parametrize(
     "scheme,bound",
     [(cyclic_delay_scheme(2, 8), 4), (phase_rolling_scheme(3, 8), 4), (_haar_scheme(2, 4, 47), 4),
-     (_haar_scheme(3, 8, 47), 4), (_haar_scheme(4, 16, 47), 9)],
+     (_haar_scheme(3, 8, 47), 4), (_haar_scheme(4, 16, 47), 6)],
     ids=["cdd-2-8", "phase-rolling-3-8", "haar-2-4", "haar-3-8", "haar-4-16"],
 )
 def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme, bound):
     # after a thread's first block, its blocks draw into and compute in the
     # thread's workspace, and h~ is formed there from the draw's parts
-    # without a cast buffer; LDL^H scales by complex rows and takes no numpy
-    # operation that broadcasts a row over a block, which would allocate a
-    # buffer of up to 8192 elements.  What is left is the verdict
-    # (1 B/trial) and each call's scheme tables, which at (4, 16) are the
-    # (K^2, N^2) products and their packed lower triangles, 8 B/trial here.
-    # Measured on a 2-vCPU Xeon with numpy 2.4.6: 1.21-1.83 B/trial, and
-    # 8.05 at (4, 16).
+    # without a cast buffer; LDL^H gathers its packed table there too,
+    # scales by complex rows and takes no numpy operation that broadcasts a
+    # row over a block, which would allocate a buffer of up to 8192
+    # elements.  What is left is the verdict (1 B/trial) and each call's
+    # (K^2, N^2) products, 5 B/trial at (4, 16).  Measured on a 2-vCPU Xeon
+    # with numpy 2.4.6: 1.21-1.83 B/trial, and 5.27 at (4, 16).
     def run():
         mc_exact_outage(scheme, 0.25, 100.0, outage_analysis.BLOCK_TRIALS, seed=1, threads=1)
 
@@ -958,7 +957,7 @@ def test_ml_error_vanishes_at_high_snr_for_full_rank_book():
     assert est.probability < 1e-3
 
 
-def test_ml_error_validation():
+def test_ml_error_validation(monkeypatch):
     scheme = cyclic_delay_scheme(1, 2)
     single = Codebook(np.ones((1, 2)), 0.0, 10.0)
     with pytest.raises(InvalidParameterError):
@@ -968,3 +967,11 @@ def test_ml_error_validation():
     with pytest.raises(ResourceLimitError) as excinfo:
         mc_ml_error(scheme, big, 10.0, 100, seed=0)
     assert excinfo.value.allowed == DEFAULT_SIZE_CAP
+    # a book of 3-symbol words for an N = 4 scheme, refused before any draw
+    draws = []
+    sample = outage_analysis._sample_fading
+    monkeypatch.setattr(outage_analysis, "_sample_fading",
+                        lambda *args: draws.append(args) or sample(*args))
+    with pytest.raises(InvalidParameterError, match="block lengths differ"):
+        mc_ml_error(cyclic_delay_scheme(2, 4), Codebook(np.eye(3), 0.1, 10.0), 100.0, 1000, seed=1)
+    assert len(draws) == 0

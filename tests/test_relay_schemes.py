@@ -65,6 +65,8 @@ def test_dft_matrix_small_cases():
     np.testing.assert_allclose(
         dft_matrix(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
     )
+    with pytest.raises(InvalidParameterError):
+        dft_matrix(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33])
