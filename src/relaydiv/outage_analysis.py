@@ -23,7 +23,6 @@ import math
 import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -209,8 +208,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of ``workers`` threads, made on first use."""
+def _pool(workers: int) -> "ThreadPoolExecutor":
+    """The process's pool of ``workers`` threads, made on first use.  The
+    pool module is imported here, so a one-thread process never loads it."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers)
 
 

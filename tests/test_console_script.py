@@ -1,6 +1,7 @@
 """The console script's end-to-end checks, each run in a child process
 through ``python -m relaydiv.experiment_cli``, the module whose ``main`` the
-installed ``relaydiv`` script calls."""
+installed ``relaydiv`` script calls, and the checks of how such a process
+imports and exits, each in a fresh interpreter."""
 
 import csv
 import json
@@ -22,6 +23,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Child processes at once; each is mostly interpreter and numpy start-up.
 WORKERS = 2
+
+
+def _child_env(**extra):
+    """The environment of a child that imports the package under test."""
+    path = os.pathsep.join(filter(None, [str(Path(relaydiv.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def _runs(tmp):
@@ -71,14 +79,12 @@ def cli(tmp_path_factory):
     save_scheme_file(str(tmp / "haar.txt"), custom_scheme(
         [np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0] / 2
          for _ in range(2)]))
-    path = os.pathsep.join(filter(None, [str(Path(relaydiv.__file__).resolve().parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
 
     def run(item):
         name, (args, env) = item
         return name, subprocess.run(
             [sys.executable, "-m", "relaydiv.experiment_cli", *args], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+            text=True, env=_child_env(**env), timeout=300)
 
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         done = dict(pool.map(run, _runs(tmp).items()))
@@ -171,3 +177,49 @@ def test_the_console_script_is_the_cli_main():
     with open(ROOT / "pyproject.toml", "rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
     assert scripts == {"relaydiv": "relaydiv.experiment_cli:main"}
+
+
+def _python(code, *args, flags=()):
+    """A fresh interpreter's run of ``python [flags] -c code args``."""
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
+                          text=True, env=_child_env(), timeout=300)
+
+
+def test_the_cli_module_alone_freezes_the_heap_at_exit():
+    # importing the CLI module registers gc.freeze as an exit handler, so the
+    # final collections skip the heap; importing only the library does not
+    code = "import atexit, gc, {}; atexit._run_exitfuncs(); print(gc.get_freeze_count())"
+    cli, library = (_python(code.format(module))
+                    for module in ("relaydiv.experiment_cli", "relaydiv"))
+    assert cli.returncode == 0 and int(cli.stdout) > 0, (cli.stdout, cli.stderr)
+    assert library.returncode == 0 and int(library.stdout) == 0, (library.stdout, library.stderr)
+
+
+def test_the_pool_module_is_imported_with_the_first_pool():
+    # a one-thread call runs its blocks on the calling thread and loads no
+    # concurrent.futures; a two-thread call of two blocks makes the pool
+    code = ("import sys; from relaydiv import cyclic_delay_scheme; "
+            "from relaydiv.outage_analysis import BLOCK_TRIALS, mc_exact_outage; "
+            "s = cyclic_delay_scheme(2, 4); "
+            "mc_exact_outage(s, 0.25, 100.0, 2 * BLOCK_TRIALS, 1, threads=1); "
+            "print('concurrent.futures' in sys.modules); "
+            "mc_exact_outage(s, 0.25, 100.0, 2 * BLOCK_TRIALS, 1, threads=2); "
+            "print('concurrent.futures' in sys.modules)")
+    run = _python(code)
+    assert run.returncode == 0 and run.stdout.split() == ["False", "True"], (run.stdout, run.stderr)
+
+
+def test_a_two_thread_run_joins_its_pool_before_the_heap_is_frozen(tmp_path):
+    # exit handlers run last registered first, so the handler registered here,
+    # before the CLI module's import, runs after gc.freeze: by then threading's
+    # shutdown has joined the pool's workers, and every warning is an error
+    code = ("import atexit, gc, sys, threading; "
+            "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0, "
+            "threading.active_count())); "
+            "from relaydiv.experiment_cli import main; sys.exit(main(sys.argv[1:]))")
+    run = _python(code, "dm-slope", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
+                  "--snr-db", "10,15,20,25", "--trials", "40000", "--seed", "1", "--threads", "2",
+                  "--out", str(tmp_path / "s.csv"), flags=("-W", "error"))
+    assert run.returncode == 0 and run.stderr == "", (run.returncode, run.stderr)
+    assert run.stdout.splitlines()[-1] == "exit True 1", run.stdout
+    assert (tmp_path / "s.csv").exists()
