@@ -16,8 +16,10 @@ relay chain: first-hop reception, linear relay processing with the
 power-preserving scale sqrt(rho/(1+rho)), destination summation, and the
 final normalization by sqrt(N0') that whitens the aggregate noise.
 ``simulate_normalized`` implements the high-SNR model y = sqrt(rho) H x + z
-used by all outage analysis.  A validation test quantifies the gap between
-the two chains.
+used by all outage analysis.  Both draw every noise sample from their
+``rng`` through ``complex_gaussian``, so a generator whose standard_normal
+writes zeros gives the noiseless chain.  A validation test quantifies the
+gap between the two chains.
 """
 
 from __future__ import annotations
@@ -83,8 +85,6 @@ def simulate_two_hop(
     rho: float,
     rng: np.random.Generator,
     *,
-    relay_noise: bool = True,
-    dest_noise: bool = True,
     relay_power_scale: float = 1.0,
 ) -> np.ndarray:
     """Exact chain for one fading draw, the (K,) first-hop gains f and
@@ -92,7 +92,6 @@ def simulate_two_hop(
     scaled linear transform, destination adds unit noise, and the output is
     divided by sqrt(N0') so the aggregate noise is white with unit variance.
 
-    The noise-disable keywords exist for deterministic oracle tests only.
     ``relay_power_scale`` rescales the per-relay transmit power (1/K for
     the total-power variant); the first-hop SNR is untouched and the
     normalization tracks the scale, so the output noise stays white.
@@ -109,15 +108,13 @@ def simulate_two_hop(
     for i, g in enumerate(scheme.matrices):
         signal_in = np.sqrt(rho) * f[i] * x
         y += h[i] * relay_gain * (g @ signal_in)
-        if relay_noise:
-            # Forward the relay noise through the unitary factor sqrt(N) G_i,
-            # which keeps its per-component variance at one; this is the
-            # normalization under which N0' = 1 + rho/(1+rho) ||h||^2 holds
-            # and the post-division noise is exactly white.
-            w = complex_gaussian(rng, n)
-            y += h[i] * relay_gain * (np.sqrt(n) * (g @ w))
-    if dest_noise:
-        y += complex_gaussian(rng, n)
+        # Forward the relay noise through the unitary factor sqrt(N) G_i,
+        # which keeps its per-component variance at one; this is the
+        # normalization under which N0' = 1 + rho/(1+rho) ||h||^2 holds
+        # and the post-division noise is exactly white.
+        w = complex_gaussian(rng, n)
+        y += h[i] * relay_gain * (np.sqrt(n) * (g @ w))
+    y += complex_gaussian(rng, n)
     n0_prime = 1.0 + scale * (rho / (1.0 + rho)) * np.linalg.norm(h) ** 2
     return y / np.sqrt(n0_prime)
 
@@ -129,17 +126,12 @@ def simulate_normalized(
     x: np.ndarray,
     rho: float,
     rng: np.random.Generator,
-    *,
-    dest_noise: bool = True,
 ) -> np.ndarray:
     """High-SNR model for one fading draw (f, h): y = sqrt(rho) H_eff x + z
     with z white unit-variance."""
     f, h, x = _check_signal(scheme, f, h, x, rho)
     heff = effective_channel(*two_hop(f, h), scheme.stacked())
-    y = np.sqrt(float(rho)) * (heff @ x)
-    if dest_noise:
-        y = y + complex_gaussian(rng, scheme.block_length)
-    return y
+    return np.sqrt(float(rho)) * (heff @ x) + complex_gaussian(rng, scheme.block_length)
 
 
 def _check_signal(scheme: RelayScheme, f, h, x, rho):

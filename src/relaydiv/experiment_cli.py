@@ -46,6 +46,8 @@ from .errors import (
 from .information import jensen_mi, jensen_mi_via_gramian, mutual_information
 from .outage_analysis import (
     FADING_STREAM,
+    MAX_THREADS,
+    RHO_MAX,
     ProbEstimate,
     adaptive_trials,
     analytic_jensen_bracket,
@@ -87,10 +89,10 @@ _SELF_CHECK_SEED = 20240
 # probe, exits alike.
 atexit.register(gc.freeze)
 
-# Highest snr_db entry; its rho, 1e300, is the outage functions' RHO_MAX.
+# Highest snr_db entry, the outage functions' RHO_MAX in dB: exactly 3000.0.
 # The lowest is its mirror, -3000 dB (rho = 1e-300), so that every rho^-2r
 # with r <= 1/2 stays a float.
-SNR_DB_MAX = 3000.0
+SNR_DB_MAX = 10.0 * math.log10(RHO_MAX)
 
 OUTAGE_CSV_COLUMNS = ("snr_db", "probability", "ci_low", "ci_high", "trials", "events")
 DM_SLOPE_EXTRA_COLUMNS = ("d_hat", "d_hat_raw", "d_hat_stderr", "d_theory")
@@ -125,7 +127,7 @@ class ExperimentConfig:
     seed: int = _key(1, "64-bit seed")
     codebook: str = _key("", "codebook file to certify")
     out: str = _key("", "output path")
-    threads: int = _key(1, "worker threads, 1 to 256; changes speed only, never results")
+    threads: int = _key(1, f"worker threads, 1 to {MAX_THREADS}; changes speed only, never results")
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -223,9 +225,6 @@ _FIELD_TYPES = {
 }
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-
-# Keys every experiment takes; one whose table entry has scheme=True takes all.
-_COMMON_KEYS = ("seed", "out", "threads")
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -791,7 +790,7 @@ def _self_check(cfg: ExperimentConfig) -> Output:
 class Experiment(NamedTuple):
     run: Callable[[ExperimentConfig], Output]
     columns: tuple = ()  # CSV header; a CSV experiment requires out= and writes a manifest
-    scheme: bool = True  # takes the scheme, grid and estimator keys
+    scheme: bool = True  # validates the scheme, grid and estimator keys
     outage_grid: bool = True  # evaluates outage at each grid point, which needs rho > 1
 
 
@@ -813,15 +812,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="relaydiv",
         description="Two-hop relay diversity experiments (outage Monte Carlo, "
         "diversity slopes, code certification, analytic curves).  Flags "
-        "override config-file keys.",
+        "override config-file keys; every experiment takes every key and "
+        "ignores those it does not use.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, experiment in EXPERIMENTS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="experiment config file (key = value lines)")
-        for key, f in _CONFIG_FIELDS.items():
-            if key != "experiment" and (experiment.scheme or key in _COMMON_KEYS):
-                p.add_argument("--" + key.replace("_", "-"), help=f.metadata["help"])
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", help="experiment config file (key = value lines)")
+    for key, f in _CONFIG_FIELDS.items():
+        if key != "experiment":
+            parser.add_argument("--" + key.replace("_", "-"), help=f.metadata["help"])
     return parser
 
 
@@ -831,7 +829,7 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config, encoding="utf-8") as fh:
             raw.update(parse_config_text(fh.read(), origin=args.config))
     for key in _CONFIG_FIELDS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             raw[key] = val
     return config_from_mapping(raw, origin=args.config or "<cli>")

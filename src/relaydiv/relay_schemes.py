@@ -9,7 +9,7 @@ delay diversity (scaled cyclic-shift permutations) and phase rolling
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,12 @@ class RelayScheme:
     The only scheme validator: at least one matrix, all of shape (N, N),
     K <= N, and G_i G_i^H = I/N to UNITARY_SCALING_TOL for every i.  A
     unitarity failure raises SchemeInvalidError naming the first offending
-    matrix and its deviation.
+    matrix and its deviation.  Built from any sequence of matrices,
+    ``matrices`` holds them as one read-only (K, N, N) array.
     """
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     name: str = "custom"
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = [np.asarray(g, dtype=complex) for g in self.matrices]
@@ -61,8 +61,7 @@ class RelayScheme:
         bad = np.flatnonzero(~(dev <= UNITARY_SCALING_TOL))  # a NaN deviation fails too
         if bad.size:
             raise SchemeInvalidError(int(bad[0]), float(dev[bad[0]]))
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "matrices", tuple(stack))
+        object.__setattr__(self, "matrices", stack)
 
     @property
     def num_relays(self) -> int:
@@ -73,8 +72,8 @@ class RelayScheme:
         return self.matrices[0].shape[0]
 
     def stacked(self) -> np.ndarray:
-        """All matrices as one read-only (K, N, N) array."""
-        return self._stack
+        """All matrices as one read-only (K, N, N) array: ``matrices``."""
+        return self.matrices
 
 
 @dataclass(frozen=True)

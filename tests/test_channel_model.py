@@ -36,6 +36,18 @@ def _draw(k, rng):
     return f, h
 
 
+class _ZeroNormals:
+    """A generator stand-in whose standard normals are all zero: a simulator
+    that draws its noise from it adds +0 for every noise sample."""
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
+
+
+NOISELESS = _ZeroNormals()
+
+
 def test_fading_draw_deterministic_under_fixed_seed():
     a = _sample_fading(np.random.default_rng(1234), 5, 2)
     b = _sample_fading(np.random.default_rng(1234), 5, 2)
@@ -214,8 +226,8 @@ def test_two_hop_high_snr_approaches_normalized_model():
     scheme = cyclic_delay_scheme(2, 4)
     f, h = _draw(2, rng)
     x = complex_gaussian(rng, 4)
-    got = simulate_two_hop(scheme, f, h, x, 1e6, rng, relay_noise=False, dest_noise=False)
-    want = simulate_normalized(scheme, f, h, x, 1e6, rng, dest_noise=False)
+    got = simulate_two_hop(scheme, f, h, x, 1e6, NOISELESS)
+    want = simulate_normalized(scheme, f, h, x, 1e6, NOISELESS)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-3
 
 
@@ -235,7 +247,7 @@ def test_two_hop_single_relay_closed_form():
     scheme = cyclic_delay_scheme(1, n)
     f, h = _draw(1, rng)
     x = complex_gaussian(rng, n)
-    got = simulate_two_hop(scheme, f, h, x, 7.5, rng, relay_noise=False, dest_noise=False)
+    got = simulate_two_hop(scheme, f, h, x, 7.5, NOISELESS)
     rho = 7.5
     coeff = rho / np.sqrt(1 + rho * (1 + abs(h[0]) ** 2))
     want = coeff * f[0] * h[0] * x / np.sqrt(n)
@@ -264,7 +276,7 @@ def test_normalized_model_definition_and_reproducibility():
     scheme = phase_rolling_scheme(2, 4)
     f, h = _draw(2, rng)
     x = complex_gaussian(rng, 4)
-    noiseless = simulate_normalized(scheme, f, h, x, 30.0, rng, dest_noise=False)
+    noiseless = simulate_normalized(scheme, f, h, x, 30.0, NOISELESS)
     heff = effective_channel(*two_hop(f, h), scheme.stacked())
     np.testing.assert_array_equal(noiseless, np.sqrt(30.0) * (heff @ x))
     a = simulate_normalized(scheme, f, h, x, 30.0, np.random.default_rng(9))
@@ -278,8 +290,8 @@ def test_signal_parts_of_both_chains_agree_at_high_snr():
     for _ in range(20):
         f, h = _draw(3, rng)
         x = complex_gaussian(rng, 6)
-        exact = simulate_two_hop(scheme, f, h, x, 1e6, rng, relay_noise=False, dest_noise=False)
-        model = simulate_normalized(scheme, f, h, x, 1e6, rng, dest_noise=False)
+        exact = simulate_two_hop(scheme, f, h, x, 1e6, NOISELESS)
+        model = simulate_normalized(scheme, f, h, x, 1e6, NOISELESS)
         diff = np.abs(exact - model)
         scale = np.abs(model) + np.linalg.norm(model) / len(model)
         assert np.all(diff / scale < 1e-3)
@@ -291,9 +303,7 @@ def test_power_scale_variant_closed_form_and_whiteness():
     scheme = cyclic_delay_scheme(1, n)
     f, h = _draw(1, rng)
     x = complex_gaussian(rng, n)
-    got = simulate_two_hop(
-        scheme, f, h, x, rho, rng, relay_noise=False, dest_noise=False, relay_power_scale=scale
-    )
+    got = simulate_two_hop(scheme, f, h, x, rho, NOISELESS, relay_power_scale=scale)
     coeff = np.sqrt(scale) * rho / np.sqrt(1 + rho * (1 + scale * abs(h[0]) ** 2))
     np.testing.assert_allclose(got, coeff * f[0] * h[0] * x / np.sqrt(n), rtol=1e-12)
     # the normalization tracks the scale, so the noise stays unit variance

@@ -4,6 +4,7 @@ installed ``relaydiv`` script calls, and the checks of how such a process
 imports and exits, each in a fresh interpreter."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -17,7 +18,13 @@ import pytest
 
 import relaydiv
 from relaydiv import custom_scheme, gaussian_codebook
-from relaydiv.experiment_cli import load_codebook_file, save_codebook_file, save_scheme_file
+from relaydiv.experiment_cli import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    load_codebook_file,
+    save_codebook_file,
+    save_scheme_file,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +37,13 @@ def _child_env(**extra):
     path = os.pathsep.join(filter(None, [str(Path(relaydiv.__file__).resolve().parents[1]),
                                          os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def _cli(*args, cwd=None, **env):
+    """A child's run of ``python -m relaydiv.experiment_cli args`` in ``cwd``
+    with ``env`` added to its environment."""
+    return subprocess.run([sys.executable, "-m", "relaydiv.experiment_cli", *args], cwd=cwd,
+                          capture_output=True, text=True, env=_child_env(**env), timeout=300)
 
 
 def _runs(tmp):
@@ -63,6 +77,8 @@ def _runs(tmp):
             "dm-slope", "--outage", "exact", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
             "--snr-db", "10,15,20,25", "--trials", "40000", "--seed", "1",
             "--threads", str(threads), "--out", tmp / f"w-slope-cdd-{threads}.csv"]
+    runs["self-check-flag"] = ["self-check", "--k", "3"]
+    runs["self-check-file"] = ["self-check", "--config", tmp / "k3.cfg"]
     return {name: (list(map(str, args)), {"PYTHONWARNINGS": "error"} if name == "h2990" else {})
             for name, args in runs.items()}
 
@@ -70,9 +86,10 @@ def _runs(tmp):
 @pytest.fixture(scope="module")
 def cli(tmp_path_factory):
     """Runs every CLI call of this module, WORKERS at a time, on a
-    generated codebook and Haar scheme file; returns the tmp directory and
-    each run's completed process by name."""
+    generated codebook, Haar scheme file and config file; returns the tmp
+    directory and each run's completed process by name."""
     tmp = tmp_path_factory.mktemp("cli")
+    (tmp / "k3.cfg").write_text("experiment = self-check\nk = 3\n")
     save_codebook_file(str(tmp / "book.txt"),
                        gaussian_codebook(4, 0.25, 4.0, np.random.default_rng(1)))
     rng = np.random.default_rng(2)
@@ -82,9 +99,7 @@ def cli(tmp_path_factory):
 
     def run(item):
         name, (args, env) = item
-        return name, subprocess.run(
-            [sys.executable, "-m", "relaydiv.experiment_cli", *args], capture_output=True,
-            text=True, env=_child_env(**env), timeout=300)
+        return name, _cli(*args, **env)
 
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         done = dict(pool.map(run, _runs(tmp).items()))
@@ -168,6 +183,42 @@ def test_the_ldl_kernel_decides_2990_db_without_a_warning(cli):
     assert float(rows[-1]["snr_db"]) == 2990, rows
     manifest = _manifest(cli[0] / "h2990.csv")
     assert manifest["mi_kernel"] == "exact-products-ldl", manifest
+
+
+def test_self_check_takes_a_key_from_a_flag_as_from_a_config_file(cli):
+    # every experiment takes every key; self-check uses no k, from either
+    flag, file = _ok(cli, "self-check-flag"), _ok(cli, "self-check-file")
+    assert flag.stdout == file.stdout and flag.stdout.startswith("self-check report"), flag.stdout
+
+
+@pytest.mark.parametrize("args,message", [
+    (["no-such-experiment"],
+     r"relaydiv: error: argument experiment: invalid choice: .no-such-experiment"),
+    (["outage-sweep", "--snr-db", "20,30", "--seed"],
+     r"relaydiv: error: argument --seed: expected one argument"),
+    # argparse releases differ on whether "-10,0,10" looks like a negative
+    # number: Python 3.11's reads a flag with no value, and one that reads a
+    # value passes it on to the outage-grid rule, which refuses -10 dB
+    (["outage-sweep", "--snr-db", "-10,0,10"],
+     r"relaydiv: error: argument --snr-db: expected one argument"
+     r"|config error: outage-sweep needs rho .* snr_db entry -10 "),
+])
+def test_a_refused_command_line_exits_2_and_writes_nothing(tmp_path, args, message):
+    run = _cli(*args, "--out", "out.csv", cwd=tmp_path)
+    assert run.returncode == 2 and run.stdout == "", (run.returncode, run.stdout)
+    assert re.match(message, run.stderr.splitlines()[-1]), run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_names_every_experiment_and_every_key_flag_once():
+    run = _cli("--help")
+    assert run.returncode == 0, run.stderr
+    # past the usage block, each argument is listed once
+    listing = run.stdout.split("\n\n", 1)[1]
+    assert all(listing.count(name) == 1 for name in EXPERIMENTS), listing
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
+    flags = ["--help", "--config"] + ["--" + key.replace("_", "-") for key in keys]
+    assert re.findall(r"--[a-z][a-z-]*", listing) == flags, listing
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

@@ -963,6 +963,21 @@ def test_a_fitted_slope_manifest_keeps_its_numbers(tmp_path):
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
+def test_a_slope_fit_that_excludes_a_starved_point_warns_and_fits_the_rest(tmp_path, capsys):
+    # 35 dB sees 10 events, below min_events = 20: the fit runs on the other
+    # four points, and the run says so on stderr and in the manifest
+    out = tmp_path / "s.csv"
+    rc = main(["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0",
+               "--snr-db", "15,20,25,30,35", "--trials", "20000", "--seed", "5",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    warning = "warning: 1 grid points below min_events=20 were excluded from the fit"
+    assert capsys.readouterr().err == warning + "\n"
+    manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["status"] == warning and manifest["points_used"] == 4
+    assert math.isfinite(manifest["d_hat"])
+
+
 def test_dm_slope_above_the_largest_float_rate_puts_every_trial_in_outage(tmp_path):
     # 2^(2 * 600) overflows a float, so the Jensen threshold is infinite
     out = tmp_path / "s.csv"

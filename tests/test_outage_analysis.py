@@ -139,6 +139,21 @@ def test_product_rayleigh_cdf_boundaries():
         product_rayleigh_cdf(-0.1)
 
 
+def test_product_rayleigh_cdf_matches_the_k1_quadrature_on_both_branches():
+    # F(x) = 1 - 2x K1(2x); from x = 4.5 (z = 2x = 9) on, F takes the
+    # asymptotic branch of K1, so the grid brackets that crossover
+    for x in [0.05, 1.0, 2.5, 4.0, 4.45, 4.55, 6.0, 10.0, 15.0]:
+        assert abs(product_rayleigh_cdf(x) - (1.0 - 2.0 * x * k1_quadrature(2.0 * x))) <= 1e-11
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(offset=st.floats(1e-15, 1e-9))
+def test_product_rayleigh_cdf_is_continuous_across_the_series_crossover(offset):
+    # z K1(z) scales K1's branch errors (each within 1e-12) by z = 9, so F's
+    # jump at x = 4.5 is bounded by 2e-11 absolute
+    assert abs(product_rayleigh_cdf(4.5 - offset) - product_rayleigh_cdf(4.5 + offset)) <= 2e-11
+
+
 def test_product_rayleigh_cdf_monotone_grid():
     grid = np.linspace(0.0, 10.0, 1000)
     values = np.array([product_rayleigh_cdf(x) for x in grid])
