@@ -10,9 +10,10 @@ estimators sample the pair from this law without drawing f and h, as its
 parts (u, b, 1 + ||h||^2) with h~ = u sqrt(b)
 (``outage_analysis._sample_fading``).
 
-Two simulators are exposed; each takes one fading draw as the (K,) arrays
-f and h, as ``two_hop`` does.  ``simulate_two_hop`` implements the exact
-relay chain: first-hop reception, linear relay processing with the
+Two simulators are exposed; each takes fading draws f and h of shape
+(..., K), as ``two_hop`` does, and signals x of shape (..., N), leading
+shapes broadcast.  ``simulate_two_hop`` implements the exact relay
+chain: first-hop reception, linear relay processing with the
 power-preserving scale sqrt(rho/(1+rho)), destination summation, and the
 final normalization by sqrt(N0') that whitens the aggregate noise.
 ``simulate_normalized`` implements the high-SNR model y = sqrt(rho) H x + z
@@ -87,36 +88,31 @@ def simulate_two_hop(
     *,
     relay_power_scale: float = 1.0,
 ) -> np.ndarray:
-    """Exact chain for one fading draw, the (K,) first-hop gains f and
-    second-hop gains h: relay i receives sqrt(rho) f_i x + w_i, forwards the
-    scaled linear transform, destination adds unit noise, and the output is
-    divided by sqrt(N0') so the aggregate noise is white with unit variance.
+    """Exact chain for (..., K) first-hop gains f and second-hop gains h and
+    (..., N) signals x, leading shapes broadcast: relay i receives
+    sqrt(rho) f_i x + w_i and forwards the scaled linear transform, the
+    destination adds unit noise, and the (..., N) output is divided by
+    sqrt(N0') so its noise is white with unit variance.  The relay noise is
+    drawn as one (..., K, N) array, then the destination noise.
 
     ``relay_power_scale`` rescales the per-relay transmit power (1/K for
     the total-power variant); the first-hop SNR is untouched and the
     normalization tracks the scale, so the output noise stays white.
     """
-    f, h, x = _check_signal(scheme, f, h, x, rho)
-    rho = float(rho)
-    scale = float(relay_power_scale)
-    if not scale > 0:
-        raise InvalidParameterError("relay_power_scale must be positive")
-    n = scheme.block_length
-    relay_gain = np.sqrt(scale * rho / (1.0 + rho))
-
-    y = np.zeros(n, dtype=complex)
-    for i, g in enumerate(scheme.matrices):
-        signal_in = np.sqrt(rho) * f[i] * x
-        y += h[i] * relay_gain * (g @ signal_in)
-        # Forward the relay noise through the unitary factor sqrt(N) G_i,
-        # which keeps its per-component variance at one; this is the
-        # normalization under which N0' = 1 + rho/(1+rho) ||h||^2 holds
-        # and the post-division noise is exactly white.
-        w = complex_gaussian(rng, n)
-        y += h[i] * relay_gain * (np.sqrt(n) * (g @ w))
-    y += complex_gaussian(rng, n)
-    n0_prime = 1.0 + scale * (rho / (1.0 + rho)) * np.linalg.norm(h) ** 2
-    return y / np.sqrt(n0_prime)
+    f, h, x, lead = _check_signal(scheme, f, h, x, rho)
+    rho, scale, n = float(rho), float(relay_power_scale), scheme.block_length
+    if not 0 < scale < math.inf:
+        raise InvalidParameterError("relay_power_scale must be positive and finite")
+    # G_i is linear, so it takes signal and noise at once.  The noise goes
+    # through the unitary sqrt(N) G_i at unit variance per component, the
+    # normalization under which N0' = 1 + rho/(1+rho) ||h||^2 whitens it.
+    relay_in = np.sqrt(n) * complex_gaussian(rng, lead + (scheme.num_relays, n))
+    relay_in += np.sqrt(rho) * f[..., None] * x[..., None, :]
+    gain = h * np.sqrt(scale * rho / (1.0 + rho))
+    y = np.einsum("...k,kab,...kb->...a", gain, scheme.stacked(), relay_in)
+    y += complex_gaussian(rng, lead + (n,))
+    n0_prime = 1.0 + scale * (rho / (1.0 + rho)) * np.sum(np.abs(h) ** 2, axis=-1)
+    return y / np.sqrt(n0_prime)[..., None]
 
 
 def simulate_normalized(
@@ -127,26 +123,31 @@ def simulate_normalized(
     rho: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """High-SNR model for one fading draw (f, h): y = sqrt(rho) H_eff x + z
+    """High-SNR model for (..., K) fading draws (f, h) and (..., N) signals
+    x, leading shapes broadcast: y = sqrt(rho) H_eff x + z, shape (..., N),
     with z white unit-variance."""
-    f, h, x = _check_signal(scheme, f, h, x, rho)
+    f, h, x, lead = _check_signal(scheme, f, h, x, rho)
     heff = effective_channel(*two_hop(f, h), scheme.stacked())
-    return np.sqrt(float(rho)) * (heff @ x) + complex_gaussian(rng, scheme.block_length)
+    y = np.sqrt(float(rho)) * (heff @ x[..., None])[..., 0]
+    return y + complex_gaussian(rng, lead + (scheme.block_length,))
 
 
 def _check_signal(scheme: RelayScheme, f, h, x, rho):
-    """f, h and x as complex arrays, once their shapes are (K,), (K,) and
-    (N,) and rho is positive."""
+    """f, h and x as complex arrays and their broadcast leading shape, once
+    their shapes are (..., K), (..., K) and (..., N), their leading shapes
+    broadcast, and 0 < rho < inf."""
     f, h, x = (np.asarray(v, dtype=complex) for v in (f, h, x))
-    k = scheme.num_relays
-    if f.shape != (k,) or h.shape != (k,):
+    k, n = scheme.num_relays, scheme.block_length
+    if f.shape[-1:] != (k,) or h.shape[-1:] != (k,):
+        raise InvalidParameterError(f"f and h must have shape (..., {k}), got {f.shape} and {h.shape}")
+    if x.shape[-1:] != (n,):
+        raise InvalidParameterError(f"x must have shape (..., {n}), got {x.shape}")
+    try:
+        lead = np.broadcast_shapes(f.shape[:-1], h.shape[:-1], x.shape[:-1])
+    except ValueError:
         raise InvalidParameterError(
-            f"f and h must have shape ({k},) for a K={k} scheme, got {f.shape} and {h.shape}"
-        )
-    if x.shape != (scheme.block_length,):
-        raise InvalidParameterError(
-            f"x must have shape ({scheme.block_length},), got {x.shape}"
-        )
-    if not rho > 0:
-        raise InvalidParameterError("rho must be positive")
-    return f, h, x
+            f"leading shapes of f, h and x do not broadcast: {f.shape}, {h.shape}, {x.shape}"
+        ) from None
+    if not 0 < rho < math.inf:
+        raise InvalidParameterError("rho must be positive and finite")
+    return f, h, x, lead

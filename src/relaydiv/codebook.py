@@ -1,12 +1,13 @@
 """Codebooks, the code difference matrix, and the rank/eigenvalue conditions.
 
 The full-rank condition on Phi(dx) = [G_1 dx ... G_K dx] over all codeword
-pairs drives diversity optimality.  For the cyclic-delay and phase-rolling
-families the condition reduces to "no zero DFT bin" and "no zero entry"
-respectively.  Both simplified tests, like ``difference_matrix``, take a
-(..., N) stack of differences and answer per difference; the SVD-based
-general test takes one Phi.  At K = N the same duality gives each pair's
-lambda_min(Phi^H Phi) in closed form (``block_min_gram``).
+pairs drives diversity optimality.  For the K-relay cyclic-delay and
+phase-rolling families the condition reduces to "at least K nonzero DFT
+bins" and "at least K nonzero entries" respectively.  Both simplified
+tests, like ``difference_matrix``, take a (..., N) stack of differences
+and answer per difference; the SVD-based general test takes one Phi.  At
+K = N the same duality gives each pair's lambda_min(Phi^H Phi) in closed
+form (``block_min_gram``).
 """
 
 from __future__ import annotations
@@ -104,17 +105,21 @@ def rank_full(phi: np.ndarray) -> bool:
     return bool(s[-1] > phi.shape[-1] * s[0] * RANK_REL_TOL)
 
 
-def cdd_condition(dx: np.ndarray) -> np.ndarray:
-    """All DFT bins nonzero, per difference of a (..., N) stack: the
-    cyclic-delay full-rank shortcut, the phase-rolling one in frequency."""
-    return phase_rolling_condition(_dft_bins(dx))
+def cdd_condition(dx: np.ndarray, k: int | None = None) -> np.ndarray:
+    """At least K nonzero DFT bins (K = N when not given), per difference
+    of a (..., N) stack: the K-relay cyclic-delay full-rank rule, the
+    phase-rolling one in frequency."""
+    return phase_rolling_condition(_dft_bins(dx), k)
 
 
-def phase_rolling_condition(dx: np.ndarray) -> np.ndarray:
-    """All entries nonzero, per difference of a (..., N) stack: the
-    phase-rolling full-rank shortcut."""
+def phase_rolling_condition(dx: np.ndarray, k: int | None = None) -> np.ndarray:
+    """At least K nonzero entries (K = N when not given), per difference of
+    a (..., N) stack: the K-relay phase-rolling full-rank rule.  Phi(dx) is
+    diag(dx) times N x K Vandermonde columns on distinct roots of unity, any
+    K rows of which are independent."""
     dx = np.asarray(dx, dtype=complex)
-    return np.all(np.abs(dx) > ZERO_TOL * np.linalg.norm(dx, axis=-1, keepdims=True), axis=-1)
+    nonzero = np.abs(dx) > ZERO_TOL * np.linalg.norm(dx, axis=-1, keepdims=True)
+    return np.count_nonzero(nonzero, axis=-1) >= (dx.shape[-1] if k is None else k)
 
 
 def _dft_bins(dx: np.ndarray) -> np.ndarray:

@@ -152,12 +152,18 @@ def test_simulators_reject_fading_of_the_wrong_shape(simulate):
     scheme = cyclic_delay_scheme(2, 4)
     x, rng = np.ones(4), np.random.default_rng(0)
     for f, h in [(np.zeros(0), np.zeros(0)), (np.ones(3), np.ones(3)),
-                 (np.ones(2), np.ones(3)), (np.ones((1, 2)), np.ones((1, 2)))]:
+                 (np.ones(2), np.ones(3)), (np.ones((2, 3)), np.ones((2, 3)))]:
         with pytest.raises(InvalidParameterError, match="f and h must have shape"):
             simulate(scheme, f, h, x, 10.0, rng)
     # well-shaped fading does not excuse a signal of other than N symbols
     with pytest.raises(InvalidParameterError, match="x must have shape"):
         simulate(scheme, np.ones(2), np.ones(2), np.ones(3), 10.0, rng)
+    # stacks of draws and signals must broadcast against each other
+    for f, h, x in [(np.ones((2, 2)), np.ones((3, 2)), np.ones(4)),
+                    (np.ones((2, 2)), np.ones(2), np.ones((3, 4))),
+                    (np.ones((5, 1, 2)), np.ones((4, 2)), np.ones((2, 4)))]:
+        with pytest.raises(InvalidParameterError, match="do not broadcast"):
+            simulate(scheme, f, h, x, 10.0, rng)
 
 
 def test_fading_entry_statistics():
@@ -260,10 +266,7 @@ def test_two_hop_noise_is_white_after_normalization():
     n, k, trials = 4, 2, 100_000
     scheme = cyclic_delay_scheme(k, n)
     f, h = _draw(k, rng)
-    x = np.zeros(n, dtype=complex)
-    samples = np.empty((trials, n), dtype=complex)
-    for t in range(trials):
-        samples[t] = simulate_two_hop(scheme, f, h, x, 50.0, rng)
+    samples = simulate_two_hop(scheme, f, h, np.zeros((trials, n)), 50.0, rng)
     cov = samples.conj().T @ samples / trials
     diag = np.abs(np.diag(cov))
     off = np.abs(cov - np.diag(np.diag(cov))).max()
@@ -307,12 +310,45 @@ def test_power_scale_variant_closed_form_and_whiteness():
     coeff = np.sqrt(scale) * rho / np.sqrt(1 + rho * (1 + scale * abs(h[0]) ** 2))
     np.testing.assert_allclose(got, coeff * f[0] * h[0] * x / np.sqrt(n), rtol=1e-12)
     # the normalization tracks the scale, so the noise stays unit variance
-    zeros = np.zeros(n, dtype=complex)
-    samples = np.stack(
-        [
-            simulate_two_hop(scheme, f, h, zeros, rho, rng, relay_power_scale=scale)
-            for _ in range(20_000)
-        ]
-    )
+    zeros = np.zeros((20_000, n))
+    samples = simulate_two_hop(scheme, f, h, zeros, rho, rng, relay_power_scale=scale)
     var = np.mean(np.abs(samples) ** 2, axis=0)
     assert np.all((var > 0.95) & (var < 1.05))
+
+
+def test_a_stack_of_draws_is_the_single_draws_and_noise_comes_relays_first():
+    k, n, rho, trials = 3, 4, 30.0, 50
+    scheme = cyclic_delay_scheme(k, n)
+    rng = np.random.default_rng(52)
+    f, h = complex_gaussian(rng, (2, trials, k))
+    x = complex_gaussian(rng, (trials, n))
+    # without noise a stack of T draws gives the bits of T single-draw calls,
+    # with x per draw and with one x for the whole stack
+    for simulate in (simulate_two_hop, simulate_normalized):
+        for xs in (x, x[0]):
+            stacked = simulate(scheme, f, h, xs, rho, NOISELESS)
+            single = [simulate(scheme, f[t], h[t], xs if xs.ndim == 1 else xs[t], rho, NOISELESS)
+                      for t in range(trials)]
+            assert stacked.shape == (trials, n)
+            assert stacked.tobytes() == np.stack(single).tobytes()
+    # a single draw takes the relay noise w_0 ... w_{K-1}, then the
+    # destination noise z, each (N,), and leaves the generator where a twin
+    # that drew the same stands
+    f, h, x = f[0], h[0], x[0]
+    rng = np.random.default_rng(53)
+    got = simulate_two_hop(scheme, f, h, x, rho, rng)
+    twin = np.random.default_rng(53)
+    w = [complex_gaussian(twin, n) for _ in range(k)]
+    z = complex_gaussian(twin, n)
+    gain = np.sqrt(rho / (1.0 + rho))
+    want = sum(h[i] * gain * (g @ (np.sqrt(rho) * f[i] * x + np.sqrt(n) * w[i]))
+               for i, g in enumerate(scheme.matrices)) + z
+    want /= np.sqrt(1.0 + rho / (1.0 + rho) * np.linalg.norm(h) ** 2)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert rng.standard_normal() == twin.standard_normal()
+    rng = np.random.default_rng(54)
+    got = simulate_normalized(scheme, f, h, x, rho, rng)
+    twin = np.random.default_rng(54)
+    want = simulate_normalized(scheme, f, h, x, rho, NOISELESS) + complex_gaussian(twin, n)
+    assert got.tobytes() == want.tobytes()
+    assert rng.standard_normal() == twin.standard_normal()

@@ -180,6 +180,29 @@ def test_sufficiency_direction_for_wide_schemes():
             assert rank_full(difference_matrix(pr, dx))
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_simplified_conditions_at_k_are_the_rank_rule_at_every_k(n):
+    # Phi(dx) has full rank iff at least K DFT bins (CDD) or entries (phase
+    # rolling) are nonzero: 20 differences with exactly K - 1, K and K + 1
+    # nonzero, for every K, so both sides of the rule are met
+    rng = np.random.default_rng(60 + n)
+    f = dft_matrix(n)
+    for k in range(1, n + 1):
+        for make, condition, to_dx in (
+            (cyclic_delay_scheme, cdd_condition, lambda y: y @ f.conj()),
+            (phase_rolling_scheme, phase_rolling_condition, lambda y: y),
+        ):
+            scheme = make(k, n)
+            for count in range(max(k - 1, 0), min(k + 1, n) + 1):
+                y = complex_gaussian(rng, (20, n))
+                for row in y:
+                    row[rng.permutation(n)[count:]] = 0.0
+                dx = to_dx(y)
+                want = [rank_full(phi) for phi in difference_matrix(scheme, dx)]
+                assert want == [count >= k] * 20
+                np.testing.assert_array_equal(condition(dx, k), want)
+
+
 def test_min_gram_eigenvalue_basis_difference_closed_form():
     n = 8
     scheme = cyclic_delay_scheme(n, n)

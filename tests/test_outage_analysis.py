@@ -761,8 +761,9 @@ def test_outage_argument_validation():
     with pytest.raises(InvalidParameterError):
         mc_jensen_outage(scheme, 0.1, 100.0, 0, seed=0)
     # a NaN rho (or rate) compares false to every bound, so each check must
-    # be written to fail on it
-    nan = math.nan
+    # be written to fail on it; an infinite rho or power scale would make the
+    # simulators' output NaN
+    nan, inf = math.nan, math.inf
     book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
     rng = np.random.default_rng(0)
     f, h = complex_gaussian(rng, (2, 1))
@@ -778,6 +779,9 @@ def test_outage_argument_validation():
         lambda: simulate_two_hop(scheme, f, h, x, nan, rng),
         lambda: simulate_two_hop(scheme, f, h, x, 10.0, rng, relay_power_scale=nan),
         lambda: simulate_normalized(scheme, f, h, x, nan, rng),
+        lambda: simulate_two_hop(scheme, f, h, x, inf, rng),
+        lambda: simulate_two_hop(scheme, f, h, x, 10.0, rng, relay_power_scale=inf),
+        lambda: simulate_normalized(scheme, f, h, x, inf, rng),
         lambda: bessel_k1(nan),
         lambda: product_rayleigh_cdf(nan),
     ):
