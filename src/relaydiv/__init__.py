@@ -37,7 +37,6 @@ from .errors import (
 from .information import (
     jensen_form,
     jensen_mi,
-    jensen_mi_via_gramian,
     mutual_information,
 )
 from .outage_analysis import (

@@ -43,7 +43,7 @@ class Codebook:
 
     def __post_init__(self):
         cw = _as_readonly(np.atleast_2d(self.codewords))
-        if cw.ndim != 2 or cw.shape[0] < 1:
+        if cw.ndim != 2 or cw.size == 0:
             raise InvalidParameterError("codewords must form a nonempty (size, N) array")
         if not np.all(np.isfinite(cw)):
             raise InvalidParameterError("codewords must be finite")

@@ -69,7 +69,7 @@ def _scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.n
 def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
     """(1/2N) sum_n log2(1 + rho lambda_n(H H^H)) of each channel in a
     (..., N, N) stack, shape (...); a real stack is taken as complex."""
-    _check_rho(rho)
+    _check_channels(heff, rho)
     heff = np.asarray(heff, dtype=complex)
     n = heff.shape[-1]
     gram = heff @ np.swapaxes(heff.conj(), -1, -2)
@@ -253,7 +253,7 @@ def spectral_factors(
 def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:
     """(1/2) log2(1 + (rho/N) ||H||_F^2) of each channel in a (..., N, N)
     stack, shape (...); tight iff all eigenvalues of H H^H are equal."""
-    _check_rho(rho)
+    _check_channels(heff, rho)
     fro2 = np.sum(np.abs(heff) ** 2, axis=(-2, -1))
     return 0.5 * np.log2(1.0 + rho / heff.shape[-1] * fro2)
 
@@ -304,21 +304,11 @@ def jensen_form(gram: GramianSummary, u: np.ndarray, b) -> np.ndarray:
     return form.reshape(u.shape[:-1])
 
 
-def jensen_mi_via_gramian(
-    gram: GramianSummary, ht: np.ndarray, noise: np.ndarray, rho
-) -> np.ndarray:
-    """Jensen bound of a (..., K) stack of two-hop pairs (h~, 1 + ||h||^2)
-    through the Gramian quadratic form, shape (...).
-
-    ||H_eff||_F^2 = h~^H gram h~ / (1 + ||h||^2), so the bound equals
-    (1/2) log2(1 + (rho/N) jensen_form / (1 + ||h||^2)); it must agree with
-    the H_eff path to 1e-10 relative.
-    """
-    _check_rho(rho)
-    return 0.5 * np.log2(1.0 + (rho / gram.block_length) * jensen_form(gram, ht, 1.0) / noise)
-
-
-def _check_rho(rho) -> None:
-    # written so that NaN fails it
+def _check_channels(heff, rho) -> None:
+    """Refuses a stack that is not (..., N, N) with N >= 1, and a rho that
+    is not positive (written so that NaN fails it)."""
+    shape = np.shape(heff)
+    if len(shape) < 2 or not shape[-1] == shape[-2] >= 1:
+        raise InvalidParameterError(f"H_eff must have shape (..., N, N) with N >= 1, got {shape}")
     if not np.all(np.asarray(rho) > 0):
         raise InvalidParameterError("rho must be positive")

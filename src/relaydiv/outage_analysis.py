@@ -189,11 +189,16 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a bool, a float even if integral or a
+    string is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def resolve_threads(threads: int) -> int:
     """``threads`` once it is an integer in [1, MAX_THREADS]; any other value
-    (a bool, a float even if integral, a string) raises InvalidParameterError."""
-    if not (isinstance(threads, numbers.Integral) and not isinstance(threads, bool)
-            and 1 <= threads <= MAX_THREADS):
+    raises InvalidParameterError."""
+    if not (_is_integer(threads) and 1 <= threads <= MAX_THREADS):
         raise InvalidParameterError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
     return int(threads)
 
@@ -226,8 +231,10 @@ def _mc_event_count(
     threads: int,
     block_events: Callable[[np.random.Generator, int], int],
 ) -> int:
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    if not (_is_integer(trials) and trials >= 1):
+        raise InvalidParameterError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
     workers = resolve_threads(threads)
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
 
@@ -376,8 +383,8 @@ def _mc_outage(
     """Count draws whose MI under the ``outage`` kernel falls below
     r log2(rho), or below ``rate_bits`` when given."""
     _check_outage_args(r, rho)
-    if rate_bits is not None and not rate_bits >= 0:
-        raise InvalidParameterError("rate_bits must be >= 0")
+    if rate_bits is not None and not (math.isfinite(rate_bits) and rate_bits >= 0):
+        raise InvalidParameterError("rate_bits must be finite and >= 0")
     thresh = r * math.log2(rho) if rate_bits is None else float(rate_bits)
     name, in_outage = _outage_kernel(scheme, outage, rho, thresh)
     k = scheme.num_relays

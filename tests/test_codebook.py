@@ -411,7 +411,8 @@ def test_codebook_rejects_non_finite_codewords(bad):
         Codebook(words, 0.1, 10.0)
 
 
-@pytest.mark.parametrize("shape", [(0, 4), (2, 3, 4)], ids=["no-words", "3-d"])
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0,), (2, 3, 4)],
+                         ids=["no-words", "zero-length", "one-empty-word", "3-d"])
 def test_codebook_rejects_words_that_are_no_nonempty_matrix(shape):
     with pytest.raises(InvalidParameterError, match="nonempty"):
         Codebook(np.ones(shape), 0.1, 10.0)

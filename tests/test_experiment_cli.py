@@ -891,6 +891,27 @@ def test_cli_self_check_exit_zero(capsys):
     assert "self-check report" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale,want", [(1.001, 1e-3), (math.nan, math.nan)], ids=["0.1%", "nan"])
+def test_self_check_fails_on_a_wrong_gramian(monkeypatch, capsys, scale, want):
+    # the identity check compares the two forms themselves, so a Gramian
+    # 0.1% off reads as a relative gap of 1e-3, and fails it; a NaN one
+    # reads NaN, and fails it too
+    from relaydiv import experiment_cli, relay_schemes
+
+    def scaled(scheme):
+        true = relay_schemes.gramian(scheme)
+        return dataclasses.replace(true, gram=scale * true.gram)
+
+    monkeypatch.setattr(experiment_cli, "gramian", scaled)
+    schemes = [cyclic_delay_scheme(2, 4), phase_rolling_scheme(3, 8)]
+    gap, _ = experiment_cli.gramian_deviations(schemes, 20, np.random.default_rng(0))
+    assert gap == pytest.approx(want, rel=1e-9, nan_ok=True)
+    assert main(["self-check"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] Gramian quadratic-form identity")
+
+
 def test_cli_env_threads_default(tmp_path):
     out1 = str(tmp_path / "t1.csv")
     out8 = str(tmp_path / "t8.csv")

@@ -13,8 +13,8 @@ from relaydiv import (
     dft_matrix,
     effective_channel,
     gramian,
+    jensen_form,
     jensen_mi,
-    jensen_mi_via_gramian,
     mutual_information,
     phase_rolling_scheme,
     two_hop,
@@ -86,10 +86,10 @@ def test_gramian_path_single_relay_closed_form():
     summary = gramian(scheme)
     f, h = np.array([0.7 - 0.2j]), np.array([1.1 + 0.4j])
     rho = 25.0
-    ht2 = abs(h[0] * f[0]) ** 2
-    want = 0.5 * np.log2(1 + rho * ht2 / (n * (1 + abs(h[0]) ** 2)))
+    fro2 = abs(h[0] * f[0]) ** 2 / (1 + abs(h[0]) ** 2)
+    want = 0.5 * np.log2(1 + rho * fro2 / n)
     ht, noise = two_hop(f, h)
-    assert jensen_mi_via_gramian(summary, ht, noise, rho) == pytest.approx(want, rel=1e-12)
+    assert jensen_form(summary, ht, 1.0) / noise == pytest.approx(fro2, rel=1e-12)
     heff = effective_channel(ht, noise, scheme.stacked())
     assert jensen_mi(heff, rho) == pytest.approx(want, rel=1e-12)
 
@@ -103,18 +103,18 @@ def test_gramian_path_identity_gramian_closed_form():
         f, h = complex_gaussian(rng, (2, 3))
         ht, noise = two_hop(f, h)
         rho = 100.0
-        want = 0.5 * np.log2(
-            1 + rho * np.sum(np.abs(h * f) ** 2) / (6 * (1 + np.linalg.norm(h) ** 2))
-        )
-        assert jensen_mi_via_gramian(summary, ht, noise, rho) == pytest.approx(want, rel=1e-12)
+        fro2 = np.sum(np.abs(h * f) ** 2) / (1 + np.linalg.norm(h) ** 2)
+        want = 0.5 * np.log2(1 + rho * fro2 / 6)
+        assert jensen_form(summary, ht, 1.0) / noise == pytest.approx(fro2, rel=1e-12)
         heff = effective_channel(ht, noise, scheme.stacked())
         assert jensen_mi(heff, rho) == pytest.approx(want, rel=1e-11)
 
 
 def test_gramian_path_agrees_with_matrix_path():
-    # one realization at a time, then the same draws as one stack: the
-    # stacked calls (per-trial rho, and a (2, 250) leading shape) must give
-    # each realization's bits, at K = 2 too
+    # ||H_eff||_F^2 = h~^H gram h~ / (1 + ||h||^2), one realization at a
+    # time, then the same draws as one stack: the stacked calls (per-trial
+    # rho, and a (2, 250) leading shape) must give each realization's bits,
+    # at K = 2 too
     rng = np.random.default_rng(7)
     for k in (3, 2):
         scheme = phase_rolling_scheme(k, 4)
@@ -126,17 +126,17 @@ def test_gramian_path_agrees_with_matrix_path():
             rho = float(10 ** rng.uniform(0, 4))
             ht, noise = two_hop(f, h)
             heff = effective_channel(ht, noise, g)
-            via_matrix = jensen_mi(heff, rho)
-            via_gram = jensen_mi_via_gramian(summary, ht, noise, rho)
-            assert abs(via_matrix - via_gram) <= 1e-10 * max(via_matrix, 1e-12)
+            fro2 = np.sum(np.abs(heff) ** 2)
+            form = jensen_form(summary, ht, 1.0)
+            assert abs(fro2 - form / noise) <= 1e-10 * fro2
             draws.append((f, h))
             rhos.append(rho)
-            singles.append((heff, via_matrix, via_gram))
+            singles.append((heff, jensen_mi(heff, rho), form))
         f, h = (np.array(part) for part in zip(*draws))
         rho = np.array(rhos)
         ht, noise = two_hop(f, h)
         heffs = effective_channel(ht, noise, g)
-        stacked = (heffs, jensen_mi(heffs, rho), jensen_mi_via_gramian(summary, ht, noise, rho))
+        stacked = (heffs, jensen_mi(heffs, rho), jensen_form(summary, ht, 1.0))
         for got, want in zip(stacked, zip(*singles)):
             assert got.tobytes() == np.array(want).tobytes()
         grid = (2, 250)
@@ -144,20 +144,25 @@ def test_gramian_path_agrees_with_matrix_path():
         heffs2 = effective_channel(ht2, noise2, g)
         assert heffs2.tobytes() == heffs.tobytes()
         assert jensen_mi(heffs2, rho2).tobytes() == stacked[1].tobytes()
-        assert jensen_mi_via_gramian(summary, ht2, noise2, rho2).tobytes() == stacked[2].tobytes()
+        assert jensen_form(summary, ht2, 1.0).tobytes() == stacked[2].tobytes()
 
 
 def test_rho_must_be_positive():
     heff = np.eye(2)
-    scheme = cyclic_delay_scheme(2, 2)
-    ht, noise = two_hop(np.ones((3, 2)), np.ones((3, 2)))
     for bad in (0.0, -1.0, np.nan, np.array([1.0, np.nan, 2.0])):
         with pytest.raises(InvalidParameterError):
             mutual_information(heff, bad)
         with pytest.raises(InvalidParameterError):
             jensen_mi(heff, bad)
+
+
+@pytest.mark.parametrize("shape", [(8, 2, 4), (4, 2), (3,), (), (2, 0, 0)], ids=str)
+def test_channel_stacks_must_be_square(shape):
+    # a (..., N, M) stack with N != M is no H_eff; numpy would give jensen_mi
+    # one value per element and mutual_information a reshape error
+    for mi in (mutual_information, jensen_mi):
         with pytest.raises(InvalidParameterError):
-            jensen_mi_via_gramian(gramian(scheme), ht, noise, bad)
+            mi(np.ones(shape), 1.0)
 
 
 # ---------------------------------------------------------------------------

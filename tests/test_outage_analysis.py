@@ -27,11 +27,12 @@ from relaydiv import (
     bessel_k1,
     custom_scheme,
     cyclic_delay_scheme,
+    effective_channel,
     fit_diversity_slope,
     gaussian_codebook,
     gramian,
     jensen_form,
-    jensen_mi_via_gramian,
+    jensen_mi,
     mc_exact_outage,
     mc_jensen_outage,
     mc_ml_error,
@@ -418,13 +419,13 @@ def test_jensen_outage_test_agrees_with_the_logarithm(scheme):
         assert np.all(np.abs(gram.gram.imag[~np.eye(3, dtype=bool)]) > 1e-3)
     u, b, noise = outage_analysis._sample_fading(np.random.default_rng(29), 100_000,
                                                  scheme.num_relays)
-    ht = u * np.sqrt(b)
+    heff = effective_channel(u * np.sqrt(b), noise, scheme.stacked())
     near = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_form_matches_einsum(gram, u, b)
         for rho in (1.01, 10.0, 100.0, 1e3, 1e8, 1e300):
-            mi = jensen_mi_via_gramian(gram, ht, noise, rho)
+            mi = jensen_mi(heff, rho)
             for rate_bits in (0.0, 1.0, 509.9, 600.0):
                 name, in_outage = outage_analysis._outage_kernel(scheme, "jensen", rho, rate_bits)
                 got = in_outage(u, b, noise)
@@ -772,6 +773,8 @@ def test_outage_argument_validation():
         lambda: mc_jensen_outage(scheme, 0.1, nan, 1000, seed=0),
         lambda: mc_exact_outage(scheme, 0.1, nan, 1000, seed=0),
         lambda: mc_jensen_outage(scheme, 0.1, 100.0, 1000, seed=0, rate_bits=nan),
+        lambda: mc_jensen_outage(scheme, 0.1, 100.0, 1000, seed=0, rate_bits=inf),
+        lambda: mc_exact_outage(scheme, 0.1, 100.0, 1000, seed=0, rate_bits=inf),
         lambda: mc_ml_error(cyclic_delay_scheme(2, 2), book, nan, 1000, seed=1),
         lambda: analytic_jensen_bracket(gramian(scheme), 0.1, nan),
         lambda: union_bound(cyclic_delay_scheme(2, 2), book, nan, 0.1),
@@ -787,6 +790,19 @@ def test_outage_argument_validation():
     ):
         with pytest.raises(InvalidParameterError):
             call()
+
+
+@pytest.mark.parametrize("trials,seed", [(True, 1), (1000.5, 1), (1000.0, 1), ("1000", 1),
+                                         (1000, -1), (1000, 1.0), (1000, False)])
+def test_event_count_refuses_a_non_integer_trial_count_or_seed(trials, seed):
+    # by resolve_threads' rule, and before any block runs
+    def block(rng, n):
+        raise AssertionError("a block ran")
+
+    with pytest.raises(InvalidParameterError):
+        outage_analysis._mc_event_count(trials, seed, 1, block)
+    with pytest.raises(InvalidParameterError):
+        mc_exact_outage(cyclic_delay_scheme(2, 4), 0.25, 100.0, trials, seed)
 
 
 def test_adaptive_trials_policy():
