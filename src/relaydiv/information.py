@@ -7,17 +7,18 @@ returns one value per element; a single realization is a stack with no
 leading axes, and rho may be a scalar or an array that broadcasts over the
 leading shape.  The kernels that start from a fading draw take its
 two-hop products h~ = u sqrt(b) as the parts u and b (b broadcasts against
-u, and b = 1 takes h~ itself as u), and only read them.
+u, and b = 1 takes h~ itself as u), and only read them.  The two MI
+functions of an H_eff stack refuse any rho ||H||_F^2 that is not finite.
 
 The exact MI has one rule: a factor source, spectral_factors (schemes whose
-G_i share an eigenbasis) or ldl_factors (any other), yields N trial-last
-rows >= 1 whose product is det(I + rho H H^H), without forming H_eff, from
-h~ and scale = rho / (1 + ||h||^2), and mi_from_factors is the one
-reduction of them, (1/2N) sum_n log2 f_n.
+G_i share an eigenbasis) or ldl_factors (any other), returns an (N, ...)
+array of trial-last rows >= 1 whose product is det(I + rho H H^H), without
+forming H_eff, from h~ and scale = rho / (1 + ||h||^2), and
+mi_from_factors is the one reduction of them, (1/2N) sum_n log2 f_n.
 
 Each factor source also takes an optional Workspace, whose arrays it reuses
-for its temporaries and rows instead of allocating them; called without
-one, it returns fresh arrays only.
+for its temporaries and its factor array instead of allocating them;
+called without one, it returns a fresh array.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ class Workspace:
         return array[:size].reshape(shape)
 
 
-def _scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.ndarray:
-    """``workspace.take(name, shape, dtype)``, or a fresh array without one."""
-    if workspace is None:
-        return np.empty(shape, dtype)
-    return workspace.take(name, shape, dtype)
-
-
 def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
     """(1/2N) sum_n log2(1 + rho lambda_n(H H^H)) of each channel in a
     (..., N, N) stack, shape (...); a real stack is taken as complex."""
@@ -79,14 +73,14 @@ def mutual_information(heff: np.ndarray, rho) -> np.ndarray:
     return mi_from_factors(pivots).reshape(heff.shape[:-2])
 
 
-def mi_from_factors(factors) -> np.ndarray:
-    """The exact MI (1/2N) sum_n log2 f_n of the N rows f_n that a factor
-    source yields, in the rows' shape, added one row at a time: the
-    bits of np.sum(np.log2(rows), axis=0) over the stacked rows."""
-    mi, n = 0.0, 0
-    for n, row in enumerate(factors, start=1):
+def mi_from_factors(factors: np.ndarray) -> np.ndarray:
+    """The exact MI (1/2N) sum_n log2 f_n of a factor source's (N, ...) rows
+    f_n, in a row's shape, added row by row: numpy would sum a lone trial's
+    (N,) logarithms pairwise, giving it other bits than inside a stack."""
+    mi = 0.0
+    for row in factors:
         mi += np.log2(row)
-    return mi / (2.0 * n)
+    return mi / (2.0 * len(factors))
 
 
 def ldl_factors(
@@ -133,7 +127,7 @@ def ldl_factors(
     return pivots.reshape((n,) + lead)
 
 
-def _trial_last_products(u: np.ndarray, b, workspace: Workspace | None) -> np.ndarray:
+def _trial_last_products(u: np.ndarray, b, workspace: Workspace) -> np.ndarray:
     """The two-hop products h~ = u sqrt(b) of a (..., K) stack as a
     trial-last (K, T) array, the workspace's "ht".  Relay i's row is formed
     as the real products Re u_i sqrt(b_i) and Im u_i sqrt(b_i), sqrt(b_i)
@@ -143,7 +137,7 @@ def _trial_last_products(u: np.ndarray, b, workspace: Workspace | None) -> np.nd
     k = u.shape[-1]
     flat = u.reshape(-1, k)
     weight = np.broadcast_to(b, u.shape).reshape(-1, k)
-    x = _scratch(workspace, "ht", (k, flat.shape[0]), complex)
+    x = workspace.take("ht", (k, flat.shape[0]), complex)
     for i in range(k):
         root = np.sqrt(weight[:, i], out=x[i].imag)
         np.multiply(flat[:, i].real, root, out=x[i].real)
@@ -216,13 +210,13 @@ def _ldl_pivots(
 
 def spectral_factors(
     spectra: np.ndarray, u: np.ndarray, b, scale, workspace: Workspace | None = None
-):
+) -> np.ndarray:
     """The eigenvalues 1 + rho |s_m|^2 of I + rho H H^H for a (..., K) stack
     of two-hop products h~ = u sqrt(b) when all G_i share an eigenbasis,
-    given scale = rho / (1 + ||h||^2), which broadcasts; yields one row of
-    shape (...) per m, and det(I + rho H H^H) is their product.  With a
-    workspace every row is its "factor", so a row is valid only until the
-    next is taken.
+    given scale = rho / (1 + ||h||^2), which broadcasts: an (N, ...) array
+    whose row m is the m-th eigenvalue, so det(I + rho H H^H) is the product
+    of the rows.  With a workspace the array is its "factors", valid until
+    that is taken again.
 
     With spectra[i] the eigenvalues of G_i (relay_schemes.common_spectra),
     H_eff is normal with eigenvalues s = h~ @ spectra / sqrt(1 + ||h||^2).
@@ -232,29 +226,29 @@ def spectral_factors(
     other bits than those of its body, so a trial's bits would depend on
     the stack around it.  Every factor is >= 1.
     """
+    workspace = Workspace() if workspace is None else workspace
     lead = u.shape[:-1]
     x = _trial_last_products(u, b, workspace)
     k, trials = x.shape
     scale = np.broadcast_to(scale, lead).reshape(-1)
-    s = _scratch(workspace, "s", (trials,), complex)
-    term = _scratch(workspace, "term", (trials,), complex)
-    square = _scratch(workspace, "square", (trials,))
-    for lam in spectra.T:
+    s, term = (workspace.take(name, (trials,), complex) for name in ("s", "term"))
+    square = workspace.take("square", (trials,))
+    factors = workspace.take("factors", (spectra.shape[1], trials))
+    for lam, factor in zip(spectra.T, factors):
         np.multiply(lam[0], x[0], out=s)
         for i in range(1, k):
             s += np.multiply(lam[i], x[i], out=term)
-        factor = np.square(s.real, out=_scratch(workspace, "factor", (trials,)))
+        np.square(s.real, out=factor)
         factor += np.square(s.imag, out=square)
         factor *= scale
         factor += 1.0
-        yield factor.reshape(lead)
+    return factors.reshape((spectra.shape[1],) + lead)
 
 
 def jensen_mi(heff: np.ndarray, rho) -> np.ndarray:
     """(1/2) log2(1 + (rho/N) ||H||_F^2) of each channel in a (..., N, N)
     stack, shape (...); tight iff all eigenvalues of H H^H are equal."""
-    _check_channels(heff, rho)
-    fro2 = np.sum(np.abs(heff) ** 2, axis=(-2, -1))
+    fro2 = _check_channels(heff, rho)
     return 0.5 * np.log2(1.0 + rho / heff.shape[-1] * fro2)
 
 
@@ -304,11 +298,17 @@ def jensen_form(gram: GramianSummary, u: np.ndarray, b) -> np.ndarray:
     return form.reshape(u.shape[:-1])
 
 
-def _check_channels(heff, rho) -> None:
-    """Refuses a stack that is not (..., N, N) with N >= 1, and a rho that
-    is not positive (written so that NaN fails it)."""
+def _check_channels(heff, rho) -> np.ndarray:
+    """||H||_F^2 of each channel in a (..., N, N) stack with N >= 1; refuses
+    any other stack, a rho that is not positive (NaN included) and a channel
+    whose rho ||H||_F^2, which bounds every entry of rho H H^H, is not finite."""
     shape = np.shape(heff)
     if len(shape) < 2 or not shape[-1] == shape[-2] >= 1:
         raise InvalidParameterError(f"H_eff must have shape (..., N, N) with N >= 1, got {shape}")
     if not np.all(np.asarray(rho) > 0):
         raise InvalidParameterError("rho must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro2 = np.sum(np.abs(heff) ** 2, axis=(-2, -1))
+        if not np.all(np.isfinite(np.multiply(rho, fro2))):
+            raise InvalidParameterError("rho ||H_eff||_F^2 must be finite")
+    return fro2

@@ -331,10 +331,10 @@ def _outage_kernel(
     2^(2 thresh) overflows.  For "exact" the kernel is "exact-spectral"
     when the matrices share an eigenbasis by exact equality (all diagonal
     or all circulant, whatever the scheme's name or source), else
-    "exact-products-ldl"; their factor sources (information) yield N rows
-    f_n >= 1 whose product is det(I + rho H H^H).  One rule decides both,
-    without a logarithm: the MI (1/2N) sum_n log2 f_n is below thresh iff
-    prod_n f_n < 2^(2N thresh), a bound taken once per grid point.  A
+    "exact-products-ldl"; their factor sources (information) return (N, T)
+    rows f_n >= 1 whose product is det(I + rho H H^H).  One rule decides
+    both, without a logarithm: the MI (1/2N) sum_n log2 f_n is below thresh
+    iff prod_n f_n < 2^(2N thresh), a bound taken once per grid point.  A
     product that overflows to inf is rightly not in outage; when the bound
     itself overflows, the one closure decides on mi_from_factors of the rows."""
     if outage == "jensen":
@@ -357,15 +357,11 @@ def _outage_kernel(
     def in_outage(u, b, noise):
         workspace = _workspace()
         scale = np.divide(rho, noise, out=workspace.take("scale", noise.shape))
-        rows = iter(factors(table, u, b, scale, workspace))
+        rows = factors(table, u, b, scale, workspace)
         if bound is None:
             return mi_from_factors(rows) < thresh
-        det = workspace.take("det", noise.shape)
-        np.copyto(det, next(rows))
         with np.errstate(over="ignore"):
-            for row in rows:
-                det *= row
-        return det < bound
+            return np.prod(rows, axis=0, out=workspace.take("det", noise.shape)) < bound
 
     return name, in_outage
 

@@ -149,11 +149,30 @@ def test_gramian_path_agrees_with_matrix_path():
 
 def test_rho_must_be_positive():
     heff = np.eye(2)
-    for bad in (0.0, -1.0, np.nan, np.array([1.0, np.nan, 2.0])):
+    for bad in (0.0, -1.0, np.nan, np.array([1.0, np.nan, 2.0]), np.inf,
+                np.array([1.0, np.inf])):
         with pytest.raises(InvalidParameterError):
             mutual_information(heff, bad)
         with pytest.raises(InvalidParameterError):
             jensen_mi(heff, bad)
+    # rho ||H||_F^2 must be finite: this stack runs at 1e300, and at 1e308
+    # rho H H^H overflows
+    heffs = complex_gaussian(np.random.default_rng(5), (3, 4, 4))
+    for mi in (mutual_information, jensen_mi):
+        assert np.all(np.isfinite(mi(heffs, 1e300)))
+        with pytest.raises(InvalidParameterError):
+            mi(heffs, 1e308)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
+@pytest.mark.parametrize("entry", [(1, 1), (2, 0)], ids=str)
+def test_non_finite_channels_are_refused(entry, value):
+    # one bad entry in trial 1 refuses the stack, trial 0 being fine
+    heffs = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
+    heffs[1][entry] = value
+    for mi in (mutual_information, jensen_mi):
+        with pytest.raises(InvalidParameterError):
+            mi(heffs, 10.0)
 
 
 @pytest.mark.parametrize("shape", [(8, 2, 4), (4, 2), (3,), (), (2, 0, 0)], ids=str)
@@ -346,6 +365,20 @@ def test_factor_sources_take_the_draws_parts_and_only_read_them(kind):
         assert (u.tobytes(), b.tobytes()) == drawn
 
 
+@pytest.mark.parametrize("scheme", [cyclic_delay_scheme(2, 8), phase_rolling_scheme(3, 16)],
+                         ids=["cdd", "phase-rolling"])
+def test_spectral_rows_taken_with_a_workspace_are_those_without(scheme):
+    # with a workspace the factors are one (N, T) array of it, N distinct
+    # rows, which a caller may keep side by side
+    ht, noise = two_hop(*complex_gaussian(np.random.default_rng(89), (2, 300, scheme.num_relays)))
+    spectra = common_spectra(scheme)
+    fresh, kept = (np.array(list(spectral_factors(spectra, ht, 1.0, 300.0 / noise, workspace)))
+                   for workspace in (None, Workspace()))
+    assert fresh.shape == kept.shape == (scheme.block_length, 300)
+    assert fresh.tobytes() == kept.tobytes()
+    assert np.unique(kept, axis=0).shape == kept.shape
+
+
 def test_common_spectra_is_none_without_a_shared_basis():
     rng = np.random.default_rng(9)
     assert common_spectra(_haar_scheme(3, 8, rng)) is None
@@ -468,9 +501,3 @@ def test_non_positive_definite_input_is_an_internal_consistency_error():
         ht, noise = two_hop(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(InternalConsistencyError):
             ldl_factors(grams[1].reshape(1, 9), ht, 1.0, 2.0 / noise)
-        # H H^H is PSD for every finite H, so only a non-finite H reaches the
-        # check through the H-stack kernel
-        heffs = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
-        heffs[1][entry] = np.nan
-        with pytest.raises(InternalConsistencyError):
-            mutual_information(heffs, 10.0)

@@ -550,8 +550,9 @@ def test_cdd_and_phase_rolling_decide_each_trial_alike(k, n):
 
 @pytest.mark.parametrize("k,n", [(2, 8), (4, 16)])
 def test_one_spectral_block_stays_within_24n_bytes_per_trial(k, n):
-    # the verdict takes a (K, T) copy of h~ and one eigenvalue row at a
-    # time, never a (T, N) array of eigenvalues or their logarithms
+    # the verdict keeps a (K, T) copy of h~, the (N, T) eigenvalue rows and
+    # their product in the thread's workspace, which the first block sizes;
+    # a later block allocates its verdict, never an array of logarithms
     name, in_outage = outage_analysis._outage_kernel(cyclic_delay_scheme(k, n), "exact",
                                                      100.0, 0.25 * math.log2(100.0))
 
