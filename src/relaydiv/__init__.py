@@ -3,7 +3,8 @@
 Simulates linear relay processing schemes (cyclic delay diversity, phase
 rolling, custom unitary-scaled families), estimates outage and ML error
 probabilities by reproducible Monte Carlo, evaluates the closed-form
-Jensen-outage bracket built on the product-Rayleigh law, and extracts
+Jensen-outage bracket built on the product-Rayleigh law and the
+Jensen-outage interval built on its exact Gramian-I curve, and extracts
 diversity slopes from SNR sweeps.
 """
 
@@ -46,9 +47,11 @@ from .outage_analysis import (
     analytic_jensen_bracket,
     bessel_k1,
     fit_diversity_slope,
+    jensen_outage_interval,
     mc_exact_outage,
     mc_jensen_outage,
     mc_ml_error,
+    outage_constant,
     product_rayleigh_cdf,
     union_bound,
 )

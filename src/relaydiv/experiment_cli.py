@@ -53,13 +53,16 @@ from .outage_analysis import (
     analytic_jensen_bracket,
     fit_diversity_slope,
     fit_points,
+    jensen_outage_interval,
     mc_exact_outage,
     mc_jensen_outage,
+    outage_constant,
     product_rayleigh_cdf,
     resolve_threads,
     weighted_line_fit,
 )
 from .relay_schemes import (
+    GramianSummary,
     RelayScheme,
     builtin_family,
     custom_scheme,
@@ -77,6 +80,10 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 _SELF_CHECK_SEED = 20240
+
+# Version of the adaptive trials' guess, "trial_guess" in their manifests:
+# 1 was the analytic bracket's lower envelope, 2 the interval's lower end.
+TRIAL_GUESS = 2
 
 # At interpreter exit CPython's final collections traverse every GC-tracked
 # object (~22k once numpy is imported): 20-30 ms of a 25-40 ms exit on a
@@ -460,33 +467,41 @@ def _rho(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _grid_brackets(cfg: ExperimentConfig, scheme: RelayScheme, *, required: bool) -> list:
+def _grid_brackets(cfg: ExperimentConfig, gram: GramianSummary) -> list:
     """The analytic Jensen-outage bracket (lower, upper) at each grid point,
-    from one Gramian, before any Monte Carlo.  The bracket needs a full-rank
-    Gramian: when ``required``, a singular one is a config error (raised by
-    the first bracket); otherwise every point's bracket is None."""
-    gram = gramian(scheme)
-    if gram.lambda_min <= 0 and not required:
-        return [None] * len(cfg.snr_db)
+    from the one Gramian, before any Monte Carlo; a singular Gramian is a
+    config error, raised by the first bracket."""
     return [analytic_jensen_bracket(gram, cfg.r, _rho(db)) for db in cfg.snr_db]
 
 
-def _point_trials(cfg: ExperimentConfig, bracket: tuple[float, float] | None) -> int:
-    """Fixed trials, or adaptive ones aimed at the bracket's estimate of the
-    point's outage probability (max_trials without a bracket)."""
+def _grid_guess(cfg: ExperimentConfig, gram: GramianSummary, rate_bits: float | None):
+    """Each grid point's outage constant c and the lower end of its
+    Jensen-outage interval, as arrays over the grid, from the one Gramian."""
+    rhos = [_rho(db) for db in cfg.snr_db]
+    rates = [cfg.r * math.log2(rho) if rate_bits is None else rate_bits for rho in rhos]
+    c = np.array([outage_constant(gram.block_length, rate, rho) for rate, rho in zip(rates, rhos)])
+    return c, jensen_outage_interval(gram, c)[0]
+
+
+def _grid_trials(cfg: ExperimentConfig, c, lower) -> list[int]:
+    """Each grid point's trials: fixed, or adaptive ones aimed at 200 events
+    at ``lower``, the lower end of the point's Jensen-outage interval, so
+    that the point expects at least 200; a point that cannot be in outage
+    (c = 0) or is in outage on every trial (c = inf) takes min_trials."""
     if cfg.trials != "adaptive":
-        return int(cfg.trials)
-    lower, upper = bracket or (0.0, 0.0)
-    return adaptive_trials(lower if lower > 0 else upper, floor=cfg.min_trials, cap=cfg.max_trials)
+        return [int(cfg.trials)] * len(cfg.snr_db)
+    return [cfg.min_trials if point_c in (0.0, math.inf)
+            else adaptive_trials(p, floor=cfg.min_trials, cap=cfg.max_trials)
+            for point_c, p in zip(c, lower)]
 
 
-def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
+def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, trials: list, *,
                  rate_bits: float | None) -> tuple[ProbEstimate, ...]:
     estimator = mc_jensen_outage if cfg.outage == "jensen" else mc_exact_outage
     points = []
-    for index, (db, bracket) in enumerate(zip(cfg.snr_db, brackets)):
+    for index, (db, count) in enumerate(zip(cfg.snr_db, trials)):
         est = estimator(
-            scheme, cfg.r, _rho(db), _point_trials(cfg, bracket), cfg.seed + index,
+            scheme, cfg.r, _rho(db), count, cfg.seed + index,
             rate_bits=rate_bits, threads=cfg.threads,
         )
         points.append(dataclasses.replace(est, snr_db=float(db)))
@@ -496,11 +511,12 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, brackets: list, *,
 def run_outage_sweep(cfg: ExperimentConfig) -> tuple[ProbEstimate, ...]:
     """One outage estimate per grid point; threshold is r log2(rho) per the
     outage definition, so an r = 0 sweep reports exact zeros.  Only adaptive
-    trials need the bracket."""
+    trials need the Gramian, for the Jensen-outage interval."""
     scheme = build_scheme(cfg)
-    adaptive = cfg.trials == "adaptive"
-    brackets = _grid_brackets(cfg, scheme, required=False) if adaptive else [None] * len(cfg.snr_db)
-    return _sweep_curve(cfg, scheme, brackets, rate_bits=None)
+    c = lower = None
+    if cfg.trials == "adaptive":
+        c, lower = _grid_guess(cfg, gramian(scheme), None)
+    return _sweep_curve(cfg, scheme, _grid_trials(cfg, c, lower), rate_bits=None)
 
 
 @dataclass
@@ -509,6 +525,7 @@ class SlopeReport:
     d_hat_raw: float = math.nan
     stderr: float = math.nan
     d_theory: float = math.nan
+    d_hat_bias: float = math.nan
     points_used: int = 0
     status: str = "ok"
 
@@ -522,14 +539,17 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
     SNR by the slowly varying factor of the outage law, so the headline
     d_hat subtracts the same fit applied to the analytic upper envelope on
     the same grid points (whose true exponent is exactly K(1-2r)); both
-    values are reported.
+    values are reported.  At Gramian I, d_hat_bias is the d_hat that the
+    exact outage curve gives on the fit's points and weights, minus d_theory.
     """
     if len(cfg.snr_db) < 3:
         raise ConfigError("a slope fit needs a grid of at least 3 points")
     scheme = build_scheme(cfg)
-    brackets = _grid_brackets(cfg, scheme, required=True)
+    gram = gramian(scheme)
+    brackets = _grid_brackets(cfg, gram)
     rate_bits = cfg.rate_bits if cfg.r == 0 else None
-    curve = _sweep_curve(cfg, scheme, brackets, rate_bits=rate_bits)
+    c, lower = _grid_guess(cfg, gram, rate_bits)
+    curve = _sweep_curve(cfg, scheme, _grid_trials(cfg, c, lower), rate_bits=rate_bits)
     report = SlopeReport(d_theory=cfg.k * (1.0 - 2.0 * cfg.r))
     try:
         fit = fit_diversity_slope(curve, min_events=cfg.min_events)
@@ -543,6 +563,9 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
     upper = np.array([brackets[i][1] for i in fit.used])
     _, slope_u, _ = weighted_line_fit(x, np.log2(upper), w)
     report.d_hat = fit.d_hat + report.d_theory - (-slope_u)
+    if gram.lambda_min == gram.lambda_max:
+        _, slope_exact, _ = weighted_line_fit(x, np.log2(lower[list(fit.used)]), w)
+        report.d_hat_bias = slope_u - slope_exact
     if report.points_used < len(curve):
         report.status = (
             f"warning: {len(curve) - report.points_used} grid points below "
@@ -553,7 +576,7 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
 
 def _analytic_curve(cfg: ExperimentConfig) -> Output:
     """Analytic Jensen-outage bracket over the SNR grid."""
-    brackets = _grid_brackets(cfg, build_scheme(cfg), required=True)
+    brackets = _grid_brackets(cfg, gramian(build_scheme(cfg)))
     theory = cfg.k * (1.0 - 2.0 * cfg.r)
     rows = [(float(db), lower, upper, theory) for db, (lower, upper) in zip(cfg.snr_db, brackets)]
     return Output(f"wrote {cfg.out} ({len(rows)} points)\n", rows)
@@ -753,7 +776,7 @@ def run_self_check() -> tuple[list[CheckResult], str]:
 def _outage_sweep(cfg: ExperimentConfig) -> Output:
     curve = run_outage_sweep(cfg)
     return Output(f"wrote {cfg.out} ({len(curve)} points)\n", _curve_rows(curve),
-                  [p.events for p in curve], extra=_monte_carlo_fields(curve))
+                  [p.events for p in curve], extra=_monte_carlo_fields(cfg, curve))
 
 
 def _dm_slope(cfg: ExperimentConfig) -> Output:
@@ -764,15 +787,17 @@ def _dm_slope(cfg: ExperimentConfig) -> Output:
         f"theory {report.d_theory!r})\n",
         _curve_rows(curve, extra), [p.events for p in curve], status=report.status,
         extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
-               "d_theory": report.d_theory, "points_used": report.points_used,
-               **_monte_carlo_fields(curve)},
+               "d_theory": report.d_theory, "d_hat_bias": report.d_hat_bias,
+               "points_used": report.points_used, **_monte_carlo_fields(cfg, curve)},
     )
 
 
-def _monte_carlo_fields(curve: tuple[ProbEstimate, ...]) -> dict:
+def _monte_carlo_fields(cfg: ExperimentConfig, curve: tuple[ProbEstimate, ...]) -> dict:
     """Manifest fields that name what produced a Monte Carlo curve's bits:
-    the MI kernel its estimates report and the version of the fading stream."""
-    return {"mi_kernel": curve[0].mi_kernel, "stream": FADING_STREAM}
+    the MI kernel its estimates report, the version of the fading stream
+    and, for adaptive trials, the version of their guess."""
+    guess = {"trial_guess": TRIAL_GUESS} if cfg.trials == "adaptive" else {}
+    return {"mi_kernel": curve[0].mi_kernel, "stream": FADING_STREAM, **guess}
 
 
 def _certify_code(cfg: ExperimentConfig) -> Output:

@@ -300,11 +300,16 @@ def jensen_form(gram: GramianSummary, u: np.ndarray, b) -> np.ndarray:
 
 def _check_channels(heff, rho) -> np.ndarray:
     """||H||_F^2 of each channel in a (..., N, N) stack with N >= 1; refuses
-    any other stack, a rho that is not positive (NaN included) and a channel
-    whose rho ||H||_F^2, which bounds every entry of rho H H^H, is not finite."""
+    any other stack, a rho that does not broadcast to the stack's leading
+    shape or is not positive (NaN included) and a channel whose
+    rho ||H||_F^2, which bounds every entry of rho H H^H, is not finite."""
     shape = np.shape(heff)
     if len(shape) < 2 or not shape[-1] == shape[-2] >= 1:
         raise InvalidParameterError(f"H_eff must have shape (..., N, N) with N >= 1, got {shape}")
+    try:
+        np.broadcast_to(rho, shape[:-2])
+    except ValueError:
+        raise InvalidParameterError(f"rho of shape {np.shape(rho)} does not broadcast to {shape[:-2]}") from None
     if not np.all(np.asarray(rho) > 0):
         raise InvalidParameterError("rho must be positive")
     with np.errstate(over="ignore", invalid="ignore"):

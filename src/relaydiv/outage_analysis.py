@@ -315,6 +315,15 @@ def mc_exact_outage(
     return _mc_outage(scheme, "exact", r, rho, trials, seed, rate_bits, threads)
 
 
+def outage_constant(n: int, thresh: float, rho: float) -> float:
+    """c = N (2^(2 thresh) - 1) / rho, inf when 2^(2 thresh) overflows: the
+    Jensen MI at SNR rho is below thresh iff jensen_form / (1 + ||h||^2) < c."""
+    try:
+        return n * math.expm1(2.0 * thresh * math.log(2.0)) / rho
+    except OverflowError:
+        return math.inf
+
+
 def _outage_kernel(
     scheme: RelayScheme, outage: str, rho: float, thresh: float
 ) -> tuple[str, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
@@ -325,11 +334,10 @@ def _outage_kernel(
     in the calling thread's workspace.
 
     "jensen" decides on the Gramian form of (u, b), without h~ or a
-    logarithm: the bound
-    (1/2) log2(1 + (rho/N) x), x = jensen_form / (1 + ||h||^2), is below
-    thresh iff x < c = N (2^(2 thresh) - 1) / rho, and c = inf when
-    2^(2 thresh) overflows.  For "exact" the kernel is "exact-spectral"
-    when the matrices share an eigenbasis by exact equality (all diagonal
+    logarithm: the bound (1/2) log2(1 + (rho/N) x),
+    x = jensen_form / (1 + ||h||^2), is below thresh iff x < c, the
+    outage_constant.  For "exact" the kernel is "exact-spectral" when the
+    matrices share an eigenbasis by exact equality (all diagonal
     or all circulant, whatever the scheme's name or source), else
     "exact-products-ldl"; their factor sources (information) return (N, T)
     rows f_n >= 1 whose product is det(I + rho H H^H).  One rule decides
@@ -339,10 +347,7 @@ def _outage_kernel(
     itself overflows, the one closure decides on mi_from_factors of the rows."""
     if outage == "jensen":
         gram = gramian(scheme)
-        try:
-            c = gram.block_length * math.expm1(2.0 * thresh * math.log(2.0)) / rho
-        except OverflowError:
-            c = math.inf
+        c = outage_constant(gram.block_length, thresh, rho)
         return "jensen", lambda u, b, noise: jensen_form(gram, u, b) / noise < c
     spectra = common_spectra(scheme)
     if spectra is None:
@@ -513,6 +518,87 @@ def bracket_log_correction(gram: GramianSummary, r: float, rho) -> np.ndarray:
     ell = 2.0 * log_u_inv + 1.0 - 2.0 * EULER_GAMMA
     ell = ell + u * u * (log_u_inv + 1.25 - EULER_GAMMA)
     return k * np.log2(ell * scale)
+
+
+# ---------------------------------------------------------------------------
+# Jensen-outage interval
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _contour() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, weight, z / c) at the nodes of Weideman & Trefethen's parabolic
+    Bromwich contour (Math. Comp. 76, 2007), theta = w / c with
+    w(v) = 0.5 + iv - v^2/8, by the trapezoid rule with step 0.05 on
+    |v| <= 30.  The integrand at -v is the conjugate of that at v, so the
+    nodes are v >= 0 with the step doubled past v = 0; a weight is
+    e^w (dw/dv) / w times that over 2 pi i, and z / c = 1/w - 1.  Made on
+    first use, so a run that takes no interval touches none of it."""
+    v = np.arange(601) * 0.05
+    w = 0.5 + 1j * v - v**2 / 8.0
+    return w, np.exp(w) * (1j - v / 4.0) / w * np.where(v > 0, 0.1, 0.05) / (2j * math.pi), 1.0 / w - 1.0
+
+
+def _scaled_e1(z: np.ndarray) -> np.ndarray:
+    """e^z E1(z) for complex z off the cut (-inf, 0]: the power series
+    (Abramowitz & Stegun 5.1.11) for |z| <= 5 with Re z <= 2, past which it
+    loses digits to cancellation, and up to |z| = 40 in the wedge
+    Re z < -2 |Im z| about the cut, where the continued fraction (A&S
+    5.1.22) converges slowly; that fraction elsewhere.  Each sums until its
+    last terms move no element by 1e-16 relative."""
+    out = np.empty_like(z)
+    near = ((abs(z) <= 5.0) & (z.real <= 2.0)) | ((z.real < -2.0 * abs(z.imag)) & (abs(z) < 40.0))
+    s = z[near]
+    term, total = np.ones_like(s), np.ones_like(s)  # E1 = -gamma - ln z + z total
+    for n in range(1, 500):
+        term *= -n * s / (n + 1.0) ** 2
+        total += term
+        if np.all(abs(term) <= 1e-16 * abs(total)):
+            break
+    out[near] = np.exp(s) * (s * total - np.log(s) - EULER_GAMMA)
+    s = z[~near]
+    fraction = step = ratio = 1.0 / s  # forward sum of 1/(z+ 1/(1+ 1/(z+ 2/(1+ ...
+    for n in range(1, 500):
+        for a in (1.0, s):
+            ratio = 1.0 / (ratio * n + a)
+            step = step * (a * ratio - 1.0)
+            fraction = fraction + step
+        if np.all(abs(step) <= 1e-16 * abs(fraction)):
+            break
+    out[~near] = fraction
+    return out
+
+
+def _identity_outage(c: np.ndarray, k: int) -> np.ndarray:
+    """P_I(c) = P(sum_k a_k b_k < c (1 + sum_k b_k)) for a, b iid Exp(1),
+    the Jensen outage probability of a K-relay scheme with Gramian I, at
+    each c >= 0: (1/2 pi i) int e^(theta c) M(theta)^K / theta dtheta, with
+    M(theta) = E_a[1 / (1 + theta (a - c))] = e^z E1(z) / theta,
+    z = 1/theta - c, on the contour above.  c = 0 is never in outage, and
+    from c = ln K + 38 on, 1 - P_I <= K e^-c is below half an ulp of 1."""
+    w, weight, z1 = _contour()
+    p = np.where(c > 0, 1.0, 0.0)
+    live = (c > 0) & (c < math.log(k) + 38.0)
+    cl = c[live][:, None]
+    p[live] = np.sum((cl * _scaled_e1(cl * z1) / w) ** k * weight, axis=-1).real
+    return np.clip(p, 0.0, 1.0)
+
+
+def jensen_outage_interval(gram: GramianSummary, c) -> tuple[np.ndarray, np.ndarray]:
+    """(P_I(c / lambda_max), P_I(c / lambda_min)) over the outage constants
+    ``c`` (outage_constant, broadcast), bounds of the Jensen outage
+    probability at Gramian ``gram``, whose Jensen form lies between
+    lambda_min and lambda_max times the form at Gramian I.  Both ends are
+    P_I(c) at Gramian I; a singular Gramian's upper end is 1."""
+    c = np.asarray(c, dtype=float)
+    if not np.all(c >= 0):
+        raise InvalidParameterError("outage constants must be >= 0")
+    k = gram.gram.shape[0]
+    lower = _identity_outage(c / gram.lambda_max, k)
+    if gram.lambda_min == gram.lambda_max:
+        return lower, lower
+    if gram.lambda_min <= 0:
+        return lower, np.ones_like(c)
+    return lower, _identity_outage(c / gram.lambda_min, k)
 
 
 # ---------------------------------------------------------------------------

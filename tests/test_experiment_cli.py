@@ -40,7 +40,10 @@ from relaydiv.experiment_cli import (
     EXIT_RESOURCE,
     EXPERIMENTS,
     SNR_DB_MAX,
+    TRIAL_GUESS,
     ExperimentConfig,
+    _grid_guess,
+    _grid_trials,
     _rho,
     build_scheme,
     config_from_mapping,
@@ -55,7 +58,18 @@ from relaydiv.experiment_cli import (
     save_codebook_file,
     save_scheme_file,
 )
-from relaydiv.outage_analysis import FADING_STREAM, MAX_THREADS, RHO_MAX, resolve_threads
+from relaydiv.outage_analysis import (
+    FADING_STREAM,
+    MAX_THREADS,
+    RHO_MAX,
+    analytic_jensen_bracket,
+    fit_points,
+    jensen_outage_interval,
+    outage_constant,
+    resolve_threads,
+    weighted_line_fit,
+)
+from relaydiv.relay_schemes import gramian
 
 
 def _write(path, text):
@@ -738,7 +752,8 @@ def test_cli_documented_exit_paths_write_nothing(tmp_path, monkeypatch, case, co
 @pytest.mark.parametrize("experiment", ["dm-slope", "analytic-curve", "outage-sweep"])
 def test_cli_singular_gramian_is_decided_before_monte_carlo(tmp_path, monkeypatch, capsys,
                                                             experiment):
-    # two identical relays: Gramian [[1, 1], [1, 1]], lambda_min = 0, no bracket
+    # two identical relays: Gramian [[1, 1], [1, 1]], lambda_min = 0, no bracket;
+    # the Jensen-outage interval's lower end P_I(c / 2) still holds
     from relaydiv import outage_analysis
 
     scheme = str(tmp_path / "twin.txt")
@@ -757,10 +772,10 @@ def test_cli_singular_gramian_is_decided_before_monte_carlo(tmp_path, monkeypatc
                "--snr-db", "10,15,20,25", "--min-trials", "1000", "--max-trials", "3000",
                "--out", str(out)])
     if experiment == "outage-sweep":
-        # adaptive trials have no bracket to aim at and run max_trials
+        # adaptive trials aim at 200 events at the interval's lower end
         assert rc == EXIT_OK
-        assert [int(row.split(",")[4]) for row in out.read_text().splitlines()[1:]] == [3000] * 4
-        assert counted == [3000] * 4
+        assert [int(row.split(",")[4]) for row in out.read_text().splitlines()[1:]] == [1000, 1340, 2579, 3000]
+        assert counted == [1000, 1340, 2579, 3000]
     else:
         assert rc == EXIT_CONFIG
         assert "full-rank Gramian" in capsys.readouterr().err
@@ -1009,6 +1024,83 @@ def test_dm_slope_above_the_largest_float_rate_puts_every_trial_in_outage(tmp_pa
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 3
     assert all(row.split(",")[4] == row.split(",")[5] == "20000" for row in rows)
+
+
+def test_an_adaptive_point_that_cannot_be_in_outage_runs_min_trials(tmp_path):
+    # at r = 0 the threshold r log2(rho) is 0 and c = 0: no MI is below 0, so
+    # every point is an exact zero; its interval's lower end is 0 as well,
+    # which must not send it to max_trials
+    out = tmp_path / "o.csv"
+    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
+               "--snr-db", "20,30,40", "--min-trials", "1000", "--max-trials", "50000",
+               "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["probability"], row["trials"], row["events"]) for row in rows] == [("0.0", "1000", "0")] * 3
+    assert _strict_json(Path(str(out) + ".manifest.json").read_text())["trial_guess"] == TRIAL_GUESS == 2
+
+
+def test_an_adaptive_point_always_in_outage_runs_min_trials(tmp_path):
+    # 2^(2 * 600) overflows, so c = inf: every trial is in outage, and the
+    # point takes min_trials even below the 200 events the guess aims at
+    out = tmp_path / "s.csv"
+    rc = main(["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0",
+               "--snr-db", "20,30,40", "--rate-bits", "600", "--min-trials", "150",
+               "--max-trials", "5000", "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["trials"], row["events"]) for row in rows] == [("150", "150")] * 3
+
+
+def _slope_cdd_config(**overrides):
+    base = dict(experiment="dm-slope", scheme="cdd", k=2, n=8, r=0.0,
+                snr_db=(20.0, 25.0, 30.0, 35.0, 40.0, 45.0), trials="adaptive",
+                max_trials=1_000_000, seed=7)
+    base.update(overrides)
+    cfg = ExperimentConfig(**base)
+    cfg.validate()
+    return cfg
+
+
+def _adaptive_trials_of(cfg):
+    gram = gramian(build_scheme(cfg))
+    return _grid_trials(cfg, *_grid_guess(cfg, gram, cfg.rate_bits if cfg.r == 0 else None))
+
+
+def test_adaptive_trial_counts_are_pinned():
+    # 200 events at the exact Gramian-I curve, clamped to [min, max]_trials
+    assert _adaptive_trials_of(_slope_cdd_config()) == [100000, 100000, 100000, 128344, 931761, 1000000]
+    criterion_1_k3 = _slope_cdd_config(k=3, min_trials=2_000_000, max_trials=10_000_000)
+    assert sum(_adaptive_trials_of(criterion_1_k3)) == 29423092
+    assert _adaptive_trials_of(_slope_cdd_config(trials="1234")) == [1234] * 6
+
+
+def test_dm_slope_manifest_records_the_bias_of_its_slope_correction(tmp_path):
+    args = ["dm-slope", "--k", "2", "--n", "4", "--r", "0.25", "--snr-db", "20,25,30",
+            "--trials", "20000", "--seed", "1"]
+    out = tmp_path / "s.csv"
+    assert main(args + ["--scheme", "cdd", "--out", str(out)]) == EXIT_OK
+    manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
+    assert "trial_guess" not in manifest  # fixed trials take no guess
+    # the d_hat that the exact Gramian-I curve gives with the run's weights
+    cfg = _sweep_config(experiment="dm-slope", snr_db=(20.0, 25.0, 30.0), trials="20000", seed=1)
+    curve, report = run_dm_slope(cfg)
+    x, _, w = fit_points(curve)
+    gram = gramian(build_scheme(cfg))
+    rhos = [_rho(db) for db in cfg.snr_db]
+    exact, _ = jensen_outage_interval(gram, [outage_constant(4, 0.25 * math.log2(rho), rho) for rho in rhos])
+    upper = [analytic_jensen_bracket(gram, 0.25, rho)[1] for rho in rhos]
+    d_exact = -weighted_line_fit(x, np.log2(exact), w)[1] + 1.0 + weighted_line_fit(x, np.log2(upper), w)[1]
+    assert report.points_used == 3
+    assert manifest["d_hat_bias"] == report.d_hat_bias == pytest.approx(d_exact - 1.0, abs=1e-12)
+    # no exact curve for a Gramian other than I
+    rng = np.random.default_rng(2913)
+    scheme = str(tmp_path / "haar.txt")
+    save_scheme_file(scheme, custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (4, 4)))[0] / 2.0 for _ in range(2)]))
+    assert main(args + ["--scheme", scheme, "--out", str(out)]) == EXIT_OK
+    manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["d_hat_bias"] is None and math.isfinite(manifest["d_hat"])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -164,6 +164,23 @@ def test_rho_must_be_positive():
             mi(heffs, 1e308)
 
 
+@pytest.mark.parametrize("heff_shape,rho_shape", [((2, 2), (2,)), ((3, 2, 2), (2,)), ((3, 2, 2), (2, 3))],
+                         ids=str)
+def test_rho_must_broadcast_to_the_leading_shape(heff_shape, rho_shape):
+    # a rho with more axes or other lengths than the stack's leading shape
+    # would give jensen_mi more values than channels
+    heff, lead = np.broadcast_to(np.eye(2), heff_shape).copy(), heff_shape[:-2]
+    negative = np.full(lead, 2.0)
+    negative.flat[0] = -1.0
+    for mi in (mutual_information, jensen_mi):
+        with pytest.raises(InvalidParameterError, match="does not broadcast"):
+            mi(heff, np.full(rho_shape, 2.0))
+        assert np.shape(mi(heff, np.full(lead, 2.0))) == lead
+        assert np.shape(mi(heff, np.full((1,) * len(lead), 2.0))) == lead
+        with pytest.raises(InvalidParameterError, match="positive"):
+            mi(heff, negative)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
 @pytest.mark.parametrize("entry", [(1, 1), (2, 0)], ids=str)
 def test_non_finite_channels_are_refused(entry, value):

@@ -856,6 +856,115 @@ def test_bracket_contains_monte_carlo_estimate_at_high_snr():
         assert lower / 10 <= est.probability <= upper * 10
 
 
+# ---------------------------------------------------------------------------
+# Jensen-outage interval
+# ---------------------------------------------------------------------------
+
+# 99.9% two-sided normal quantile.
+Z_999 = 3.2905267314919255
+
+
+def _wilson_999(events, trials):
+    p = events / trials
+    z2 = Z_999 * Z_999
+    center = (p + z2 / (2 * trials)) / (1 + z2 / trials)
+    half = Z_999 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
+    return center - half, center + half
+
+
+def _identity_gram(k, n):
+    return gramian(cyclic_delay_scheme(k, n))
+
+
+def test_scaled_e1_agrees_with_scipy_on_the_contour():
+    from scipy.special import exp1
+
+    for c in np.geomspace(1e-8, 40.0, 61):
+        z = c * outage_analysis._contour()[2]
+        want = np.exp(z) * exp1(z)
+        got = outage_analysis._scaled_e1(z)
+        assert np.max(np.abs(got / want - 1)) <= 1e-12, c
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_single_relay_interval_is_the_closed_form(n):
+    # K = 1: P(ab < c (1 + b)) = 1 - e^-c 2 sqrt(c) K1(2 sqrt(c))
+    from scipy.special import k1
+
+    gram = _identity_gram(1, n)
+    for db in range(5, 85, 5):
+        rho = 10 ** (db / 10)
+        c = outage_analysis.outage_constant(n, 1.0, rho)
+        want = 1 - math.exp(-c) * 2 * math.sqrt(c) * k1(2 * math.sqrt(c))
+        lower, upper = outage_analysis.jensen_outage_interval(gram, c)
+        assert lower == upper
+        assert abs(lower / want - 1) <= 1e-9, db
+
+
+def test_interval_ends_at_gramian_identity_are_the_identity_curve_bit_for_bit():
+    c = np.array([outage_analysis.outage_constant(8, 1.0, 10 ** (db / 10)) for db in (20, 30, 45)])
+    for make in (cyclic_delay_scheme, phase_rolling_scheme):
+        for k in (1, 2, 3, 4):
+            lower, upper = outage_analysis.jensen_outage_interval(gramian(make(k, 8)), c)
+            want = outage_analysis._identity_outage(c, k)
+            assert lower.tobytes() == upper.tobytes() == want.tobytes()
+
+
+def test_interval_limits():
+    identity, twin = _identity_gram(2, 4), gramian(RelayScheme((np.eye(4) / 2.0,) * 2))
+    assert twin.lambda_min == 0.0
+    c = np.array([0.0, 1e-3, math.inf])
+    lower, upper = outage_analysis.jensen_outage_interval(identity, c)
+    assert lower[0] == upper[0] == 0.0 and lower[2] == upper[2] == 1.0
+    lower, upper = outage_analysis.jensen_outage_interval(twin, c)
+    assert lower[0] == 0.0 and 0.0 < lower[1] < 1e-3 and lower[2] == 1.0
+    assert list(upper) == [1.0, 1.0, 1.0]
+    for bad in (-1e-3, math.nan, [0.1, math.nan]):
+        with pytest.raises(InvalidParameterError, match="outage constants"):
+            outage_analysis.jensen_outage_interval(identity, bad)
+    # 1 - P_I(c) <= K e^-c: past ln K + 38 the curve is 1 to the last bit
+    assert outage_analysis.jensen_outage_interval(identity, 39.0)[0] == 1.0
+    assert 1.0 - 2 * math.exp(-20.0) <= outage_analysis.jensen_outage_interval(identity, 20.0)[0] < 1.0
+    # the K = 3 curve at 45 dB, N = 8, 1 bit
+    c45 = outage_analysis.outage_constant(8, 1.0, 10 ** 4.5)
+    assert outage_analysis.jensen_outage_interval(_identity_gram(3, 8), c45)[0] == pytest.approx(
+        1.3332433e-7, rel=1e-7)
+
+
+@pytest.mark.parametrize("make", [cyclic_delay_scheme, phase_rolling_scheme], ids=["cdd", "pr"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_jensen_monte_carlo_at_gramian_identity_agrees_with_the_exact_curve(make, k):
+    scheme = make(k, 8)
+    gram = gramian(scheme)
+    for case, (r, rate_bits, db) in enumerate([(0.0, 1.0, 25), (0.0, None, 25),
+                                                (0.25, 1.0, 20), (0.25, None, 30)]):
+        rho = 10 ** (db / 10)
+        thresh = r * math.log2(rho) if rate_bits is None else rate_bits
+        p, _ = outage_analysis.jensen_outage_interval(gram, outage_analysis.outage_constant(8, thresh, rho))
+        est = mc_jensen_outage(scheme, r, rho, 200_000, seed=2900 + 10 * k + case, rate_bits=rate_bits)
+        if thresh == 0:
+            assert p == 0.0 and est.events == 0
+            continue
+        lo, hi = _wilson_999(est.events, est.trials)
+        assert lo <= p <= hi, (r, rate_bits, db, est.probability, p)
+
+
+@pytest.mark.parametrize("k,n,seed", [(2, 4, 2911), (3, 8, 2912)])
+def test_jensen_monte_carlo_on_a_haar_scheme_lies_inside_the_interval(k, n, seed):
+    rng = np.random.default_rng(seed)
+    scheme = custom_scheme(
+        [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)])
+    gram = gramian(scheme)
+    assert gram.lambda_min < 0.99 < 1.01 < gram.lambda_max
+    for db in (20, 30, 40):
+        rho = 10 ** (db / 10)
+        lower, upper = outage_analysis.jensen_outage_interval(
+            gram, outage_analysis.outage_constant(n, 0.25 * math.log2(rho), rho))
+        assert lower < upper
+        est = mc_jensen_outage(scheme, 0.25, rho, 400_000, seed=seed + db)
+        assert est.ci_high >= lower and est.ci_low <= upper, (db, est.probability, lower, upper)
+
+
 def test_bracket_and_mc_slopes_consistent():
     # raw log-log slopes of the analytic envelopes and the MC curve agree
     # to within 0.3 over a desk-scale grid
