@@ -43,7 +43,6 @@ from .information import (
 from .outage_analysis import (
     ProbEstimate,
     SlopeEstimate,
-    adaptive_trials,
     analytic_jensen_bracket,
     bessel_k1,
     fit_diversity_slope,

@@ -49,7 +49,6 @@ from .outage_analysis import (
     MAX_THREADS,
     RHO_MAX,
     ProbEstimate,
-    adaptive_trials,
     analytic_jensen_bracket,
     fit_diversity_slope,
     fit_points,
@@ -57,6 +56,7 @@ from .outage_analysis import (
     mc_exact_outage,
     mc_jensen_outage,
     outage_constant,
+    point_seed,
     product_rayleigh_cdf,
     resolve_threads,
     weighted_line_fit,
@@ -485,13 +485,15 @@ def _grid_guess(cfg: ExperimentConfig, gram: GramianSummary, rate_bits: float | 
 
 def _grid_trials(cfg: ExperimentConfig, c, lower) -> list[int]:
     """Each grid point's trials: fixed, or adaptive ones aimed at 200 events
-    at ``lower``, the lower end of the point's Jensen-outage interval, so
-    that the point expects at least 200; a point that cannot be in outage
-    (c = 0) or is in outage on every trial (c = inf) takes min_trials."""
+    at ``lower``, the lower end of the point's Jensen-outage interval, and
+    clamped to [min_trials, max_trials]; a lower end of 0 takes max_trials,
+    and c = 0 (never in outage) or c = inf (always) takes min_trials."""
     if cfg.trials != "adaptive":
         return [int(cfg.trials)] * len(cfg.snr_db)
+    # a float quotient, unlike a numpy one, overflows to inf without a warning
     return [cfg.min_trials if point_c in (0.0, math.inf)
-            else adaptive_trials(p, floor=cfg.min_trials, cap=cfg.max_trials)
+            else cfg.max_trials if p <= 0
+            else int(min(cfg.max_trials, max(cfg.min_trials, 200.0 / float(p))))
             for point_c, p in zip(c, lower)]
 
 
@@ -501,7 +503,7 @@ def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, trials: list, *,
     points = []
     for index, (db, count) in enumerate(zip(cfg.snr_db, trials)):
         est = estimator(
-            scheme, cfg.r, _rho(db), count, cfg.seed + index,
+            scheme, cfg.r, _rho(db), count, point_seed(cfg.seed, index),
             rate_bits=rate_bits, threads=cfg.threads,
         )
         points.append(dataclasses.replace(est, snr_db=float(db)))

@@ -65,7 +65,9 @@ from relaydiv.outage_analysis import (
     analytic_jensen_bracket,
     fit_points,
     jensen_outage_interval,
+    mc_jensen_outage,
     outage_constant,
+    point_seed,
     resolve_threads,
     weighted_line_fit,
 )
@@ -773,6 +775,7 @@ def test_cli_singular_gramian_is_decided_before_monte_carlo(tmp_path, monkeypatc
                "--out", str(out)])
     if experiment == "outage-sweep":
         # adaptive trials aim at 200 events at the interval's lower end
+        # numpy 2.4.6: pinned on complex np.exp/np.log in the contour's E1.
         assert rc == EXIT_OK
         assert [int(row.split(",")[4]) for row in out.read_text().splitlines()[1:]] == [1000, 1340, 2579, 3000]
         assert counted == [1000, 1340, 2579, 3000]
@@ -1067,8 +1070,33 @@ def _adaptive_trials_of(cfg):
     return _grid_trials(cfg, *_grid_guess(cfg, gram, cfg.rate_bits if cfg.r == 0 else None))
 
 
+def test_adaptive_trials_policy():
+    # 200 events at the interval's lower end, clamped to [min, max]_trials;
+    # a lower end of 0 runs max_trials, and so does a subnormal one, whose
+    # 200 / p overflows without a RuntimeWarning; c = 0 or inf runs min_trials
+    cfg = _slope_cdd_config(snr_db=(20.0, 25.0, 30.0, 35.0, 40.0), min_trials=100_000,
+                            max_trials=10_000_000)
+    assert _grid_trials(cfg, np.ones(5), np.array([0.5, 1e-6, 2e-4, 0.0, 1e-320])) == [
+        100_000, 10_000_000, 1_000_000, 10_000_000, 10_000_000]
+    few = _slope_cdd_config(snr_db=(20.0, 25.0, 30.0), min_trials=150, max_trials=5000)
+    assert _grid_trials(few, np.array([math.inf, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])) == [
+        150, 150, 5000]
+
+
+def test_a_sweep_point_runs_at_its_point_seed(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+                 "--snr-db", "10,15", "--trials", "3000", "--seed", "7", "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    scheme = cyclic_delay_scheme(2, 4)
+    expected = [mc_jensen_outage(scheme, 0.25, _rho(db), 3000, point_seed(7, i)).events
+                for i, db in enumerate((10.0, 15.0))]
+    assert [int(row["events"]) for row in rows] == expected
+
+
 def test_adaptive_trial_counts_are_pinned():
     # 200 events at the exact Gramian-I curve, clamped to [min, max]_trials
+    # numpy 2.4.6: pinned on complex np.exp/np.log in the contour's E1.
     assert _adaptive_trials_of(_slope_cdd_config()) == [100000, 100000, 100000, 128344, 931761, 1000000]
     criterion_1_k3 = _slope_cdd_config(k=3, min_trials=2_000_000, max_trials=10_000_000)
     assert sum(_adaptive_trials_of(criterion_1_k3)) == 29423092

@@ -22,7 +22,6 @@ from relaydiv import (
     InvalidParameterError,
     ProbEstimate,
     ResourceLimitError,
-    adaptive_trials,
     analytic_jensen_bracket,
     bessel_k1,
     custom_scheme,
@@ -361,6 +360,7 @@ def test_outage_event_counts_are_pinned_at_a_fixed_seed(
     make_scheme, threads, jensen_events, exact_events
 ):
     # Any change to the fading stream or to an MI kernel's bits moves these.
+    # numpy 2.4.6: pinned on SFC64's normal/exponential draws and np.prod's order.
     scheme = make_scheme()
     jensen = mc_jensen_outage(scheme, 0.25, 100.0, 40_000, seed=11, threads=threads)
     exact = mc_exact_outage(scheme, 0.25, 100.0, 40_000, seed=11)
@@ -610,6 +610,7 @@ def test_a_warm_exact_block_allocates_at_most_24_bytes_per_trial(scheme, bound):
     # elements.  What is left is the verdict (1 B/trial) and each call's
     # (K^2, N^2) products, 5 B/trial at (4, 16).  Measured on a 2-vCPU Xeon
     # with numpy 2.4.6: 1.21-1.83 B/trial, and 5.27 at (4, 16).
+    # numpy 2.4.6: the bounds rest on its 8192-element broadcast buffer.
     def run():
         mc_exact_outage(scheme, 0.25, 100.0, outage_analysis.BLOCK_TRIALS, seed=1, threads=1)
 
@@ -634,6 +635,7 @@ def test_a_second_two_thread_exact_call_reuses_its_workspaces(scheme, bound):
     # Measured on a 2-vCPU Xeon with numpy 2.4.6: 3.0-3.5 (Haar) and 1.75
     # (CDD) B/trial; new pool threads would grow new workspaces, 5.5 and
     # 2.4 MiB each
+    # numpy 2.4.6: the bounds rest on its 8192-element broadcast buffer.
     def run():
         mc_exact_outage(scheme, 0.25, 100.0, 4 * outage_analysis.BLOCK_TRIALS, seed=1, threads=2)
 
@@ -749,6 +751,7 @@ def test_rho_above_the_ceiling_is_rejected_before_any_draw(monkeypatch):
 
 
 def test_ml_error_event_count_is_pinned_at_a_fixed_seed():
+    # numpy 2.4.6: pinned on SFC64's draws and einsum's summation order.
     book = gaussian_codebook(2, 0.25, 16.0, np.random.default_rng(81))
     est = mc_ml_error(cyclic_delay_scheme(2, 2), book, 10**2.5, 40_000, seed=810)
     assert est.events == 806
@@ -806,11 +809,12 @@ def test_event_count_refuses_a_non_integer_trial_count_or_seed(trials, seed):
         mc_exact_outage(cyclic_delay_scheme(2, 4), 0.25, 100.0, trials, seed)
 
 
-def test_adaptive_trials_policy():
-    assert adaptive_trials(0.5) == 100_000
-    assert adaptive_trials(1e-6) == 10_000_000
-    assert adaptive_trials(2e-4) == 1_000_000
-    assert adaptive_trials(0.0) == 10_000_000
+def test_point_seed_is_the_run_seed_plus_the_point_index():
+    # fading stream 3's keying of a sweep's points; runs at adjacent seeds
+    # share points until the stream is keyed by (point, block)
+    assert [outage_analysis.point_seed(7, i) for i in range(4)] == [7, 8, 9, 10]
+    assert outage_analysis.point_seed(301, 5) == 306
+    assert outage_analysis.point_seed(0, 0) == 0
 
 
 # ---------------------------------------------------------------------------
