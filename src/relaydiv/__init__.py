@@ -4,8 +4,9 @@ Simulates linear relay processing schemes (cyclic delay diversity, phase
 rolling, custom unitary-scaled families), estimates outage and ML error
 probabilities by reproducible Monte Carlo, evaluates the closed-form
 Jensen-outage bracket built on the product-Rayleigh law and the
-Jensen-outage interval built on its exact Gramian-I curve, and extracts
-diversity slopes from SNR sweeps.
+Jensen-outage interval built on its exact Gramian-I curve (both laws are
+one Bromwich contour sum), and extracts diversity slopes from SNR sweeps,
+calibrated on that exact curve.
 """
 
 __version__ = "0.1.0"
@@ -44,7 +45,6 @@ from .outage_analysis import (
     ProbEstimate,
     SlopeEstimate,
     analytic_jensen_bracket,
-    bessel_k1,
     fit_diversity_slope,
     jensen_outage_interval,
     mc_exact_outage,

@@ -85,6 +85,13 @@ _SELF_CHECK_SEED = 20240
 # 1 was the analytic bracket's lower envelope, 2 the interval's lower end.
 TRIAL_GUESS = 2
 
+# Versions of the closed-form code under a run, in its manifest: dm-slope's
+# "slope_calibration" of d_hat (1 was the bracket's upper envelope, 2 the
+# Jensen-outage interval's upper end) and analytic-curve's "bracket_law",
+# its product-Rayleigh code (1 was a K1 series, 2 a Bromwich contour sum).
+SLOPE_CALIBRATION = 2
+BRACKET_LAW = 2
+
 # At interpreter exit CPython's final collections traverse every GC-tracked
 # object (~22k once numpy is imported): 20-30 ms of a 25-40 ms exit on a
 # 2-vCPU Xeon.  Outputs are written and renamed before then, and threading's
@@ -467,20 +474,14 @@ def _rho(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _grid_brackets(cfg: ExperimentConfig, gram: GramianSummary) -> list:
-    """The analytic Jensen-outage bracket (lower, upper) at each grid point,
-    from the one Gramian, before any Monte Carlo; a singular Gramian is a
-    config error, raised by the first bracket."""
-    return [analytic_jensen_bracket(gram, cfg.r, _rho(db)) for db in cfg.snr_db]
-
-
 def _grid_guess(cfg: ExperimentConfig, gram: GramianSummary, rate_bits: float | None):
-    """Each grid point's outage constant c and the lower end of its
-    Jensen-outage interval, as arrays over the grid, from the one Gramian."""
+    """Each grid point's outage constant c and the lower and upper ends of
+    its Jensen-outage interval, as arrays over the grid, from the one
+    Gramian."""
     rhos = [_rho(db) for db in cfg.snr_db]
     rates = [cfg.r * math.log2(rho) if rate_bits is None else rate_bits for rho in rhos]
     c = np.array([outage_constant(gram.block_length, rate, rho) for rate, rho in zip(rates, rhos)])
-    return c, jensen_outage_interval(gram, c)[0]
+    return (c, *jensen_outage_interval(gram, c))
 
 
 def _grid_trials(cfg: ExperimentConfig, c, lower) -> list[int]:
@@ -517,7 +518,7 @@ def run_outage_sweep(cfg: ExperimentConfig) -> tuple[ProbEstimate, ...]:
     scheme = build_scheme(cfg)
     c = lower = None
     if cfg.trials == "adaptive":
-        c, lower = _grid_guess(cfg, gramian(scheme), None)
+        c, lower, _ = _grid_guess(cfg, gramian(scheme), None)
     return _sweep_curve(cfg, scheme, _grid_trials(cfg, c, lower), rate_bits=None)
 
 
@@ -527,7 +528,6 @@ class SlopeReport:
     d_hat_raw: float = math.nan
     stderr: float = math.nan
     d_theory: float = math.nan
-    d_hat_bias: float = math.nan
     points_used: int = 0
     status: str = "ok"
 
@@ -539,18 +539,22 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
     SNR), the convention under which the fixed-rate outage slope measures
     the r -> 0 diversity K.  The raw log-log slope is biased low at desk
     SNR by the slowly varying factor of the outage law, so the headline
-    d_hat subtracts the same fit applied to the analytic upper envelope on
-    the same grid points (whose true exponent is exactly K(1-2r)); both
-    values are reported.  At Gramian I, d_hat_bias is the d_hat that the
-    exact outage curve gives on the fit's points and weights, minus d_theory.
+    d_hat = d_hat_raw + d_theory - d_curve, with d_curve the same weighted
+    fit of log2 P_I(c / lambda_min), the Jensen-outage interval's upper end
+    (exponent K(1-2r)); at Gramian I that is the exact Jensen-outage curve,
+    which ``outage = exact`` runs are calibrated on too.  Where it is 1 at a
+    fit point (a near-singular Gramian) it has no slope, and d_hat is NaN
+    with a warning; a singular Gramian is refused before any Monte Carlo.
     """
     if len(cfg.snr_db) < 3:
         raise ConfigError("a slope fit needs a grid of at least 3 points")
     scheme = build_scheme(cfg)
     gram = gramian(scheme)
-    brackets = _grid_brackets(cfg, gram)
+    if gram.lambda_min <= 0:
+        raise ConfigError("dm-slope calibrates d_hat on P_I(c / lambda_min), which needs "
+                          "a full-rank Gramian (lambda_min > 0)")
     rate_bits = cfg.rate_bits if cfg.r == 0 else None
-    c, lower = _grid_guess(cfg, gram, rate_bits)
+    c, lower, upper = _grid_guess(cfg, gram, rate_bits)
     curve = _sweep_curve(cfg, scheme, _grid_trials(cfg, c, lower), rate_bits=rate_bits)
     report = SlopeReport(d_theory=cfg.k * (1.0 - 2.0 * cfg.r))
     try:
@@ -561,13 +565,14 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
     report.d_hat_raw = fit.d_hat
     report.stderr = fit.stderr
     report.points_used = len(fit.used)
+    calibration = upper[list(fit.used)]
+    if not np.all(calibration < 1.0):
+        report.status = ("warning: the Jensen-outage interval's upper end is 1 at a fit point, "
+                         "so d_hat cannot be calibrated")
+        return curve, report
     x, _, w = fit_points([curve[i] for i in fit.used])
-    upper = np.array([brackets[i][1] for i in fit.used])
-    _, slope_u, _ = weighted_line_fit(x, np.log2(upper), w)
-    report.d_hat = fit.d_hat + report.d_theory - (-slope_u)
-    if gram.lambda_min == gram.lambda_max:
-        _, slope_exact, _ = weighted_line_fit(x, np.log2(lower[list(fit.used)]), w)
-        report.d_hat_bias = slope_u - slope_exact
+    _, slope, _ = weighted_line_fit(x, np.log2(calibration), w)
+    report.d_hat = fit.d_hat + report.d_theory + slope
     if report.points_used < len(curve):
         report.status = (
             f"warning: {len(curve) - report.points_used} grid points below "
@@ -577,11 +582,14 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
 
 
 def _analytic_curve(cfg: ExperimentConfig) -> Output:
-    """Analytic Jensen-outage bracket over the SNR grid."""
-    brackets = _grid_brackets(cfg, gramian(build_scheme(cfg)))
+    """Analytic Jensen-outage bracket over the SNR grid, from the one
+    Gramian; a singular Gramian is a config error, raised by the first
+    bracket."""
+    gram = gramian(build_scheme(cfg))
     theory = cfg.k * (1.0 - 2.0 * cfg.r)
-    rows = [(float(db), lower, upper, theory) for db, (lower, upper) in zip(cfg.snr_db, brackets)]
-    return Output(f"wrote {cfg.out} ({len(rows)} points)\n", rows)
+    rows = [(float(db), *analytic_jensen_bracket(gram, cfg.r, _rho(db)), theory) for db in cfg.snr_db]
+    return Output(f"wrote {cfg.out} ({len(rows)} points)\n", rows,
+                  extra={"bracket_law": BRACKET_LAW})
 
 
 @dataclass
@@ -731,7 +739,7 @@ def product_rayleigh_deviation(draws: int, x_max: float, points: int,
     magnitudes = np.abs(complex_gaussian(rng, draws)) * np.abs(complex_gaussian(rng, draws))
     magnitudes.sort()
     grid = np.linspace(0.0, x_max, points)
-    analytic = np.array([product_rayleigh_cdf(x) for x in grid])
+    analytic = product_rayleigh_cdf(grid)
     empirical = np.searchsorted(magnitudes, grid, side="right") / draws
     return float(np.abs(analytic - empirical).max())
 
@@ -789,8 +797,8 @@ def _dm_slope(cfg: ExperimentConfig) -> Output:
         f"theory {report.d_theory!r})\n",
         _curve_rows(curve, extra), [p.events for p in curve], status=report.status,
         extra={"d_hat": report.d_hat, "d_hat_raw": report.d_hat_raw,
-               "d_theory": report.d_theory, "d_hat_bias": report.d_hat_bias,
-               "points_used": report.points_used, **_monte_carlo_fields(cfg, curve)},
+               "d_theory": report.d_theory, "points_used": report.points_used,
+               "slope_calibration": SLOPE_CALIBRATION, **_monte_carlo_fields(cfg, curve)},
     )
 
 

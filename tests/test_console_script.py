@@ -48,7 +48,7 @@ def _cli(*args, cwd=None, **env):
 
 def _runs(tmp):
     """Name -> (CLI arguments, extra environment) of every run below."""
-    book, haar = str(tmp / "book.txt"), str(tmp / "haar.txt")
+    book, haar, near = str(tmp / "book.txt"), str(tmp / "haar.txt"), str(tmp / "near.txt")
     exact = ["outage-sweep", "--outage", "exact", "--k", "2", "--seed", "1"]
     runs = {
         "sweep": ["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
@@ -59,6 +59,10 @@ def _runs(tmp):
                                   "--n", "4", "--r", "0.25", "--snr-db", "20", "--codebook", book],
         "curve": ["analytic-curve", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0.25",
                   "--snr-db", "20,30,40", "--out", tmp / "a.csv"],
+        "near-curve": ["analytic-curve", "--scheme", near, "--k", "2", "--n", "2", "--r", "0.25",
+                       "--snr-db", "20", "--out", tmp / "near.csv"],
+        "slope": ["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+                  "--snr-db", "20,25,30", "--trials", "20000", "--seed", "1", "--out", tmp / "s.csv"],
         "haar": exact + ["--scheme", haar, "--n", "4", "--r", "0.25", "--snr-db", "20,30",
                          "--trials", "20000", "--out", tmp / "x.csv"],
         "p2990": exact + ["--scheme", "phase-rolling", "--n", "8", "--r", "0.5",
@@ -79,15 +83,16 @@ def _runs(tmp):
             "--threads", str(threads), "--out", tmp / f"w-slope-cdd-{threads}.csv"]
     runs["self-check-flag"] = ["self-check", "--k", "3"]
     runs["self-check-file"] = ["self-check", "--config", tmp / "k3.cfg"]
-    return {name: (list(map(str, args)), {"PYTHONWARNINGS": "error"} if name == "h2990" else {})
+    return {name: (list(map(str, args)),
+                   {"PYTHONWARNINGS": "error"} if name in ("h2990", "near-curve") else {})
             for name, args in runs.items()}
 
 
 @pytest.fixture(scope="module")
 def cli(tmp_path_factory):
     """Runs every CLI call of this module, WORKERS at a time, on a
-    generated codebook, Haar scheme file and config file; returns the tmp
-    directory and each run's completed process by name."""
+    generated codebook, Haar and near-singular scheme files and config file;
+    returns the tmp directory and each run's completed process by name."""
     tmp = tmp_path_factory.mktemp("cli")
     (tmp / "k3.cfg").write_text("experiment = self-check\nk = 3\n")
     save_codebook_file(str(tmp / "book.txt"),
@@ -96,6 +101,9 @@ def cli(tmp_path_factory):
     save_scheme_file(str(tmp / "haar.txt"), custom_scheme(
         [np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0] / 2
          for _ in range(2)]))
+    # K = N = 2 with lambda_min = 1.6e-15: G2 = diag(1, e^(i 1e-7)) / sqrt(2)
+    save_scheme_file(str(tmp / "near.txt"), custom_scheme(
+        [np.eye(2) / np.sqrt(2), np.diag([1.0, np.exp(1e-7j)]) / np.sqrt(2)]))
 
     def run(item):
         name, (args, env) = item
@@ -146,6 +154,22 @@ def test_analytic_curve_writes_ordered_bounds(cli):
     assert rows[0] == ["snr_db", "lower", "upper", "theory_exponent"], rows
     assert len(rows) == 4
     assert all(0 <= float(r[1]) <= float(r[2]) <= 1 for r in rows[1:]), rows
+
+
+def test_the_manifests_name_the_versions_of_the_closed_form_code(cli):
+    _ok(cli, "curve")
+    _ok(cli, "slope")
+    assert _manifest(cli[0] / "a.csv")["bracket_law"] == 2
+    slope = _manifest(cli[0] / "s.csv")
+    assert slope["slope_calibration"] == 2 and "d_hat_bias" not in slope, slope
+    assert slope["status"] == "ok" and slope["d_hat"] is not None, slope
+
+
+def test_a_near_singular_scheme_brackets_to_an_upper_end_of_1(cli):
+    # the run has PYTHONWARNINGS=error
+    _ok(cli, "near-curve")
+    rows = _rows(cli[0] / "near.csv")
+    assert [row["upper"] for row in rows] == ["1.0"], rows
 
 
 def test_a_haar_scheme_takes_the_ldl_kernel(cli):

@@ -39,6 +39,7 @@ from relaydiv.experiment_cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXPERIMENTS,
+    SLOPE_CALIBRATION,
     SNR_DB_MAX,
     TRIAL_GUESS,
     ExperimentConfig,
@@ -62,14 +63,12 @@ from relaydiv.outage_analysis import (
     FADING_STREAM,
     MAX_THREADS,
     RHO_MAX,
-    analytic_jensen_bracket,
     fit_points,
     jensen_outage_interval,
     mc_jensen_outage,
     outage_constant,
     point_seed,
     resolve_threads,
-    weighted_line_fit,
 )
 from relaydiv.relay_schemes import gramian
 
@@ -1067,7 +1066,8 @@ def _slope_cdd_config(**overrides):
 
 def _adaptive_trials_of(cfg):
     gram = gramian(build_scheme(cfg))
-    return _grid_trials(cfg, *_grid_guess(cfg, gram, cfg.rate_bits if cfg.r == 0 else None))
+    c, lower, _ = _grid_guess(cfg, gram, cfg.rate_bits if cfg.r == 0 else None)
+    return _grid_trials(cfg, c, lower)
 
 
 def test_adaptive_trials_policy():
@@ -1104,31 +1104,77 @@ def test_adaptive_trial_counts_are_pinned():
 
 
 def test_dm_slope_manifest_records_the_bias_of_its_slope_correction(tmp_path):
+    # d_hat = d_hat_raw + d_theory - d_curve, with d_curve an independent
+    # weighted fit of log2 P_I, the exact Gramian-I curve, on the run's points
     args = ["dm-slope", "--k", "2", "--n", "4", "--r", "0.25", "--snr-db", "20,25,30",
             "--trials", "20000", "--seed", "1"]
     out = tmp_path / "s.csv"
     assert main(args + ["--scheme", "cdd", "--out", str(out)]) == EXIT_OK
     manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
     assert "trial_guess" not in manifest  # fixed trials take no guess
-    # the d_hat that the exact Gramian-I curve gives with the run's weights
+    assert manifest["slope_calibration"] == SLOPE_CALIBRATION == 2 and "d_hat_bias" not in manifest
     cfg = _sweep_config(experiment="dm-slope", snr_db=(20.0, 25.0, 30.0), trials="20000", seed=1)
     curve, report = run_dm_slope(cfg)
     x, _, w = fit_points(curve)
-    gram = gramian(build_scheme(cfg))
     rhos = [_rho(db) for db in cfg.snr_db]
-    exact, _ = jensen_outage_interval(gram, [outage_constant(4, 0.25 * math.log2(rho), rho) for rho in rhos])
-    upper = [analytic_jensen_bracket(gram, 0.25, rho)[1] for rho in rhos]
-    d_exact = -weighted_line_fit(x, np.log2(exact), w)[1] + 1.0 + weighted_line_fit(x, np.log2(upper), w)[1]
+    exact, _ = jensen_outage_interval(gramian(build_scheme(cfg)),
+                                      [outage_constant(4, 0.25 * math.log2(rho), rho) for rho in rhos])
+    d_curve = -np.polyfit(x, np.log2(exact), 1, w=np.sqrt(w))[0]
     assert report.points_used == 3
-    assert manifest["d_hat_bias"] == report.d_hat_bias == pytest.approx(d_exact - 1.0, abs=1e-12)
-    # no exact curve for a Gramian other than I
+    assert manifest["d_hat"] == report.d_hat
+    assert report.d_hat == pytest.approx(report.d_hat_raw + 1.0 - d_curve, abs=1e-12)
+    # a Gramian other than I calibrates on the interval's upper end
     rng = np.random.default_rng(2913)
     scheme = str(tmp_path / "haar.txt")
     save_scheme_file(scheme, custom_scheme(
         [np.linalg.qr(complex_gaussian(rng, (4, 4)))[0] / 2.0 for _ in range(2)]))
     assert main(args + ["--scheme", scheme, "--out", str(out)]) == EXIT_OK
     manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
-    assert manifest["d_hat_bias"] is None and math.isfinite(manifest["d_hat"])
+    assert "d_hat_bias" not in manifest and math.isfinite(manifest["d_hat"])
+
+
+def test_dm_slope_takes_no_bracket(tmp_path, monkeypatch):
+    from relaydiv import experiment_cli
+
+    def refuse(*args):
+        raise AssertionError("dm-slope took the bracket")
+
+    monkeypatch.setattr(experiment_cli, "analytic_jensen_bracket", refuse)
+    out = tmp_path / "s.csv"
+    assert main(["dm-slope", "--scheme", "cdd", "--k", "2", "--n", "4", "--r", "0.25",
+                 "--snr-db", "20,25,30", "--trials", "20000", "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    assert math.isfinite(_strict_json(Path(str(out) + ".manifest.json").read_text())["d_hat"])
+
+
+def _near_singular_scheme(tmp_path):
+    # G2 = diag(1, e^(i 1e-7)) / sqrt(2) beside G1 = I / sqrt(2): K = N = 2,
+    # lambda_min = 1.6e-15, so c / lambda_min puts P_I at 1 on every grid
+    g = np.eye(2) / np.sqrt(2)
+    path = str(tmp_path / "near.txt")
+    save_scheme_file(path, custom_scheme([g, g @ np.diag([1.0, np.exp(1e-7j)])]))
+    return path
+
+
+def test_a_near_singular_gramian_brackets_to_an_upper_end_of_1(tmp_path):
+    out = tmp_path / "a.csv"
+    assert main(["analytic-curve", "--scheme", _near_singular_scheme(tmp_path), "--k", "2",
+                 "--n", "2", "--r", "0.25", "--snr-db", "20", "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["upper"] for row in rows] == ["1.0"] and 0.0 < float(rows[0]["lower"]) < 1.0
+    assert _strict_json(Path(str(out) + ".manifest.json").read_text())["bracket_law"] == 2
+
+
+def test_a_near_singular_gramian_leaves_d_hat_uncalibrated(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["dm-slope", "--scheme", _near_singular_scheme(tmp_path), "--k", "2", "--n", "2",
+                 "--r", "0.25", "--snr-db", "20,25,30", "--min-trials", "1000",
+                 "--max-trials", "2000", "--out", str(out)]) == EXIT_OK
+    warning = "warning: the Jensen-outage interval's upper end is 1 at a fit point, so d_hat cannot be calibrated"
+    assert capsys.readouterr().err == warning + "\n"
+    manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["status"] == warning and manifest["d_hat"] is None
+    assert math.isfinite(manifest["d_hat_raw"]) and manifest["points_used"] == 3
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

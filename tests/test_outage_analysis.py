@@ -1,4 +1,4 @@
-"""Bessel/CDF machinery, Monte Carlo estimators, bounds, and slope fits."""
+"""Product-Rayleigh law, Monte Carlo estimators, bounds, and slope fits."""
 
 import dataclasses
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, k1
 
 from relaydiv import (
     Codebook,
@@ -23,7 +23,6 @@ from relaydiv import (
     ProbEstimate,
     ResourceLimitError,
     analytic_jensen_bracket,
-    bessel_k1,
     custom_scheme,
     cyclic_delay_scheme,
     effective_channel,
@@ -49,8 +48,7 @@ from relaydiv.information import ldl_factors, mi_from_factors, spectral_factors
 from relaydiv.outage_analysis import resolve_threads, wilson_interval
 from relaydiv.relay_schemes import RelayScheme, common_spectra, pair_products
 
-# Frozen from the integral representation of K1 (quadrature oracle below).
-K1_AT_ONE = 0.6019072301972346
+EULER_GAMMA = 0.5772156649015329
 
 
 def k1_quadrature(x):
@@ -81,82 +79,75 @@ def product_cdf_quadrature(t):
     return head + tail
 
 
+def product_rayleigh_reference(x):
+    # F(x) = 1 - 2x K1(2x) from scipy's K1 where F >= 0.39, and below x = 0.5
+    # the cancellation-free series F = x^2 sum_k x^2k / (k! (k+1)!)
+    # (-2 ln x + psi(k+1) + psi(k+2)), whose terms are all positive there;
+    # within 6.7e-16 relative of 40-digit mpmath on 5900 points in [1e-8, 20]
+    if x >= 0.5:
+        return 1.0 - 2.0 * x * k1(2.0 * x)
+    q, term, harmonic, total = x * x, 1.0, 0.0, 0.0
+    for k in range(40):
+        total += term * (-2.0 * math.log(x) - 2.0 * EULER_GAMMA + 2.0 * harmonic + 1.0 / (k + 1))
+        harmonic += 1.0 / (k + 1)
+        term *= q / ((k + 1) * (k + 2))
+    return q * total
+
+
 # ---------------------------------------------------------------------------
-# bessel_k1 and product_rayleigh_cdf
+# product_rayleigh_cdf
 # ---------------------------------------------------------------------------
-
-def test_k1_domain():
-    with pytest.raises(InvalidParameterError):
-        bessel_k1(0.0)
-    with pytest.raises(InvalidParameterError):
-        bessel_k1(-1.0)
-
-
-def test_k1_small_argument_asymptote():
-    x = 1e-4
-    assert abs(x * bessel_k1(x) - 1.0) < 1e-4
-
-
-def test_k1_at_one_matches_frozen_oracle_value():
-    assert bessel_k1(1.0) == pytest.approx(K1_AT_ONE, abs=1e-12)
-    assert abs(bessel_k1(1.0) - k1_quadrature(1.0)) < 1e-9
-
-
-def test_k1_against_quadrature_grid():
-    for x in [0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 8.0, 8.9, 9.1, 12.0, 20.0, 30.0]:
-        assert abs(bessel_k1(x) - k1_quadrature(x)) < 1e-9
-
-
-def test_k1_large_argument_asymptote():
-    # K1(x) e^x sqrt(2x/pi) = 1 + 3/(8x) + O(x^-2), so the leading-term
-    # ratio sits at 1 + 7.5e-3 for x = 50 and reaches the 1e-3 band at
-    # x ~ 375; check both the first-order form and the plain limit
-    x = 50.0
-    ratio = bessel_k1(x) * math.exp(x) * math.sqrt(2 * x / math.pi)
-    assert abs(ratio - (1.0 + 3.0 / (8.0 * x))) < 1e-4
-    x = 400.0
-    ratio = bessel_k1(x) * math.exp(x) * math.sqrt(2 * x / math.pi)
-    assert abs(ratio - 1.0) < 1e-3
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(offset=st.floats(1e-15, 1e-9))
-def test_k1_is_continuous_across_the_series_crossover(offset):
-    # each branch is within 1e-12 absolute of K1, so the jump at x = 9 is
-    # bounded by 2e-12 absolute; the true slope adds at most ~1e-13
-    assert abs(bessel_k1(9.0 - offset) - bessel_k1(9.0 + offset)) <= 2e-12
-
-
-def test_k1_huge_argument_underflows_gracefully():
-    assert bessel_k1(700.0) > 0.0
-    assert bessel_k1(800.0) == 0.0
-
 
 def test_product_rayleigh_cdf_boundaries():
     assert product_rayleigh_cdf(0.0) == 0.0
-    assert product_rayleigh_cdf(20.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        product_rayleigh_cdf(-0.1)
+    # 1 - F(20) < 3.4e-17 is below half an ulp of 1, so F rounds to 1 there
+    for x in (20.0, 1e200, math.inf):
+        assert product_rayleigh_cdf(x) == 1.0
+    assert 1.0 - 1e-15 < product_rayleigh_cdf(19.0) < 1.0
+    # x^2 underflows: F < 1e-316 up to x = 1e-160
+    assert product_rayleigh_cdf(1e-170) == 0.0 and 0.0 < product_rayleigh_cdf(1e-159) < 1e-315
+    for bad in (-0.1, math.nan, -math.inf, [0.5, math.nan], np.array([1.0, -1e-300])):
+        with pytest.raises(InvalidParameterError):
+            product_rayleigh_cdf(bad)
+
+
+def test_product_rayleigh_cdf_matches_an_independent_reference():
+    grid = np.concatenate([np.geomspace(1e-8, 20.0, 2500), np.linspace(0.0, 20.0, 2501)[1:]])
+    want = np.array([product_rayleigh_reference(x) for x in grid])
+    assert np.max(np.abs(product_rayleigh_cdf(grid) / want - 1.0)) <= 1e-13
+
+
+def test_product_rayleigh_cdf_of_an_array_is_its_scalar_values_bit_for_bit():
+    # an array this long takes numpy's in-place paths for temporaries of
+    # 256 KiB or more, which the scalar calls do not
+    grid = np.concatenate([[0.0, 1e-170, 1e-9], np.linspace(1e-4, 20.0, 2000), [25.0, math.inf]])
+    values = product_rayleigh_cdf(grid)
+    picked = np.arange(0, grid.size, 10)
+    scalars = [product_rayleigh_cdf(float(x)) for x in grid[picked]]
+    assert all(type(v) is float for v in scalars)
+    assert values[picked].tobytes() == np.array(scalars).tobytes()
+    assert product_rayleigh_cdf(grid.reshape(5, -1)).tobytes() == values.tobytes()
 
 
 def test_product_rayleigh_cdf_matches_the_k1_quadrature_on_both_branches():
-    # F(x) = 1 - 2x K1(2x); from x = 4.5 (z = 2x = 9) on, F takes the
-    # asymptotic branch of K1, so the grid brackets that crossover
+    # F(x) = 1 - 2x K1(2x) against an independent quadrature of K1
     for x in [0.05, 1.0, 2.5, 4.0, 4.45, 4.55, 6.0, 10.0, 15.0]:
-        assert abs(product_rayleigh_cdf(x) - (1.0 - 2.0 * x * k1_quadrature(2.0 * x))) <= 1e-11
+        assert abs(product_rayleigh_cdf(x) - (1.0 - 2.0 * x * k1_quadrature(2.0 * x))) <= 2e-13
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(offset=st.floats(1e-15, 1e-9))
 def test_product_rayleigh_cdf_is_continuous_across_the_series_crossover(offset):
-    # z K1(z) scales K1's branch errors (each within 1e-12) by z = 9, so F's
-    # jump at x = 4.5 is bounded by 2e-11 absolute
-    assert abs(product_rayleigh_cdf(4.5 - offset) - product_rayleigh_cdf(4.5 + offset)) <= 2e-11
+    # the contour has no branch at x = 4.5: F's slope there (~1e-3) moves it by
+    # under 2e-12 over 2e-9, and the contour's own error is ~1e-14
+    assert abs(product_rayleigh_cdf(4.5 - offset) - product_rayleigh_cdf(4.5 + offset)) <= 3e-12
 
 
 def test_product_rayleigh_cdf_monotone_grid():
-    grid = np.linspace(0.0, 10.0, 1000)
-    values = np.array([product_rayleigh_cdf(x) for x in grid])
+    # 1e5 points in chunks, each x's value being independent of the chunk;
+    # past x ~ 13.7 the contour's rounding can step F down by a few ulps of 1
+    grid = np.linspace(0.0, 10.0, 100_001)
+    values = np.concatenate([product_rayleigh_cdf(part) for part in np.array_split(grid, 10)])
     assert np.all(np.diff(values) >= 0)
     assert np.all((values >= 0) & (values <= 1))
 
@@ -165,14 +156,15 @@ def test_product_rayleigh_cdf_equals_exponential_product_law():
     # |f h|^2 is a product of two unit-mean exponentials
     for x in [0.05, 0.3, 1.0, 2.5]:
         assert product_rayleigh_cdf(x) == pytest.approx(
-            product_cdf_quadrature(x * x), abs=1e-9
+            product_cdf_quadrature(x * x), abs=1e-13
         )
 
 
 def test_product_rayleigh_cdf_small_argument_keeps_relative_precision():
+    # the leading term's relative error at x = 1e-5 is ~x^2 = 1e-10
     x = 1e-5
-    want = x * x * (2 * math.log(1 / x) + 1 - 2 * 0.5772156649015329)
-    assert product_rayleigh_cdf(x) == pytest.approx(want, rel=1e-4)
+    want = x * x * (2 * math.log(1 / x) + 1 - 2 * EULER_GAMMA)
+    assert product_rayleigh_cdf(x) == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +225,7 @@ def test_jensen_outage_matches_quadrature_oracle_single_relay():
         np.inf,
         limit=400,
     )
-    closed = 1.0 - math.exp(-c) * 2.0 * math.sqrt(c) * bessel_k1(2.0 * math.sqrt(c))
+    closed = 1.0 - math.exp(-c) * 2.0 * math.sqrt(c) * k1(2.0 * math.sqrt(c))
     assert closed == pytest.approx(want, rel=1e-12)
     haar = np.linalg.qr(complex_gaussian(np.random.default_rng(2025), (n, n)))[0]
     runs = [
@@ -789,7 +781,6 @@ def test_outage_argument_validation():
         lambda: simulate_two_hop(scheme, f, h, x, inf, rng),
         lambda: simulate_two_hop(scheme, f, h, x, 10.0, rng, relay_power_scale=inf),
         lambda: simulate_normalized(scheme, f, h, x, inf, rng),
-        lambda: bessel_k1(nan),
         lambda: product_rayleigh_cdf(nan),
     ):
         with pytest.raises(InvalidParameterError):
@@ -881,20 +872,21 @@ def _identity_gram(k, n):
 
 
 def test_scaled_e1_agrees_with_scipy_on_the_contour():
+    # z = c (1/w - 1) on the Jensen contour, and z = x^2 / w on the product law's
     from scipy.special import exp1
 
+    jensen = 1.0 / outage_analysis._contour(0.5, 0.125, 0.05, 601)[0] - 1.0
+    product = 1.0 / outage_analysis._contour(3.0, 0.1, 20.0 / 27.0, 28)[0]
     for c in np.geomspace(1e-8, 40.0, 61):
-        z = c * outage_analysis._contour()[2]
-        want = np.exp(z) * exp1(z)
-        got = outage_analysis._scaled_e1(z)
-        assert np.max(np.abs(got / want - 1)) <= 1e-12, c
+        for z in (c * jensen, c * c / 4.0 * product):
+            want = np.exp(z) * exp1(z)
+            got = outage_analysis._scaled_e1(z[None])[0]
+            assert np.max(np.abs(got / want - 1)) <= 1e-12, c
 
 
 @pytest.mark.parametrize("n", [1, 8])
 def test_single_relay_interval_is_the_closed_form(n):
     # K = 1: P(ab < c (1 + b)) = 1 - e^-c 2 sqrt(c) K1(2 sqrt(c))
-    from scipy.special import k1
-
     gram = _identity_gram(1, n)
     for db in range(5, 85, 5):
         rho = 10 ** (db / 10)
