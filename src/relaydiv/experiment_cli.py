@@ -81,16 +81,16 @@ EXIT_INTERNAL = 4
 
 _SELF_CHECK_SEED = 20240
 
-# Version of the adaptive trials' guess, "trial_guess" in their manifests:
-# 1 was the analytic bracket's lower envelope, 2 the interval's lower end.
-TRIAL_GUESS = 2
-
-# Versions of the closed-form code under a run, in its manifest: dm-slope's
-# "slope_calibration" of d_hat (1 was the bracket's upper envelope, 2 the
-# Jensen-outage interval's upper end) and analytic-curve's "bracket_law",
-# its product-Rayleigh code (1 was a K1 series, 2 a Bromwich contour sum).
-SLOPE_CALIBRATION = 2
-BRACKET_LAW = 2
+# Versions of the closed-form code under a run, in its manifest: the
+# adaptive trials' "trial_guess" (1 was the analytic bracket's lower
+# envelope, 2 and 3 the Jensen-outage interval's lower end), dm-slope's
+# "slope_calibration" of d_hat (1 was the bracket's upper envelope, 2 and 3
+# the interval's upper end) and analytic-curve's "bracket_law", its
+# product-Rayleigh code (1 was a K1 series, 2 and 3 a Bromwich contour sum).
+# Each 2 stopped the E1 sums of a grid, or in F of an x, together.
+TRIAL_GUESS = 3
+SLOPE_CALIBRATION = 3
+BRACKET_LAW = 3
 
 # At interpreter exit CPython's final collections traverse every GC-tracked
 # object (~22k once numpy is imported): 20-30 ms of a 25-40 ms exit on a
@@ -117,7 +117,7 @@ ANALYTIC_CSV_COLUMNS = ("snr_db", "lower", "upper", "theory_exponent")
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-def _key(default, help: str | None = None):
+def _key(default, help: str):
     return field(default=default, metadata={"help": help})
 
 
@@ -133,9 +133,9 @@ class ExperimentConfig:
     r: float = _key(0.0, "multiplexing gain in [0, 1/2]")
     snr_db: tuple[float, ...] = _key((), "comma-separated dB grid")
     trials: str = _key("adaptive", "'adaptive' or a fixed per-point count")
-    min_trials: int = _key(100_000)
-    max_trials: int = _key(10_000_000)
-    min_events: int = _key(20)
+    min_trials: int = _key(100_000, "fewest trials of an adaptive point")
+    max_trials: int = _key(10_000_000, "most trials of an adaptive point")
+    min_events: int = _key(20, "fewest outage events of a point that a slope fit takes")
     rate_bits: float = _key(1.0, "fixed rate target of a slope fit at r = 0")
     outage: str = _key("jensen", "jensen or exact")
     seed: int = _key(1, "64-bit seed")

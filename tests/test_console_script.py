@@ -159,9 +159,9 @@ def test_analytic_curve_writes_ordered_bounds(cli):
 def test_the_manifests_name_the_versions_of_the_closed_form_code(cli):
     _ok(cli, "curve")
     _ok(cli, "slope")
-    assert _manifest(cli[0] / "a.csv")["bracket_law"] == 2
+    assert _manifest(cli[0] / "a.csv")["bracket_law"] == 3
     slope = _manifest(cli[0] / "s.csv")
-    assert slope["slope_calibration"] == 2 and "d_hat_bias" not in slope, slope
+    assert slope["slope_calibration"] == 3 and "d_hat_bias" not in slope, slope
     assert slope["status"] == "ok" and slope["d_hat"] is not None, slope
 
 
@@ -243,6 +243,9 @@ def test_help_names_every_experiment_and_every_key_flag_once():
     keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
     flags = ["--help", "--config"] + ["--" + key.replace("_", "-") for key in keys]
     assert re.findall(r"--[a-z][a-z-]*", listing) == flags, listing
+    # each flag that takes a value is described, on its own line or the next
+    described = re.findall(r"^  (--[a-z][a-z-]*) [A-Z_]+\s+(?!--)\S", listing, re.M)
+    assert described == flags[1:], listing
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

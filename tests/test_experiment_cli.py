@@ -1039,7 +1039,7 @@ def test_an_adaptive_point_that_cannot_be_in_outage_runs_min_trials(tmp_path):
     assert rc == EXIT_OK
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(row["probability"], row["trials"], row["events"]) for row in rows] == [("0.0", "1000", "0")] * 3
-    assert _strict_json(Path(str(out) + ".manifest.json").read_text())["trial_guess"] == TRIAL_GUESS == 2
+    assert _strict_json(Path(str(out) + ".manifest.json").read_text())["trial_guess"] == TRIAL_GUESS == 3
 
 
 def test_an_adaptive_point_always_in_outage_runs_min_trials(tmp_path):
@@ -1112,7 +1112,7 @@ def test_dm_slope_manifest_records_the_bias_of_its_slope_correction(tmp_path):
     assert main(args + ["--scheme", "cdd", "--out", str(out)]) == EXIT_OK
     manifest = _strict_json(Path(str(out) + ".manifest.json").read_text())
     assert "trial_guess" not in manifest  # fixed trials take no guess
-    assert manifest["slope_calibration"] == SLOPE_CALIBRATION == 2 and "d_hat_bias" not in manifest
+    assert manifest["slope_calibration"] == SLOPE_CALIBRATION == 3 and "d_hat_bias" not in manifest
     cfg = _sweep_config(experiment="dm-slope", snr_db=(20.0, 25.0, 30.0), trials="20000", seed=1)
     curve, report = run_dm_slope(cfg)
     x, _, w = fit_points(curve)
@@ -1162,7 +1162,7 @@ def test_a_near_singular_gramian_brackets_to_an_upper_end_of_1(tmp_path):
                  "--n", "2", "--r", "0.25", "--snr-db", "20", "--out", str(out)]) == EXIT_OK
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["upper"] for row in rows] == ["1.0"] and 0.0 < float(rows[0]["lower"]) < 1.0
-    assert _strict_json(Path(str(out) + ".manifest.json").read_text())["bracket_law"] == 2
+    assert _strict_json(Path(str(out) + ".manifest.json").read_text())["bracket_law"] == 3
 
 
 def test_a_near_singular_gramian_leaves_d_hat_uncalibrated(tmp_path, capsys):

@@ -906,6 +906,37 @@ def test_interval_ends_at_gramian_identity_are_the_identity_curve_bit_for_bit():
             assert lower.tobytes() == upper.tobytes() == want.tobytes()
 
 
+def _one_at_a_time(values, curve):
+    return np.array([curve(values[i:i + 1])[0] for i in range(values.size)])
+
+
+def test_identity_curve_of_a_grid_is_its_one_point_values_bit_for_bit():
+    # each E1 sum stops on its own test, so no P_I(c) depends on the other
+    # points of its grid (once c = 2.58 read 1 ulp lower inside this grid)
+    c = np.array([0.0019180262492131505, 2.581119414364609, 10.586491453035901, 19.22872839635624])
+    curve = lambda c: outage_analysis._identity_outage(c, 4)
+    assert curve(c).tobytes() == _one_at_a_time(c, curve).tobytes()
+    rng = np.random.default_rng(3200)
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        c = np.exp(rng.uniform(math.log(1e-9), math.log(40.0), int(rng.integers(1, 9))))
+        curve = lambda c: outage_analysis._identity_outage(c, k)
+        assert curve(c).tobytes() == _one_at_a_time(c, curve).tobytes(), (k, c)
+
+
+def test_interval_of_a_grid_is_its_one_point_values_bit_for_bit():
+    rng = np.random.default_rng(3201)
+    for k, n in [(2, 4), (3, 8)]:
+        gram = gramian(custom_scheme(
+            [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)]))
+        assert gram.lambda_min < gram.lambda_max
+        for _ in range(40):
+            c = np.exp(rng.uniform(math.log(1e-9), math.log(40.0), int(rng.integers(2, 9))))
+            for end in (0, 1):
+                curve = lambda c: outage_analysis.jensen_outage_interval(gram, c)[end]
+                assert curve(c).tobytes() == _one_at_a_time(c, curve).tobytes(), (k, end, c)
+
+
 def test_interval_limits():
     identity, twin = _identity_gram(2, 4), gramian(RelayScheme((np.eye(4) / 2.0,) * 2))
     assert twin.lambda_min == 0.0
