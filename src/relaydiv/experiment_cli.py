@@ -43,7 +43,7 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from .information import jensen_form, jensen_mi, mutual_information
+from .information import PRODUCTS_SUB_BLOCK, jensen_form, jensen_mi, mutual_information
 from .outage_analysis import (
     FADING_STREAM,
     MAX_THREADS,
@@ -108,6 +108,9 @@ atexit.register(gc.freeze)
 # with r <= 1/2 stays a float.
 SNR_DB_MAX = 10.0 * math.log10(RHO_MAX)
 
+# Most bytes validate admits for the largest arrays a run's (K, N) builds.
+ARRAY_BYTES_CAP = 1 << 31
+
 OUTAGE_CSV_COLUMNS = ("snr_db", "probability", "ci_low", "ci_high", "trials", "events")
 DM_SLOPE_EXTRA_COLUMNS = ("d_hat", "d_hat_raw", "d_hat_stderr", "d_theory")
 ANALYTIC_CSV_COLUMNS = ("snr_db", "lower", "upper", "theory_exponent")
@@ -153,10 +156,23 @@ class ExperimentConfig:
                     f"{f.name} = {value!r} cannot be written to a config file: it must be "
                     "one line with no '#', no leading '[' and no surrounding blanks"
                 )
+        try:
+            resolve_threads(self.threads)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from None
         if not EXPERIMENTS[self.experiment].scheme:
             return
         if self.k < 1 or self.n < self.k:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        # complex entries of the scheme and of the two built-in stacks it is
+        # compared with, and for exact MI of the K^2 N^2 pair-products table
+        # and an N(N+1)/2-row LDL^H sub-block
+        entries = 3 * self.k * self.n**2
+        if self.outage == "exact":
+            entries += (self.k * self.n) ** 2 + self.n * (self.n + 1) // 2 * PRODUCTS_SUB_BLOCK
+        if 16 * entries > ARRAY_BYTES_CAP:
+            raise ResourceLimitError(f"arrays for k={self.k}, n={self.n} too large (bytes)",
+                                     16 * entries, ARRAY_BYTES_CAP)
         if not 0.0 <= self.r <= 0.5:
             raise ConfigError(f"r must lie in [0, 1/2], got {self.r}")
         if not self.snr_db:
@@ -248,7 +264,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         if "=" not in line:
             raise FileFormatError(origin, lineno, 1, "expected 'key = value'")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip()
         val = val.strip()
         if not key or not val:
             raise FileFormatError(origin, lineno, 1, "empty key or value")
@@ -372,10 +388,9 @@ def save_codebook_file(path: str, book: Codebook) -> None:
 
 
 def build_scheme(cfg: ExperimentConfig) -> RelayScheme:
-    name = cfg.scheme.lower()
-    if name == "cdd":
+    if cfg.scheme == "cdd":
         return cyclic_delay_scheme(cfg.k, cfg.n)
-    if name in ("phase-rolling", "phase_rolling"):
+    if cfg.scheme == "phase-rolling":
         return phase_rolling_scheme(cfg.k, cfg.n)
     scheme = load_scheme_file(cfg.scheme)
     if scheme.num_relays != cfg.k or scheme.block_length != cfg.n:
@@ -871,7 +886,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
-        resolve_threads(cfg.threads)
         experiment = EXPERIMENTS[cfg.experiment]
         if experiment.columns and not cfg.out:
             raise ConfigError(f"{cfg.experiment} writes a CSV; set out= or --out")

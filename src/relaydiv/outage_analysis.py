@@ -547,34 +547,27 @@ def product_rayleigh_cdf(x):
     return p if p.ndim else float(p)
 
 
-def _identity_outage(c: np.ndarray, k: int) -> np.ndarray:
-    """P_I(c) = P(sum_k a_k b_k < c (1 + sum_k b_k)) for a, b iid Exp(1),
-    the Jensen outage probability of a K-relay scheme with Gramian I, at
-    each c >= 0: _bromwich at g = 1, t = c, so each value in a grid has the
-    bits of its one-point call.  c = 0 is never in outage, and from
-    c = ln K + 38 on, 1 - P_I <= K e^-c is below half an ulp of 1."""
-    p = np.where(c > 0, 1.0, 0.0)
-    live = (c > 0) & (c < math.log(k) + 38.0)
-    p[live] = _bromwich(c[live], 1.0, k)
-    return np.clip(p, 0.0, 1.0)
-
-
 def jensen_outage_interval(gram: GramianSummary, c) -> tuple[np.ndarray, np.ndarray]:
     """(P_I(c / lambda_max), P_I(c / lambda_min)) over the outage constants
     ``c`` (outage_constant, broadcast), bounds of the Jensen outage
     probability at Gramian ``gram``, whose Jensen form lies between
-    lambda_min and lambda_max times the form at Gramian I.  Both ends are
-    P_I(c) at Gramian I; a singular Gramian's upper end is 1."""
+    lambda_min and lambda_max times the form at Gramian I.  P_I(t) =
+    P(sum_k a_k b_k < t (1 + sum_k b_k)) for a, b iid Exp(1) is the Jensen
+    outage probability at Gramian I: both ends are one _bromwich pass at
+    g = 1, and each value has the bits of its one-point call.  t = 0 is never
+    in outage, and from t = ln K + 38 on, 1 - P_I <= K e^-t is below half an
+    ulp of 1; a singular Gramian's upper end is t = inf, so it is 1."""
     c = np.asarray(c, dtype=float)
     if not np.all(c >= 0):
         raise InvalidParameterError("outage constants must be >= 0")
     k = gram.gram.shape[0]
-    lower = _identity_outage(c / gram.lambda_max, k)
-    if gram.lambda_min == gram.lambda_max:
-        return lower, lower
-    if gram.lambda_min <= 0:
-        return lower, np.ones_like(c)
-    return lower, _identity_outage(c / gram.lambda_min, k)
+    ends = (gram.lambda_max,) if gram.lambda_min == gram.lambda_max else (gram.lambda_max, gram.lambda_min)
+    t = np.array([c / lam if lam > 0 else np.full_like(c, math.inf) for lam in ends])
+    p = np.where(t > 0, 1.0, 0.0)
+    live = (t > 0) & (t < math.log(k) + 38.0)
+    p[live] = _bromwich(t[live], 1.0, k)
+    p = np.clip(p, 0.0, 1.0)
+    return p[0], p[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +602,14 @@ def fit_diversity_slope(points, min_events: int = 20) -> SlopeEstimate:
     """Weighted least-squares slope of log2(probability) vs log2(rho) over a
     sequence of estimates, in any order; d_hat is the negated slope.  Points
     with fewer than ``min_events`` events are excluded; at least two usable
-    points are required."""
+    points at two or more SNRs are required."""
     used = tuple(i for i, p in enumerate(points) if p.events >= min_events and p.probability > 0)
     if len(used) < 2:
         raise InsufficientDataError(
             f"need >= 2 points with >= {min_events} events, have {len(used)}"
         )
+    if len({points[i].snr_db for i in used}) < 2:
+        raise InsufficientDataError("the usable points share one snr_db, so they fix no slope")
     x, y, w = fit_points([points[i] for i in used])
     _, slope, stderr = weighted_line_fit(x, y, w)
     return SlopeEstimate(d_hat=-slope, stderr=stderr, used=used)

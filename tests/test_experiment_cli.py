@@ -24,6 +24,7 @@ from relaydiv import (
     ConfigError,
     FileFormatError,
     InvalidParameterError,
+    ResourceLimitError,
     SchemeInvalidError,
     custom_scheme,
     cyclic_delay_scheme,
@@ -125,6 +126,63 @@ def test_config_validation_rules():
         config_from_mapping({**base, "snr_db": (25.0, 20.0)})
     with pytest.raises(ConfigError):
         config_from_mapping({**base, "trials": "sometimes"})
+
+
+def test_config_decides_threads_itself():
+    base = dict(experiment="outage-sweep", scheme="cdd", snr_db=(20.0,), seed=1)
+    for threads in (0, 257):
+        with pytest.raises(ConfigError, match="threads"):
+            config_from_mapping({**base, "threads": threads})
+    with pytest.raises(ConfigError, match="threads"):
+        config_from_mapping({"experiment": "self-check", "threads": 0})
+    assert config_from_mapping({**base, "threads": 256}).threads == 256
+
+
+def test_config_reads_each_input_in_its_one_spelling(tmp_path, capsys):
+    # a config key is the field name, and a built-in scheme is named as
+    # --help names it: any other spelling is read as a scheme file path
+    with pytest.raises(ConfigError, match="unknown config key 'snr-db'"):
+        config_from_mapping(parse_config_text("experiment = outage-sweep\nsnr-db = [20]\n"))
+    for name in ("CDD", "phase_rolling", "Phase-Rolling"):
+        out = tmp_path / "o.csv"
+        assert main(["outage-sweep", "--scheme", name, "--k", "2", "--n", "4", "--r", "0.25",
+                     "--snr-db", "20", "--trials", "1000", "--out", str(out)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_block_length_too_large_to_build_is_refused_before_any_array(tmp_path, capsys):
+    # the scheme alone would be 43 GB; the address space is capped 1 GiB
+    # above its size, so that a build that is not refused fails fast
+    # rather than exhausting the host's memory
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("needs Linux's /proc/self/statm")
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    hard = limits[1]
+    cap = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["analytic-curve", "--k", "1", "--n", "30000", "--r", "0.25",
+                   "--snr-db", "20", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert rc == EXIT_RESOURCE
+    assert "k=1, n=30000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 1 << 20
+
+
+def test_the_array_cap_admits_every_size_the_fuzz_tests_draw_and_refuses_k_n_128():
+    # the round-trip fuzz draws k <= 64 and n <= k + 64, either estimator
+    base = dict(experiment="outage-sweep", snr_db=(20.0,), outage="exact")
+    config_from_mapping({**base, "k": 64, "n": 128})
+    with pytest.raises(ResourceLimitError):
+        config_from_mapping({**base, "k": 128, "n": 128})
 
 
 def test_canonical_text_round_trips():

@@ -871,6 +871,11 @@ def _identity_gram(k, n):
     return gramian(cyclic_delay_scheme(k, n))
 
 
+def _identity_curve(c, k):
+    """P_I(c), the Jensen outage probability at Gramian I."""
+    return outage_analysis.jensen_outage_interval(_identity_gram(k, k), c)[0]
+
+
 def test_scaled_e1_agrees_with_scipy_on_the_contour():
     # z = c (1/w - 1) on the Jensen contour, and z = x^2 / w on the product law's
     from scipy.special import exp1
@@ -902,7 +907,7 @@ def test_interval_ends_at_gramian_identity_are_the_identity_curve_bit_for_bit():
     for make in (cyclic_delay_scheme, phase_rolling_scheme):
         for k in (1, 2, 3, 4):
             lower, upper = outage_analysis.jensen_outage_interval(gramian(make(k, 8)), c)
-            want = outage_analysis._identity_outage(c, k)
+            want = _identity_curve(c, k)
             assert lower.tobytes() == upper.tobytes() == want.tobytes()
 
 
@@ -914,13 +919,13 @@ def test_identity_curve_of_a_grid_is_its_one_point_values_bit_for_bit():
     # each E1 sum stops on its own test, so no P_I(c) depends on the other
     # points of its grid (once c = 2.58 read 1 ulp lower inside this grid)
     c = np.array([0.0019180262492131505, 2.581119414364609, 10.586491453035901, 19.22872839635624])
-    curve = lambda c: outage_analysis._identity_outage(c, 4)
+    curve = lambda c: _identity_curve(c, 4)
     assert curve(c).tobytes() == _one_at_a_time(c, curve).tobytes()
     rng = np.random.default_rng(3200)
     for _ in range(300):
         k = int(rng.integers(1, 9))
         c = np.exp(rng.uniform(math.log(1e-9), math.log(40.0), int(rng.integers(1, 9))))
-        curve = lambda c: outage_analysis._identity_outage(c, k)
+        curve = lambda c: _identity_curve(c, k)
         assert curve(c).tobytes() == _one_at_a_time(c, curve).tobytes(), (k, c)
 
 
@@ -935,6 +940,18 @@ def test_interval_of_a_grid_is_its_one_point_values_bit_for_bit():
             for end in (0, 1):
                 curve = lambda c: outage_analysis.jensen_outage_interval(gram, c)[end]
                 assert curve(c).tobytes() == _one_at_a_time(c, curve).tobytes(), (k, end, c)
+
+
+def test_interval_ends_are_the_identity_curve_at_c_over_each_extreme_bit_for_bit():
+    # both ends come from one pass, each with the bits of its own curve
+    rng = np.random.default_rng(3202)
+    for k, n in [(2, 4), (3, 8)]:
+        gram = gramian(custom_scheme(
+            [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] / np.sqrt(n) for _ in range(k)]))
+        c = np.exp(rng.uniform(math.log(1e-9), math.log(40.0), 12))
+        lower, upper = outage_analysis.jensen_outage_interval(gram, c)
+        assert lower.tobytes() == _identity_curve(c / gram.lambda_max, k).tobytes()
+        assert upper.tobytes() == _identity_curve(c / gram.lambda_min, k).tobytes()
 
 
 def test_interval_limits():
@@ -1048,6 +1065,17 @@ def test_fit_excludes_starved_points_and_requires_two():
     assert fit.used == (0, 1)  # the 1e-9 point has ~0 events
     with pytest.raises(InsufficientDataError):
         fit_diversity_slope(curve, min_events=10**9)
+
+
+def test_fit_refuses_points_that_share_one_snr():
+    # two copies of one point leave the normal matrix singular
+    same = [ProbEstimate(20.0, 1000, 100)] * 2
+    with pytest.raises(InsufficientDataError, match="share one snr_db"):
+        fit_diversity_slope(same)
+    # a starved point at another SNR does not count
+    with pytest.raises(InsufficientDataError, match="share one snr_db"):
+        fit_diversity_slope(same + [ProbEstimate(30.0, 1000, 3)])
+    assert fit_diversity_slope(same + [ProbEstimate(30.0, 1000, 30)]).used == (0, 1, 2)
 
 
 def test_fit_end_to_end_on_jensen_outage():
