@@ -29,8 +29,10 @@ RANK_REL_TOL = 1e-12
 
 DEFAULT_SIZE_CAP = 65536
 
-# Codeword pairs per block of a pass over a book's pairs.
+# Most codeword pairs, and most Phi entries (pairs times N^2, which bounds
+# pairs times N K), per block of a pass over a book's pairs.
 PAIR_BLOCK = 1 << 14
+PHI_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,9 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
 
     Returns +inf for single-codeword books (vacuous minimum).  Swapping a
     pair negates dx and leaves the Gramian unchanged, so unordered pairs
-    suffice.  Pairs are taken PAIR_BLOCK at a time, so memory stays
-    bounded at any book size; every step is per pair, so the block size
-    cannot change the result.
+    suffice.  Pairs are taken a pair_blocks block at a time, so memory
+    stays bounded at any book size; every step is per pair, so the block
+    size cannot change the result.
     """
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
@@ -173,7 +175,8 @@ def _min_gram(phi: np.ndarray) -> float:
 
 def pair_blocks(book: Codebook):
     """(a, b, words[a] - words[b]) over the codeword pairs a < b of a book,
-    index arrays in np.triu_indices order, PAIR_BLOCK pairs at a time.
+    index arrays in np.triu_indices order, PAIR_BLOCK pairs at a time, or
+    fewer once their N^2 entries each would pass PHI_ENTRIES (at N > 16).
     Pair p lies in row a = max{a : starts[a] <= p}, where starts[a] counts
     the pairs of the rows before a, and b = a + 1 + p - starts[a]: each
     block follows from its pair numbers alone, and only starts grows with
@@ -182,8 +185,9 @@ def pair_blocks(book: Codebook):
     rows = np.arange(size)
     starts = rows * (2 * size - 1 - rows) // 2
     pairs = size * (size - 1) // 2
-    for lo in range(0, pairs, PAIR_BLOCK):
-        p = np.arange(lo, min(lo + PAIR_BLOCK, pairs))
+    block = min(PAIR_BLOCK, max(1, PHI_ENTRIES // words.shape[1] ** 2))
+    for lo in range(0, pairs, block):
+        p = np.arange(lo, min(lo + block, pairs))
         a = np.searchsorted(starts, p, "right") - 1
         b = p - starts[a] + a + 1
         yield a, b, words[a] - words[b]

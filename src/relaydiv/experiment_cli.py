@@ -165,10 +165,10 @@ class ExperimentConfig:
         if self.k < 1 or self.n < self.k:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         # complex entries of the scheme and of the two built-in stacks it is
-        # compared with, and for exact MI of the K^2 N^2 pair-products table
-        # and an N(N+1)/2-row LDL^H sub-block
+        # compared with, and for an exact-MI Monte Carlo run of the K^2 N^2
+        # pair-products table and an N(N+1)/2-row LDL^H sub-block
         entries = 3 * self.k * self.n**2
-        if self.outage == "exact":
+        if self.outage == "exact" and EXPERIMENTS[self.experiment].monte_carlo:
             entries += (self.k * self.n) ** 2 + self.n * (self.n + 1) // 2 * PRODUCTS_SUB_BLOCK
         if 16 * entries > ARRAY_BYTES_CAP:
             raise ResourceLimitError(f"arrays for k={self.k}, n={self.n} too large (bytes)",
@@ -489,16 +489,6 @@ def _rho(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _grid_guess(cfg: ExperimentConfig, gram: GramianSummary, rate_bits: float | None):
-    """Each grid point's outage constant c and the lower and upper ends of
-    its Jensen-outage interval, as arrays over the grid, from the one
-    Gramian."""
-    rhos = [_rho(db) for db in cfg.snr_db]
-    rates = [cfg.r * math.log2(rho) if rate_bits is None else rate_bits for rho in rhos]
-    c = np.array([outage_constant(gram.block_length, rate, rho) for rate, rho in zip(rates, rhos)])
-    return (c, *jensen_outage_interval(gram, c))
-
-
 def _grid_trials(cfg: ExperimentConfig, c, lower) -> list[int]:
     """Each grid point's trials: fixed, or adaptive ones aimed at 200 events
     at ``lower``, the lower end of the point's Jensen-outage interval, and
@@ -513,28 +503,32 @@ def _grid_trials(cfg: ExperimentConfig, c, lower) -> list[int]:
             for point_c, p in zip(c, lower)]
 
 
-def _sweep_curve(cfg: ExperimentConfig, scheme: RelayScheme, trials: list, *,
-                 rate_bits: float | None) -> tuple[ProbEstimate, ...]:
+def _sweep(cfg: ExperimentConfig, scheme: RelayScheme, gram: GramianSummary | None,
+           rate_bits: float | None) -> tuple[tuple[ProbEstimate, ...], np.ndarray | None]:
+    """The grid's estimates and the upper ends of their Jensen-outage
+    intervals from the one Gramian ``gram``, at whose lower ends adaptive
+    trials aim; no Gramian (fixed trials only) gives no upper ends.  The
+    threshold is ``rate_bits``, or r log2(rho) when that is None."""
+    rhos = [_rho(db) for db in cfg.snr_db]
+    c = lower = upper = None
+    if gram is not None:
+        rates = [cfg.r * math.log2(rho) if rate_bits is None else rate_bits for rho in rhos]
+        c = np.array([outage_constant(gram.block_length, rate, rho) for rate, rho in zip(rates, rhos)])
+        lower, upper = jensen_outage_interval(gram, c)
     estimator = mc_jensen_outage if cfg.outage == "jensen" else mc_exact_outage
     points = []
-    for index, (db, count) in enumerate(zip(cfg.snr_db, trials)):
-        est = estimator(
-            scheme, cfg.r, _rho(db), count, point_seed(cfg.seed, index),
-            rate_bits=rate_bits, threads=cfg.threads,
-        )
+    for index, (db, rho, count) in enumerate(zip(cfg.snr_db, rhos, _grid_trials(cfg, c, lower))):
+        est = estimator(scheme, cfg.r, rho, count, point_seed(cfg.seed, index), rate_bits=rate_bits,
+                        threads=cfg.threads)
         points.append(dataclasses.replace(est, snr_db=float(db)))
-    return tuple(points)
+    return tuple(points), upper
 
 
 def run_outage_sweep(cfg: ExperimentConfig) -> tuple[ProbEstimate, ...]:
-    """One outage estimate per grid point; threshold is r log2(rho) per the
-    outage definition, so an r = 0 sweep reports exact zeros.  Only adaptive
-    trials need the Gramian, for the Jensen-outage interval."""
+    """One outage estimate per grid point at threshold r log2(rho), so an
+    r = 0 sweep reports exact zeros; only adaptive trials take the Gramian."""
     scheme = build_scheme(cfg)
-    c = lower = None
-    if cfg.trials == "adaptive":
-        c, lower, _ = _grid_guess(cfg, gramian(scheme), None)
-    return _sweep_curve(cfg, scheme, _grid_trials(cfg, c, lower), rate_bits=None)
+    return _sweep(cfg, scheme, gramian(scheme) if cfg.trials == "adaptive" else None, None)[0]
 
 
 @dataclass
@@ -568,9 +562,7 @@ def run_dm_slope(cfg: ExperimentConfig) -> tuple[tuple[ProbEstimate, ...], Slope
     if gram.lambda_min <= 0:
         raise ConfigError("dm-slope calibrates d_hat on P_I(c / lambda_min), which needs "
                           "a full-rank Gramian (lambda_min > 0)")
-    rate_bits = cfg.rate_bits if cfg.r == 0 else None
-    c, lower, upper = _grid_guess(cfg, gram, rate_bits)
-    curve = _sweep_curve(cfg, scheme, _grid_trials(cfg, c, lower), rate_bits=rate_bits)
+    curve, upper = _sweep(cfg, scheme, gram, cfg.rate_bits if cfg.r == 0 else None)
     report = SlopeReport(d_theory=cfg.k * (1.0 - 2.0 * cfg.r))
     try:
         fit = fit_diversity_slope(curve, min_events=cfg.min_events)
@@ -839,11 +831,12 @@ class Experiment(NamedTuple):
     columns: tuple = ()  # CSV header; a CSV experiment requires out= and writes a manifest
     scheme: bool = True  # validates the scheme, grid and estimator keys
     outage_grid: bool = True  # evaluates outage at each grid point, which needs rho > 1
+    monte_carlo: bool = False  # runs an outage estimator; only these build exact MI's tables
 
 
 EXPERIMENTS = {
-    "outage-sweep": Experiment(_outage_sweep, OUTAGE_CSV_COLUMNS),
-    "dm-slope": Experiment(_dm_slope, OUTAGE_CSV_COLUMNS + DM_SLOPE_EXTRA_COLUMNS),
+    "outage-sweep": Experiment(_outage_sweep, OUTAGE_CSV_COLUMNS, monte_carlo=True),
+    "dm-slope": Experiment(_dm_slope, OUTAGE_CSV_COLUMNS + DM_SLOPE_EXTRA_COLUMNS, monte_carlo=True),
     "certify-code": Experiment(_certify_code, outage_grid=False),
     "analytic-curve": Experiment(_analytic_curve, ANALYTIC_CSV_COLUMNS),
     "self-check": Experiment(_self_check, scheme=False),

@@ -140,22 +140,13 @@ def custom_scheme(matrices, name: str = "custom") -> RelayScheme:
     return RelayScheme(tuple(matrices), name=name)
 
 
-@functools.lru_cache(maxsize=64)
-def _builtin_stacks(num_relays: int, block_length: int) -> tuple[tuple[str, np.ndarray], ...]:
-    """The (K, N, N) stacks of the built-in families, built once per size."""
-    return (
-        ("cdd", cyclic_delay_scheme(num_relays, block_length).stacked()),
-        ("phase-rolling", phase_rolling_scheme(num_relays, block_length).stacked()),
-    )
-
-
 def builtin_family(scheme: RelayScheme) -> str | None:
     """"cdd" or "phase-rolling" when the scheme's matrices are exactly
     ``cyclic_delay_scheme(K, N)``'s or ``phase_rolling_scheme(K, N)``'s,
     compared as matrices whatever the scheme is called; else None.  At
     K = 1 both families are I/sqrt(N), and the answer is "cdd"."""
-    for family, stack in _builtin_stacks(scheme.num_relays, scheme.block_length):
-        if np.array_equal(scheme.stacked(), stack):
+    for family, make in (("cdd", cyclic_delay_scheme), ("phase-rolling", phase_rolling_scheme)):
+        if np.array_equal(scheme.stacked(), make(scheme.num_relays, scheme.block_length).stacked()):
             return family
     return None
 

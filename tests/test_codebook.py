@@ -295,6 +295,19 @@ def test_pair_blocks_cut_triu_indices_into_blocks(monkeypatch, block):
             assert dx.tobytes() == (words[a] - words[b]).tobytes()
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_pair_blocks_hold_at_most_2_22_entries_of_n_squared_per_pair(n):
+    # 100 words give 4950 pairs: one PAIR_BLOCK, but past 2^22 entries of
+    # N^2 per pair at N = 32 (4096 pairs) and N = 64 (1024)
+    words = complex_gaussian(np.random.default_rng(35), (100, n))
+    blocks = list(codebook.pair_blocks(Codebook(words, 0.1, 10.0)))
+    assert all(a.size * n * n <= 1 << 22 for a, _, _ in blocks)
+    assert blocks[0][0].size == (1 << 22) // (n * n)
+    want_a, want_b = np.triu_indices(100, k=1)
+    np.testing.assert_array_equal(np.concatenate([a for a, _, _ in blocks]), want_a)
+    np.testing.assert_array_equal(np.concatenate([b for _, b, _ in blocks]), want_b)
+
+
 def _min_gram_peak_bytes(scheme, book):
     tracemalloc.start()
     try:

@@ -44,7 +44,6 @@ from relaydiv.experiment_cli import (
     SNR_DB_MAX,
     TRIAL_GUESS,
     ExperimentConfig,
-    _grid_guess,
     _grid_trials,
     _rho,
     build_scheme,
@@ -183,6 +182,18 @@ def test_the_array_cap_admits_every_size_the_fuzz_tests_draw_and_refuses_k_n_128
     config_from_mapping({**base, "k": 64, "n": 128})
     with pytest.raises(ResourceLimitError):
         config_from_mapping({**base, "k": 128, "n": 128})
+
+
+def test_the_array_cap_counts_exact_mi_tables_only_for_the_monte_carlo_experiments():
+    # at k = n = 105 the products table and LDL^H sub-block pass 2 GiB, but
+    # only outage-sweep and dm-slope build them
+    base = dict(snr_db=(20.0, 30.0), outage="exact", k=105, n=105)
+    for experiment in ("analytic-curve", "certify-code"):
+        config_from_mapping({**base, "experiment": experiment})
+    for experiment in ("outage-sweep", "dm-slope"):
+        with pytest.raises(ResourceLimitError):
+            config_from_mapping({**base, "experiment": experiment})
+        config_from_mapping({**base, "experiment": experiment, "outage": "jensen"})
 
 
 def test_canonical_text_round_trips():
@@ -1123,8 +1134,11 @@ def _slope_cdd_config(**overrides):
 
 
 def _adaptive_trials_of(cfg):
-    gram = gramian(build_scheme(cfg))
-    c, lower, _ = _grid_guess(cfg, gram, cfg.rate_bits if cfg.r == 0 else None)
+    # c and the interval's lower end taken here, not from the sweep's code
+    rhos = [_rho(db) for db in cfg.snr_db]
+    c = np.array([outage_constant(cfg.n, cfg.rate_bits if cfg.r == 0 else cfg.r * math.log2(rho), rho)
+                  for rho in rhos])
+    lower, _ = jensen_outage_interval(gramian(build_scheme(cfg)), c)
     return _grid_trials(cfg, c, lower)
 
 
@@ -1159,6 +1173,18 @@ def test_adaptive_trial_counts_are_pinned():
     criterion_1_k3 = _slope_cdd_config(k=3, min_trials=2_000_000, max_trials=10_000_000)
     assert sum(_adaptive_trials_of(criterion_1_k3)) == 29423092
     assert _adaptive_trials_of(_slope_cdd_config(trials="1234")) == [1234] * 6
+
+
+def test_dm_slope_and_outage_sweep_share_one_curve(tmp_path):
+    # at r > 0 both run the same grid at the same adaptive trials and seeds
+    args = ["--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0.25", "--snr-db", "20,25,30,35",
+            "--min-trials", "20000", "--max-trials", "300000", "--seed", "11"]
+    columns = []
+    for experiment in ("outage-sweep", "dm-slope"):
+        out = tmp_path / f"{experiment}.csv"
+        assert main([experiment, *args, "--out", str(out)]) == EXIT_OK
+        columns.append([row.split(",")[:6] for row in out.read_text().splitlines()])
+    assert columns[0] == columns[1]
 
 
 def test_dm_slope_manifest_records_the_bias_of_its_slope_correction(tmp_path):
