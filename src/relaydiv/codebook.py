@@ -141,16 +141,17 @@ def min_gram_eigenvalue(scheme: RelayScheme, book: Codebook) -> float:
     """
     if book.block_length != scheme.block_length:
         raise InvalidParameterError("codebook and scheme block lengths differ")
-    best = math.inf
+    best, family = math.inf, builtin_family(scheme)
     for _, _, dx in pair_blocks(book):
-        best = min(best, block_min_gram(scheme, dx))
+        best = min(best, block_min_gram(scheme, family, dx))
     return best
 
 
-def block_min_gram(scheme: RelayScheme, dx: np.ndarray, phi: np.ndarray | None = None) -> float:
+def block_min_gram(scheme: RelayScheme, family: str | None, dx: np.ndarray,
+                   phi: np.ndarray | None = None) -> float:
     """min of lambda_min(Phi(dx)^H Phi(dx)) over a nonempty (P, N) block of
-    differences, where phi, when given, is the block's
-    ``difference_matrix(scheme, dx)``.
+    differences, where family is ``builtin_family(scheme)`` and phi, when
+    given, is the block's ``difference_matrix(scheme, dx)``.
 
     At K = N the built-in families need no Gramian: Phi(dx) is a circulant
     over sqrt(N) for "cdd", so its singular values are |F dx|, and diag(dx)
@@ -160,7 +161,6 @@ def block_min_gram(scheme: RelayScheme, dx: np.ndarray, phi: np.ndarray | None =
     scheme, and K < N, takes the eigenvalues (_min_gram), forming Phi only
     if phi is not given.
     """
-    family = builtin_family(scheme)
     if family is None or scheme.num_relays != scheme.block_length:
         return _min_gram(difference_matrix(scheme, dx) if phi is None else phi)
     y = _dft_bins(dx) if family == "cdd" else dx

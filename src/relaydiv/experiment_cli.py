@@ -649,7 +649,7 @@ def run_certify(cfg: ExperimentConfig) -> CertificationReport:
             i = np.argmin(full)
             sv = [float(f"{v:.3e}") for v in np.linalg.svd(phi[i], compute_uv=False)]
             first_violation = f"pair ({idx_a[i]}, {idx_b[i]}): rank deficient, singular values {sv}"
-        mu = min(mu, block_min_gram(scheme, dx, phi))
+        mu = min(mu, block_min_gram(scheme, family, dx, phi))
     certified = not first_violation
     pairs = book.size * (book.size - 1) // 2
     lines = [
@@ -884,6 +884,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"{cfg.experiment} writes a CSV; set out= or --out")
         if cfg.out:
             _check_out_path(cfg.out)
+        if experiment.columns:
+            _check_out_path(cfg.out + ".manifest.json")
         started = time.monotonic()
         result = experiment.run(cfg)
         if experiment.columns:

@@ -23,7 +23,6 @@ called without one, it returns a fresh array.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -145,14 +144,11 @@ def _trial_last_products(u: np.ndarray, b, workspace: Workspace) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=None)
 def _lower_rows(n: int) -> np.ndarray:
     """Indices into a row-major vec(A) of A's lower triangle packed by
-    diagonals: A[k, k] for k = 0..N-1, then A[k+1, k], then A[k+2, k], ...
-    (read-only)."""
-    rows = np.concatenate([np.arange(n - d) * (n + 1) + d * n for d in range(n)])
-    rows.flags.writeable = False
-    return rows
+    diagonals: A[k, k] for k = 0..N-1, then A[k+1, k], then A[k+2, k], ...,
+    a fresh array on each call."""
+    return np.concatenate([np.arange(n - d) * (n + 1) + d * n for d in range(n)])
 
 
 def _ldl_pivots(

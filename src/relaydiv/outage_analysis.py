@@ -9,10 +9,10 @@ states, as the parts (u, b, 1 + ||h||^2) of h~ = u sqrt(b), in one shared
 draw (_sample_fading, FADING_STREAM), so every estimator sees the same
 draw for the same (seed, block); each kernel forms only what it needs.
 
-Blocks run on the calling thread or, with 2 or more workers, on the
-process's one pool of that many threads (_pool), which live as long as the
-process.  Each thread keeps one Workspace (_workspace) for the arrays of
-its blocks' draws and exact kernels; it grows to the largest block the
+Blocks run on the calling thread or, with 2 or more workers, in bounded
+waves on the process's one pool (_pool), which a call at another worker
+count replaces.  Each thread keeps one Workspace (_workspace) for the arrays
+of its blocks' draws and exact kernels; it grows to the largest block the
 thread has run, so blocks after a thread's first allocate no large array.
 """
 
@@ -145,10 +145,11 @@ def point_seed(seed: int, index: int) -> int:
     return seed + index
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _pool(workers: int) -> "ThreadPoolExecutor":
-    """The process's pool of ``workers`` threads, made on first use.  The
-    pool module is imported here, so a one-thread process never loads it."""
+    """The process's one pool, of ``workers`` threads; a call at another
+    count replaces it, and the old pool's threads exit once no call maps on
+    it.  Imports the pool module, so a one-thread process never loads it."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=workers)
@@ -176,7 +177,9 @@ def _mc_event_count(
         return block_events(_block_rng(seed, block), n)
 
     run = map if workers == 1 or nblocks == 1 else _pool(workers).map
-    return int(sum(run(one, range(nblocks))))
+    # waves of 64 blocks a worker: a pool holds one wave's futures at a time
+    blocks, wave = range(nblocks), 64 * workers
+    return int(sum(sum(run(one, blocks[lo:lo + wave])) for lo in range(0, nblocks, wave)))
 
 
 def _workspace() -> Workspace:

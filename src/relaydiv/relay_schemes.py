@@ -8,7 +8,6 @@ delay diversity (scaled cyclic-shift permutations) and phase rolling
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +112,14 @@ def phase_rolling_scheme(num_relays: int, block_length: int) -> RelayScheme:
     return RelayScheme(tuple(mats), name="phase-rolling")
 
 
-@functools.lru_cache(maxsize=None)
 def dft_matrix(block_length: int) -> np.ndarray:
     """Unitary DFT matrix, [F]_{ln} = exp(-j 2 pi (l-1)(n-1) / N) / sqrt(N),
-    built once per size (read-only)."""
+    a fresh array on each call."""
     if block_length < 1:
         raise InvalidParameterError("block length must be >= 1")
     n = block_length
     grid = np.arange(n)
-    out = np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
-    out.setflags(write=False)
-    return out
+    return np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
 
 
 def unitary_scaling_deviations(stack: np.ndarray) -> np.ndarray:

@@ -376,7 +376,7 @@ def test_closed_form_min_gram_matches_the_svd_per_pair(make, n):
     mus = []
     for _, _, dx in codebook.pair_blocks(book):
         for row in dx:
-            mu = block_min_gram(scheme, row[None])
+            mu = block_min_gram(scheme, family, row[None])
             sv2 = np.linalg.svd(difference_matrix(scheme, row), compute_uv=False) ** 2
             assert abs(mu - sv2[-1]) <= max(1e-12 * sv2[-1], 4 * eps * sv2[0])
             mus.append(mu)
@@ -402,8 +402,8 @@ def test_min_gram_keeps_the_eigenvalues_off_the_closed_form(monkeypatch, scheme)
     want = np.inf
     for _, _, dx in codebook.pair_blocks(book):
         phi = difference_matrix(scheme, dx)
-        got = block_min_gram(scheme, dx)
-        assert got == block_min_gram(scheme, dx, phi) == codebook._min_gram(phi)
+        got = block_min_gram(scheme, builtin_family(scheme), dx)
+        assert got == block_min_gram(scheme, builtin_family(scheme), dx, phi) == codebook._min_gram(phi)
         want = min(want, got)
     assert min_gram_eigenvalue(scheme, book) == want
 

@@ -635,6 +635,30 @@ def test_certify_mu_min_is_min_gram_eigenvalue(tmp_path, monkeypatch, scheme, k,
     assert report.mu_min == min_gram_eigenvalue(build_scheme(cfg), load_codebook_file(path))
 
 
+def test_certify_and_min_gram_eigenvalue_decide_the_family_once(tmp_path, monkeypatch):
+    # 30 words, 435 pairs in 63 blocks of 7: the family is the scheme's, so
+    # each pass decides it once, not once per block
+    from relaydiv import codebook, experiment_cli, relay_schemes
+
+    decide, calls = relay_schemes.builtin_family, []
+
+    def counting(scheme):
+        calls.append(scheme)
+        return decide(scheme)
+
+    for module in (relay_schemes, codebook, experiment_cli):
+        monkeypatch.setattr(module, "builtin_family", counting)
+    monkeypatch.setattr(codebook, "PAIR_BLOCK", 7)
+    path = str(tmp_path / "book.txt")
+    book = Codebook(complex_gaussian(np.random.default_rng(44), (30, 4)), 0.25, 100.0)
+    save_codebook_file(path, book)
+    run_certify(_sweep_config(experiment="certify-code", k=4, n=4, codebook=path))
+    assert len(calls) == 1
+    calls.clear()
+    min_gram_eigenvalue(cyclic_delay_scheme(4, 4), book)
+    assert len(calls) == 1
+
+
 def test_certify_report_does_not_depend_on_the_pair_block(tmp_path, monkeypatch):
     # 12 words, 66 pairs: in blocks of 7 the only duplicate pair, (4, 9), is
     # pair 42 in triu order, in the seventh block
@@ -904,6 +928,23 @@ def test_cli_out_path_that_is_a_directory_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "is a directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
+def test_a_manifest_path_that_is_a_directory_is_refused_before_any_block(tmp_path, monkeypatch,
+                                                                          capsys):
+    # the CSV's path can be written but its manifest's cannot: the run exits
+    # 2 before any Monte Carlo block and leaves no CSV without a manifest
+    from relaydiv import outage_analysis
+
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    blocks = []
+    monkeypatch.setattr(outage_analysis, "_mc_event_count", lambda *args: blocks.append(args))
+    rc = main(["outage-sweep", "--scheme", "cdd", "--k", "2", "--n", "8", "--r", "0.25",
+               "--snr-db", "20", "--trials", "2000000", "--out", str(tmp_path / "out.csv")])
+    assert rc == EXIT_CONFIG
+    assert "is a directory" in capsys.readouterr().err
+    assert blocks == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["out.csv.manifest.json"]
 
 
 def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):

@@ -662,6 +662,42 @@ def test_blocks_run_on_the_calling_thread_or_on_one_pool(monkeypatch):
     assert second <= first
 
 
+def test_a_call_at_another_worker_count_retires_the_old_pool():
+    # the threads that ran a 3-thread call's blocks exit once a 2-thread
+    # call has replaced their pool; a pool per count would keep them all
+    ran = set()
+
+    def block(rng, n):
+        ran.add(threading.current_thread())
+        time.sleep(0.01)  # lets the pool start more than one thread
+        return 0
+
+    trials = 6 * outage_analysis.BLOCK_TRIALS
+    outage_analysis._mc_event_count(trials, 1, 3, block)
+    old = ran - {threading.current_thread()}
+    assert old
+    outage_analysis._mc_event_count(trials, 1, 2, block)
+    for thread in old:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in old)
+
+
+def test_a_pool_call_holds_memory_bounded_in_its_block_count():
+    # blocks run in waves, so a 2-thread call holds one wave's futures, not
+    # one future (~1.6 KB) per block of the call
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            outage_analysis._mc_event_count(blocks * outage_analysis.BLOCK_TRIALS, 1, 2,
+                                            lambda rng, n: 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(500)  # the pool, its threads and the runner's code exist before the traces
+    assert peak(4000) <= peak(500) + 2**19
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_a_two_thread_call_on_its_own_pool():
     # a forked child has none of its parent's pool threads; were the pool
